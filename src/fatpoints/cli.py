@@ -67,6 +67,8 @@ def _config_dict(args) -> dict:
 
 
 def _check_runconfig(args, max_degree: int) -> None:
+    if args.prime >= gfmat.MAX_PRIME:
+        raise UsageError(f"--prime {args.prime} must be below 2^31")
     if not gfmat.is_prime(args.prime):
         raise UsageError(f"--prime {args.prime} is not prime")
     if args.prime <= max(2 * max_degree, 3):

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import gfmat, linsys
-from .gfmat import DEFAULT_PRIME, GFMatrix
+from .gfmat import DEFAULT_PRIME, MAX_PRIME, GFMatrix
 from .linsys import GENERIC, ON_CUBIC, FatPointSystem
 
 SAMPLE_RETRIES = 64
@@ -41,9 +41,6 @@ DEGENERATION_CODIM = "degeneration-corollary"
 DEGENERATION_BOUND = "degeneration-bound"
 
 CERT_SCHEMA_VERSION = 2
-
-# condition_rows multiplies reduced residues in int64; exact only below this
-MAX_PRIME = 2 ** 31
 
 
 class ConfigError(Exception):

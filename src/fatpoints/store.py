@@ -2,7 +2,9 @@
 
 Records are keyed by a content hash of (command, input system, run config),
 so re-running an identical invocation is a lookup, not a recomputation.
-Timestamps are excluded from the hash.
+Timestamps are excluded from the hash.  A last line without its newline was
+torn by a crash mid-write: loading drops it with a warning on stderr and the
+next append cuts it off.  A bad line before the last one is an error.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 from typing import Optional
 
@@ -29,14 +32,24 @@ class CertificateStore:
     def __init__(self, path: str):
         self.path = path
         self._by_key = {}
+        # byte offset of a torn last line, cut off before the next append
+        self._torn_at = None
         if path and os.path.exists(path):
-            with open(path) as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
+            with open(path, "rb") as f:
+                data = f.read()
+            body, _, torn = data.rpartition(b"\n")
+            if torn:
+                self._torn_at = len(data) - len(torn)
+                print(f"warning: dropped torn last line of store {path} "
+                      f"({len(torn)} bytes)", file=sys.stderr)
+            for n, line in enumerate(body.decode().splitlines(), 1):
+                if not line.strip():
+                    continue
+                try:
                     rec = json.loads(line)
-                    self._by_key[rec["key"]] = rec
+                except ValueError as e:
+                    raise ValueError(f"store {path} line {n} is corrupt: {e}") from None
+                self._by_key[rec["key"]] = rec
 
     def __len__(self):
         return len(self._by_key)
@@ -68,6 +81,9 @@ class CertificateStore:
         self._by_key[key] = rec
         if self.path:
             os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
+            if self._torn_at is not None:
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
             with open(self.path, "a") as f:
                 f.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
         return rec

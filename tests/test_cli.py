@@ -68,6 +68,13 @@ def test_certify_refuses_prime_beyond_int64_products(capsys):
     assert "2^31" in capsys.readouterr().err
 
 
+def test_prime_beyond_2_31_is_usage_error(capsys):
+    # 2147483659 is the least prime above 2^31
+    for argv in (["certify", "13", "4x10"], ["sweep", "13", "10", "4"]):
+        assert main(argv + ["--prime", "2147483659"]) == 1
+        assert "--prime 2147483659 must be below 2^31" in capsys.readouterr().err
+
+
 def test_reduce_report(capsys):
     code, out = run(capsys, "reduce", "28", "12", "8", "--format", "json")
     assert code == EXIT_DECIDED
@@ -144,6 +151,55 @@ def test_store_roundtrip(tmp_path):
     assert rec2 == rec
     st3 = CertificateStore(path)
     assert len(st3) == 1
+
+
+def _one_record_store(path):
+    cert = certify(homogeneous_system(4, 10, 1, tag="on-cubic"), seed=1)
+    system = {"d": 4, "mults": [1] * 10, "tags": ["on-cubic"] * 10}
+    CertificateStore(path).put("certify", system, {"seed": "1"}, cert)
+    return system, cert
+
+
+def test_store_drops_torn_last_line(tmp_path, capsys):
+    path = str(tmp_path / "store.ndjson")
+    system, cert = _one_record_store(path)
+    with open(path) as f:
+        whole = f.read()
+    with open(path, "a") as f:
+        f.write(whole[:40])  # a second record cut off mid-write
+    capsys.readouterr()
+
+    st = CertificateStore(path)
+    assert len(st) == 1
+    assert "torn last line" in capsys.readouterr().err
+    # the next append replaces the torn tail, so the file loads cleanly
+    st.put("certify", system, {"seed": "2"}, cert)
+    assert len(CertificateStore(path)) == 2
+    assert capsys.readouterr().err == ""
+    with open(path) as f:
+        lines = f.read().splitlines(keepends=True)
+    assert len(lines) == 2 and lines[0] == whole
+
+    # the CLI resumes on a torn store instead of aborting
+    with open(path, "a") as f:
+        f.write('{"key": "unterminated')
+    code, _ = run(capsys, "certify", "4", "1x10", "--placement", "cubic",
+                  "--store", path)
+    assert code == EXIT_DECIDED
+    assert len(CertificateStore(path)) == 3
+
+
+def test_store_rejects_corruption_before_last_line(tmp_path, capsys):
+    path = str(tmp_path / "store.ndjson")
+    _one_record_store(path)
+    with open(path) as f:
+        whole = f.read()
+    with open(path, "w") as f:
+        f.write(whole[:40] + "\n" + whole)
+    with pytest.raises(ValueError, match="line 1 is corrupt"):
+        CertificateStore(path)
+    assert main(["certify", "4", "1x10", "--store", path]) == 1
+    assert "corrupt" in capsys.readouterr().err
 
 
 def test_threads_env_var(capsys, monkeypatch):

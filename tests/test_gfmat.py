@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fatpoints import gfmat
-from fatpoints.gfmat import (DEFAULT_PRIME, GFMatrix, field_inverse, is_prime,
-                             legendre, rank, rational_rank, sqrt_mod)
+from fatpoints.gfmat import (CUTOFF, DEFAULT_PRIME, MAX_INNER, GFMatrix,
+                             field_inverse, is_prime, legendre, rank,
+                             rational_rank, sqrt_mod)
 
 PRIMES = [101, 32003, DEFAULT_PRIME]
 
@@ -137,3 +138,100 @@ def test_bad_modulus_rejected():
         GFMatrix([[1]], 100)
     with pytest.raises(gfmat.GFMatError):
         GFMatrix([[1]], 2)
+
+
+def test_rank_refuses_word_overflowing_prime():
+    # rank 5: the last row is the sum of the first two.  Mod a 40-bit prime
+    # the int64 products overflow and the old kernel reported full rank
+    big = 1099511627689
+    assert is_prime(big)
+    rng = np.random.default_rng(1)
+    M = rng.integers(0, big, (6, 6))
+    M[5] = (M[0] + M[1]) % big
+    with pytest.raises(gfmat.GFMatError, match="2\\^31"):
+        rank(GFMatrix(M, big))
+    with pytest.raises(gfmat.GFMatError, match="2\\^31"):
+        gfmat._rank_mod(M, big)
+    assert gfmat.MAX_PRIME == 2 ** 31 and DEFAULT_PRIME < gfmat.MAX_PRIME
+
+
+def _unblocked_rank(M, p):
+    return len(gfmat._eliminate(np.mod(M, p), p))
+
+
+def _low_rank(rng, rows, cols, r, p):
+    # r random rows mixed with small coefficients: exact in int64
+    coef = rng.integers(0, 4, (rows, r))
+    base = rng.integers(0, p, (r, cols))
+    out = np.zeros((rows, cols), dtype=np.int64)
+    for j in range(r):
+        out = (out + coef[:, j:j + 1] * base[j]) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 65521, DEFAULT_PRIME])
+def test_blocked_rank_matches_unblocked_kernel(p):
+    rng = np.random.default_rng(p)
+    n = CUTOFF + 40
+    cases = [
+        rng.integers(0, p, (n + 60, n)),                    # tall
+        rng.integers(0, p, (n, n + 90)),                    # wide
+        _low_rank(rng, n, n + 10, 200, p),                  # rank-deficient
+        _low_rank(rng, n + 20, n, CUTOFF + 10, p),
+    ]
+    zero_cols = rng.integers(0, p, (n, n + 30))
+    zero_cols[:, rng.choice(n + 30, 40, replace=False)] = 0
+    zero_cols[rng.choice(n, 30, replace=False)] = 0
+    cases.append(zero_cols)
+    zero_panel = rng.integers(0, p, (n, n + 100))
+    zero_panel[:, :gfmat.PANEL] = 0                         # first panel empty
+    zero_panel[:, 2 * gfmat.PANEL:4 * gfmat.PANEL + 5] = 0  # two more
+    cases.append(zero_panel)
+    for M in cases:
+        assert min(M.shape) > CUTOFF
+        assert rank(GFMatrix(M, p)) == _unblocked_rank(M, p)
+
+
+def test_blocked_rank_matches_rational_oracle():
+    # low-rank integer matrices keep Bareiss cheap; negative entries become
+    # residues near p, so the limb products see full-size operands
+    rng = np.random.default_rng(5)
+    for r, shape in [(6, (CUTOFF + 30, CUTOFF + 50)),
+                     (9, (CUTOFF + 70, CUTOFF + 20))]:
+        coef = rng.integers(-3, 4, (shape[0], r))
+        base = rng.integers(-3, 4, (r, shape[1]))
+        M = coef @ base
+        want = rational_rank(M)
+        assert want == r
+        assert rank(GFMatrix(M, DEFAULT_PRIME)) == want
+
+
+def test_mul_mod_exact_at_worst_case():
+    p = DEFAULT_PRIME
+    # every entry p - 1, and every limb at its maximum below p
+    for v in (p - 1, 0x7FBFFFFF):
+        a = np.full((3, MAX_INNER), v, dtype=np.int64)
+        b = np.full((MAX_INNER, 4), v, dtype=np.int64)
+        want = MAX_INNER * v * v % p
+        assert (gfmat._mul_mod(a, b, p) == want).all()
+    rng = np.random.default_rng(2)
+    a = rng.integers(p - 2 ** 20, p, (5, MAX_INNER))
+    b = rng.integers(p - 2 ** 20, p, (MAX_INNER, 3))
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p
+             for col in b.T] for row in a]
+    assert gfmat._mul_mod(a, b, p).tolist() == want
+    with pytest.raises(ValueError):
+        gfmat._mul_mod(np.ones((1, MAX_INNER + 1), dtype=np.int64),
+                       np.ones((MAX_INNER + 1, 1), dtype=np.int64), p)
+
+
+def test_inverse_mod():
+    rng = np.random.default_rng(3)
+    for p in (3, 65521, DEFAULT_PRIME):
+        for k in (1, 5, gfmat.PANEL):
+            while True:
+                m = rng.integers(0, p, (k, k))
+                if _unblocked_rank(m, p) == k:
+                    break
+            inv = gfmat._inverse_mod(m, p)
+            assert (gfmat._mul_mod(m, inv, p) == np.eye(k, dtype=np.int64)).all()
