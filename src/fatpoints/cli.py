@@ -67,6 +67,8 @@ def _config_dict(args) -> dict:
 
 
 def _check_runconfig(args, max_degree: int) -> None:
+    if args.trials < 1:
+        raise UsageError(f"--trials {args.trials} must be at least 1")
     if args.prime >= gfmat.MAX_PRIME:
         raise UsageError(f"--prime {args.prime} must be below 2^31")
     if not gfmat.is_prime(args.prime):
@@ -132,7 +134,7 @@ def cmd_reduce(args) -> int:
     integral = bound.denominator == 1
     red = plan.reduced
     warn = None
-    exact = elliptic._exact_h0(red)
+    exact = linsys.exact_h0(red)
     if exact is not None:
         h1 = exact - plan.chi_reduced
         if exact > 0 and h1 > 0:
@@ -157,6 +159,12 @@ def cmd_reduce(args) -> int:
     return EXIT_DECIDED
 
 
+def _too_large(s: FatPointSystem, args) -> bool:
+    """Whether the direct matrix of s has more than --max-matrix-entries."""
+    return (linsys.conditions_count(s) * linsys.monomial_count(s.d)
+            > args.max_matrix_entries)
+
+
 def _bound_for(d: int, n: int, m: int, args):
     """Best h0 upper bound over all admissible integral twists.
 
@@ -178,12 +186,8 @@ def _bound_for(d: int, n: int, m: int, args):
         # any bound from this twist is at least max(chi_reduced, 0)
         if best is not None and max(plan.chi_reduced, 0) >= best:
             continue
-        red = plan.reduced
-        if elliptic._exact_h0(red) is None:
-            size = (linsys.conditions_count(linsys.effective_part(red))
-                    * linsys.monomial_count(red.d))
-            if size > args.max_matrix_entries:
-                continue
+        if linsys.exact_h0(plan.reduced) is None and _too_large(plan.reduced, args):
+            continue
         cert = elliptic.theorem_upper_bound(plan, trials=args.trials,
                                             p=args.prime, seed=args.seed)
         if best is None or cert.h0_bound < best:
@@ -217,30 +221,36 @@ def _mu_info(d: int, n: int, m: int):
     return str(mu), mu.denominator == 1 and mu > 0
 
 
+SWEEP_FIELDS = ("d", "n", "m", "v", "mu", "integral", "verdict", "h0")
+
+
+def _sweep_row(d: int, n: int, m: int, verdict: str, cert=None) -> dict:
+    """One sweep row; h0 falls back to the certificate's upper bound."""
+    mu, integral = _mu_info(d, n, m)
+    h0 = None
+    if cert is not None:
+        h0 = cert.h0 if cert.h0 is not None else cert.h0_bound
+    return {"d": d, "n": n, "m": m,
+            "v": linsys.expected_dim(linsys.homogeneous_system(d, n, m)),
+            "mu": mu, "integral": integral, "verdict": verdict, "h0": h0,
+            "cert": cert}
+
+
 def _sweep_item(d: int, n: int, m: int, args):
     s = linsys.homogeneous_system(d, n, m)
-    v = linsys.expected_dim(s)
-    mu, integral = _mu_info(d, n, m)
+    _, integral = _mu_info(d, n, m)
     try:
         if integral:
             cert = elliptic.corollary_nonspecial(d, n, m, trials=args.trials,
                                                  p=args.prime, seed=args.seed)
+        elif _too_large(s, args):
+            return _sweep_row(d, n, m, "skipped-too-large")
         else:
-            size = linsys.conditions_count(s) * linsys.monomial_count(d)
-            if size > args.max_matrix_entries:
-                return {"d": d, "n": n, "m": m, "v": v, "mu": mu,
-                        "integral": integral, "verdict": "skipped-too-large",
-                        "h0": None, "cert": None}
             cert = interp.certify(s, trials=args.trials, p=args.prime,
                                   seed=args.seed)
     except Exception as e:  # per-item failures are recorded, not fatal
-        return {"d": d, "n": n, "m": m, "v": v, "mu": mu,
-                "integral": integral, "verdict": f"error: {e}", "h0": None,
-                "cert": None}
-    return {"d": d, "n": n, "m": m, "v": v, "mu": mu,
-            "integral": integral, "verdict": cert.verdict,
-            "h0": cert.h0 if cert.h0 is not None else cert.h0_bound,
-            "cert": cert}
+        return _sweep_row(d, n, m, f"error: {e}")
+    return _sweep_row(d, n, m, cert.verdict, cert)
 
 
 def cmd_sweep(args) -> int:
@@ -256,13 +266,7 @@ def cmd_sweep(args) -> int:
         key = record_key("sweep", _system_dict(s), _config_dict(args))
         cert = st.lookup_certificate(key) if st is not None else None
         if cert is not None:
-            mu, integral = _mu_info(d, n, m)
-            results[i] = {"d": d, "n": n, "m": m, "v": linsys.expected_dim(s),
-                          "mu": mu,
-                          "integral": integral,
-                          "verdict": cert.verdict,
-                          "h0": cert.h0 if cert.h0 is not None else cert.h0_bound,
-                          "cert": None}
+            results[i] = _sweep_row(d, n, m, cert.verdict, cert)
         else:
             todo.append(i)
 
@@ -281,26 +285,17 @@ def cmd_sweep(args) -> int:
     # single-writer persistence, input order
     if st is not None:
         for i in todo:
-            res = results[i]
-            if res and res["cert"] is not None:
-                d, n, m = items[i]
-                s = linsys.homogeneous_system(d, n, m)
-                st.put("sweep", _system_dict(s), _config_dict(args), res["cert"])
+            cert = results[i]["cert"]
+            if cert is not None:
+                st.put("sweep", _system_dict(cert.system), _config_dict(args), cert)
 
-    header = "d,n,m,v,mu,integral,verdict,h0"
-    rows = []
-    for res in results:
-        rows.append("{d},{n},{m},{v},{mu},{integral},{verdict},{h0}".format(
-            **{k: ("" if res[k] is None else res[k]) for k in
-               ("d", "n", "m", "v", "mu", "integral", "verdict", "h0")}))
     if args.format == "json":
-        out = [{k: r[k] for k in ("d", "n", "m", "v", "mu", "integral",
-                                  "verdict", "h0")} for r in results]
+        out = [{k: r[k] for k in SWEEP_FIELDS} for r in results]
         print(json.dumps(out, sort_keys=True, separators=(",", ":")))
     else:
-        print(header)
-        for row in rows:
-            print(row)
+        print(",".join(SWEEP_FIELDS))
+        for r in results:
+            print(",".join("" if r[k] is None else str(r[k]) for k in SWEEP_FIELDS))
     return EXIT_DECIDED
 
 

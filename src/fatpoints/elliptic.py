@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import interp, linsys
 from .gfmat import DEFAULT_PRIME
@@ -116,15 +115,6 @@ def ruled_chi(D: RuledSurfaceDivisor) -> Fraction:
     return (D.mu + 1) * (Fraction(D.b_prime) - Fraction(D.mu * D.e, 2))
 
 
-def _exact_h0(s: FatPointSystem) -> Optional[int]:
-    """h0 by fixed-component arithmetic when no conditions survive."""
-    if s.d < 0:
-        return 0
-    if linsys.conditions_count(linsys.effective_part(s)) == 0:
-        return linsys.monomial_count(s.d)
-    return None
-
-
 def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS,
                         p: int = DEFAULT_PRIME, seed: int = 0) -> Certificate:
     """Upper bound on the original system's generic h0 via the reduction.
@@ -139,21 +129,15 @@ def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS
         # the degeneration argument needs positive degree and multiplicities
         # (otherwise the restricted divisor on the cubic need not be general)
         raise InapplicableError("original degree and multiplicities must be positive")
-    exact = _exact_h0(plan.reduced)
-    if exact is not None:
-        return Certificate(verdict=UPPER_BOUND, method=DEGENERATION_BOUND,
-                           system=plan.original, chi=plan.chi_original,
-                           prime=p, seed=seed, trials=trials, h0_bound=exact)
-    evidence = []
-    for t in range(trials):
-        sub = interp.derive_seed(seed, t)
-        cfg = interp.config_for_system(plan.reduced, p, sub)
-        evidence.append((p, sub, interp.h0_at_sample(plan.reduced, cfg)))
-    bound = min(r.h0_sample for (_, _, r) in evidence)
+    bound = linsys.exact_h0(plan.reduced)
+    evidence = ()
+    if bound is None:
+        evidence = interp.run_trials(plan.reduced, trials, p, seed)
+        bound = min(r.h0_sample for (_, _, r) in evidence)
     return Certificate(verdict=UPPER_BOUND, method=DEGENERATION_BOUND,
                        system=plan.original, chi=plan.chi_original,
                        prime=p, seed=seed, trials=trials, h0_bound=bound,
-                       evidence=tuple(evidence))
+                       evidence=evidence)
 
 
 def corollary_nonspecial(d: int, n: int, m: int,
@@ -186,9 +170,10 @@ def corollary_nonspecial(d: int, n: int, m: int,
                            h1=(cert_red.h0 - plan.chi_original
                                if cert_red.h0 is not None else None),
                            evidence=cert_red.evidence)
-    bound = theorem_upper_bound(plan, trials=trials, p=p, seed=seed)
+    # theorem_upper_bound would rerun these trials; the reduced system's
+    # h0_bound is already the bound it would return
     return Certificate(verdict=INCONCLUSIVE, method=DEGENERATION_CODIM,
                        system=s, chi=plan.chi_original,
                        prime=p, seed=seed, trials=trials,
-                       h0_bound=bound.h0_bound,
+                       h0_bound=cert_red.h0_bound,
                        evidence=cert_red.evidence)

@@ -40,7 +40,7 @@ DIRECT_ON_CUBIC = "direct-on-cubic"
 DEGENERATION_CODIM = "degeneration-corollary"
 DEGENERATION_BOUND = "degeneration-bound"
 
-CERT_SCHEMA_VERSION = 2
+CERT_SCHEMA_VERSION = 3
 
 
 class ConfigError(Exception):
@@ -321,6 +321,22 @@ def _method_for(s: FatPointSystem) -> str:
     return DIRECT_ON_CUBIC if ON_CUBIC in s.tags else DIRECT_GENERIC
 
 
+def run_trials(s: FatPointSystem, trials: int, p: int, seed: int) -> tuple:
+    """Evidence ((p, sub-seed, RankReport), ...) of trials 0, 1, ... in order.
+
+    Stops after the first full-rank trial: its h0_sample is the floor
+    max(monomials - conditions, 0), so no later trial can lower the least.
+    """
+    evidence = []
+    for t in range(trials):
+        sub = derive_seed(seed, t)
+        rep = h0_at_sample(s, config_for_system(s, p, sub))
+        evidence.append((p, sub, rep))
+        if rep.full_rank:
+            break
+    return tuple(evidence)
+
+
 def certify(s: FatPointSystem, trials: int = DEFAULT_TRIALS,
             p: int = DEFAULT_PRIME, seed: int = 0) -> Certificate:
     """Decide (non)speciality of the system, sampling where needed.
@@ -331,8 +347,9 @@ def certify(s: FatPointSystem, trials: int = DEFAULT_TRIALS,
     full-rank one, which pins the generic h0 exactly; `trials` is the number
     requested and `evidence` lists the trials that ran.  When no trial is
     full rank, agreeing deficits over >= 3 seeds give special-suspected
-    only, and anything else is inconclusive with the least h0 as bound.
-    h1 is inferred as h0 - chi, valid since h2 = 0 for d >= -2.
+    only, and anything else is inconclusive; both carry the least h0 as
+    h0_bound only.  h1 is inferred as h0 - chi, valid since h2 = 0 for
+    d >= -2.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -346,36 +363,21 @@ def certify(s: FatPointSystem, trials: int = DEFAULT_TRIALS,
                            chi=ch, prime=p, seed=seed, trials=trials,
                            h0_bound=0, h0=0, h1=None)
 
-    def exact(h0: int, evidence: tuple = ()) -> Certificate:
-        h1 = h0 - ch
-        verdict = SPECIAL_EXACT if (h0 > 0 and h1 > 0) else NONSPECIAL
-        return Certificate(verdict=verdict, method=method, system=s, chi=ch,
-                           prime=p, seed=seed, trials=trials,
-                           h0_bound=h0, h0=h0, h1=h1, evidence=evidence)
-
-    if s.d < 0:
-        return exact(0)
-    if linsys.conditions_count(linsys.effective_part(s)) == 0:
-        return exact(linsys.monomial_count(s.d))
-
-    evidence = []
-    for t in range(trials):
-        sub = derive_seed(seed, t)
-        rep = h0_at_sample(s, config_for_system(s, p, sub))
-        evidence.append((p, sub, rep))
-        if rep.full_rank:
-            # the generic h0 is pinned; later trials cannot change it
-            return exact(rep.h0_sample, tuple(evidence))
-
-    reports = [r for (_, _, r) in evidence]
-    deficits = {r.h0_sample for r in reports}
-    if len(deficits) == 1 and trials >= 3:
-        h0s = reports[0].h0_sample
-        return Certificate(verdict=SPECIAL_SUSPECTED, method=method, system=s,
-                           chi=ch, prime=p, seed=seed, trials=trials,
-                           h0_bound=h0s, h0=h0s, h1=h0s - ch,
-                           evidence=tuple(evidence))
-    bound = min(r.h0_sample for r in reports)
-    return Certificate(verdict=INCONCLUSIVE, method=method, system=s, chi=ch,
-                       prime=p, seed=seed, trials=trials, h0_bound=bound,
-                       evidence=tuple(evidence))
+    h0 = linsys.exact_h0(s)
+    evidence = ()
+    if h0 is None:
+        evidence = run_trials(s, trials, p, seed)
+        last = evidence[-1][2]
+        if not last.full_rank:
+            deficits = {r.h0_sample for (_, _, r) in evidence}
+            verdict = (SPECIAL_SUSPECTED if len(deficits) == 1 and trials >= 3
+                       else INCONCLUSIVE)
+            return Certificate(verdict=verdict, method=method, system=s,
+                               chi=ch, prime=p, seed=seed, trials=trials,
+                               h0_bound=min(deficits), evidence=evidence)
+        h0 = last.h0_sample
+    h1 = h0 - ch
+    verdict = SPECIAL_EXACT if (h0 > 0 and h1 > 0) else NONSPECIAL
+    return Certificate(verdict=verdict, method=method, system=s, chi=ch,
+                       prime=p, seed=seed, trials=trials,
+                       h0_bound=h0, h0=h0, h1=h1, evidence=evidence)

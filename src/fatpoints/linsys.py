@@ -10,6 +10,7 @@ impose no vanishing conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 GENERIC = "generic"
 ON_CUBIC = "on-cubic"
@@ -73,6 +74,19 @@ def expected_dim(s: FatPointSystem) -> int:
 def conditions_count(s: FatPointSystem) -> int:
     """Linear conditions imposed by the positive multiplicities only."""
     return sum(m * (m + 1) // 2 for m in s.mults if m >= 1)
+
+
+def exact_h0(s: FatPointSystem) -> Optional[int]:
+    """h0 by fixed-component arithmetic, or None when sampling is needed.
+
+    0 for d < 0; the monomial count when no positive multiplicity is left
+    to impose conditions.
+    """
+    if s.d < 0:
+        return 0
+    if conditions_count(s) == 0:
+        return monomial_count(s.d)
+    return None
 
 
 def invariants(s: FatPointSystem) -> SystemInvariants:

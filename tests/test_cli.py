@@ -75,6 +75,15 @@ def test_prime_beyond_2_31_is_usage_error(capsys):
         assert "--prime 2147483659 must be below 2^31" in capsys.readouterr().err
 
 
+def test_trials_below_one_is_usage_error(capsys):
+    for argv in (["certify", "13", "4x10"], ["bound", "40", "11", "11"],
+                 ["sweep", "13", "10", "4"]):
+        assert main(argv + ["--trials", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "--trials 0 must be at least 1" in captured.err
+        assert captured.out == ""
+
+
 def test_reduce_report(capsys):
     code, out = run(capsys, "reduce", "28", "12", "8", "--format", "json")
     assert code == EXIT_DECIDED

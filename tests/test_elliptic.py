@@ -182,6 +182,19 @@ def test_theorem_upper_bound_zero_twist():
     assert cert.verdict == UPPER_BOUND and cert.h0_bound == 5
 
 
+def test_theorem_upper_bound_stops_at_first_full_rank_trial():
+    for (d, n, m, mu) in [(4, 10, 1, 0), (13, 10, 4, 1)]:
+        plan = reduce(homogeneous_system(d, n, m), n, mu)
+        cert = theorem_upper_bound(plan, trials=3, seed=0)
+        assert cert.trials == 3 and len(cert.evidence) == 1
+        (_, sub, rep), = cert.evidence
+        assert rep.full_rank and sub == interp.derive_seed(0, 0)
+        every = [interp.h0_at_sample(plan.reduced, interp.config_for_system(
+                     plan.reduced, cert.prime, interp.derive_seed(0, t)))
+                 for t in range(3)]
+        assert cert.h0_bound == min(r.h0_sample for r in every)
+
+
 def test_theorem_upper_bound_refuses_without_hypothesis():
     plan = reduce(homogeneous_system(13, 10, 4), 10, 4)
     with pytest.raises(InapplicableError):

@@ -5,7 +5,7 @@ import pytest
 from fatpoints import linsys
 from fatpoints.linsys import (FatPointSystem, GENERIC, ON_CUBIC, chi,
                               conditions_count, cremona, cremona_standardize,
-                              effective_part, expected_dim,
+                              effective_part, exact_h0, expected_dim,
                               homogeneous_system, monomial_count)
 
 
@@ -132,3 +132,17 @@ def test_monomial_count():
     assert monomial_count(0) == 1
     assert monomial_count(4) == 15
     assert monomial_count(-3) == 0
+
+
+def test_exact_h0():
+    # d < -2 and d in [-2, -1]: no sections, whatever the multiplicities
+    assert exact_h0(homogeneous_system(-5, 10, 3)) == 0
+    assert exact_h0(homogeneous_system(-2, 10, -1)) == 0
+    assert exact_h0(FatPointSystem(-1, ())) == 0
+    # every multiplicity <= 0: fixed components only, all monomials survive
+    assert exact_h0(homogeneous_system(3, 10, -2, tag=ON_CUBIC)) == 10
+    assert exact_h0(FatPointSystem(4, (0, -1, 0))) == 15
+    assert exact_h0(FatPointSystem(0, ())) == 1
+    # one surviving condition means sampling is needed
+    assert exact_h0(FatPointSystem(4, (0, -1, 1))) is None
+    assert exact_h0(homogeneous_system(13, 10, 4)) is None
