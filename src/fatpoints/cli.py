@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import elliptic, gfmat, interp, linsys
 from .elliptic import InapplicableError
@@ -19,7 +17,6 @@ from .gfmat import DEFAULT_PRIME
 from .linsys import GENERIC, ON_CUBIC, FatPointSystem
 from .store import CertificateStore, record_key
 
-THREADS_ENV = "FATPOINTS_THREADS"
 DEFAULT_MAX_MATRIX_ENTRIES = 4_000_000
 
 EXIT_DECIDED = 0
@@ -224,7 +221,7 @@ def _mu_info(d: int, n: int, m: int):
 SWEEP_FIELDS = ("d", "n", "m", "v", "mu", "integral", "verdict", "h0")
 
 
-def _sweep_row(d: int, n: int, m: int, verdict: str, cert=None) -> dict:
+def _sweep_row(d: int, n: int, m: int, verdict: str, cert) -> dict:
     """One sweep row; h0 falls back to the certificate's upper bound."""
     mu, integral = _mu_info(d, n, m)
     h0 = None
@@ -232,69 +229,53 @@ def _sweep_row(d: int, n: int, m: int, verdict: str, cert=None) -> dict:
         h0 = cert.h0 if cert.h0 is not None else cert.h0_bound
     return {"d": d, "n": n, "m": m,
             "v": linsys.expected_dim(linsys.homogeneous_system(d, n, m)),
-            "mu": mu, "integral": integral, "verdict": verdict, "h0": h0,
-            "cert": cert}
+            "mu": mu, "integral": integral, "verdict": verdict, "h0": h0}
 
 
-def _sweep_item(d: int, n: int, m: int, args):
-    s = linsys.homogeneous_system(d, n, m)
-    _, integral = _mu_info(d, n, m)
+def _sweep_item(s: FatPointSystem, n: int, m: int, args):
+    """(verdict, certificate or None) for the homogeneous system s = (d; m^n)."""
+    _, integral = _mu_info(s.d, n, m)
     try:
         if integral:
-            cert = elliptic.corollary_nonspecial(d, n, m, trials=args.trials,
+            cert = elliptic.corollary_nonspecial(s.d, n, m, trials=args.trials,
                                                  p=args.prime, seed=args.seed)
         elif _too_large(s, args):
-            return _sweep_row(d, n, m, "skipped-too-large")
+            return "skipped-too-large", None
         else:
             cert = interp.certify(s, trials=args.trials, p=args.prime,
                                   seed=args.seed)
     except Exception as e:  # per-item failures are recorded, not fatal
-        return _sweep_row(d, n, m, f"error: {e}")
-    return _sweep_row(d, n, m, cert.verdict, cert)
+        return f"error: {e}", None
+    return cert.verdict, cert
 
 
 def cmd_sweep(args) -> int:
+    """Rows in grid order; each computed certificate is stored as soon as it
+    is known, so an interrupted sweep resumes after its last finished row."""
     ds, ns, ms = parse_range(args.d_range), parse_range(args.n_range), parse_range(args.m_range)
     items = [(d, n, m) for d in ds for n in ns for m in ms]
-    if items:
-        _check_runconfig(args, max(d for d, _, _ in items))
+    _check_runconfig(args, max((d for d, _, _ in items), default=0))
     st = _store(args)
-    results = [None] * len(items)
-    todo = []
-    for i, (d, n, m) in enumerate(items):
+    config = _config_dict(args)
+    rows = []
+    for d, n, m in items:
         s = linsys.homogeneous_system(d, n, m)
-        key = record_key("sweep", _system_dict(s), _config_dict(args))
+        system = _system_dict(s)
+        key = record_key("sweep", system, config)
         cert = st.lookup_certificate(key) if st is not None else None
         if cert is not None:
-            results[i] = _sweep_row(d, n, m, cert.verdict, cert)
+            verdict = cert.verdict
         else:
-            todo.append(i)
-
-    def run(i):
-        d, n, m = items[i]
-        return _sweep_item(d, n, m, args)
-
-    if args.threads > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            for i, res in zip(todo, ex.map(run, todo)):
-                results[i] = res
-    else:
-        for i in todo:
-            results[i] = run(i)
-
-    # single-writer persistence, input order
-    if st is not None:
-        for i in todo:
-            cert = results[i]["cert"]
-            if cert is not None:
-                st.put("sweep", _system_dict(cert.system), _config_dict(args), cert)
+            verdict, cert = _sweep_item(s, n, m, args)
+            if st is not None and cert is not None:
+                st.put("sweep", system, config, cert)
+        rows.append(_sweep_row(d, n, m, verdict, cert))
 
     if args.format == "json":
-        out = [{k: r[k] for k in SWEEP_FIELDS} for r in results]
-        print(json.dumps(out, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(rows, sort_keys=True, separators=(",", ":")))
     else:
         print(",".join(SWEEP_FIELDS))
-        for r in results:
+        for r in rows:
             print(",".join("" if r[k] is None else str(r[k]) for k in SWEEP_FIELDS))
     return EXIT_DECIDED
 
@@ -304,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--trials", type=int, default=interp.DEFAULT_TRIALS)
-    common.add_argument("--threads", type=int,
-                        default=int(os.environ.get(THREADS_ENV, "1")))
     common.add_argument("--store", type=str, default=None,
                         help="newline-delimited JSON certificate store")
     common.add_argument("--max-matrix-entries", type=int,

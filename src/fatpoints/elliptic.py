@@ -123,6 +123,7 @@ def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS
     h0: exact when fixed-component arithmetic applies, otherwise the best
     on-cubic sample value (itself an upper bound by semicontinuity).
     """
+    interp.check_trials(trials)
     if not plan.hypothesis:
         raise InapplicableError("chi hypothesis fails; the bound does not apply")
     if plan.mu > 0 and (plan.original.d < 1 or any(m < 1 for m in plan.original.mults)):

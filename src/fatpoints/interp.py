@@ -321,6 +321,11 @@ def _method_for(s: FatPointSystem) -> str:
     return DIRECT_ON_CUBIC if ON_CUBIC in s.tags else DIRECT_GENERIC
 
 
+def check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def run_trials(s: FatPointSystem, trials: int, p: int, seed: int) -> tuple:
     """Evidence ((p, sub-seed, RankReport), ...) of trials 0, 1, ... in order.
 
@@ -351,8 +356,7 @@ def certify(s: FatPointSystem, trials: int = DEFAULT_TRIALS,
     h0_bound only.  h1 is inferred as h0 - chi, valid since h2 = 0 for
     d >= -2.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     ch = linsys.chi(s)
     method = _method_for(s)
 

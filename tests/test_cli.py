@@ -70,14 +70,16 @@ def test_certify_refuses_prime_beyond_int64_products(capsys):
 
 def test_prime_beyond_2_31_is_usage_error(capsys):
     # 2147483659 is the least prime above 2^31
-    for argv in (["certify", "13", "4x10"], ["sweep", "13", "10", "4"]):
+    for argv in (["certify", "13", "4x10"], ["sweep", "13", "10", "4"],
+                 ["sweep", "6:5", "10", "1"]):
         assert main(argv + ["--prime", "2147483659"]) == 1
         assert "--prime 2147483659 must be below 2^31" in capsys.readouterr().err
 
 
 def test_trials_below_one_is_usage_error(capsys):
+    # an empty grid checks its flags too
     for argv in (["certify", "13", "4x10"], ["bound", "40", "11", "11"],
-                 ["sweep", "13", "10", "4"]):
+                 ["sweep", "13", "10", "4"], ["sweep", "6:5", "10", "1"]):
         assert main(argv + ["--trials", "0"]) == 1
         captured = capsys.readouterr()
         assert "--trials 0 must be at least 1" in captured.err
@@ -126,6 +128,52 @@ def test_sweep_csv_and_resume(tmp_path, capsys):
     code, out2 = run(capsys, *args)
     assert out2 == out1
     assert os.path.getsize(store) == size_before  # nothing recomputed or appended
+
+
+def _records(path):
+    """Store records in file order, created_at dropped."""
+    with open(path) as f:
+        recs = [json.loads(line) for line in f]
+    for rec in recs:
+        del rec["created_at"]
+    return recs
+
+
+def test_sweep_resumes_after_interrupt(tmp_path, capsys, monkeypatch):
+    argv = ["sweep", "13:20", "10", "4", "--format", "csv", "--seed", "3"]
+    fresh = str(tmp_path / "fresh.ndjson")
+    code, want = run(capsys, *argv, "--store", fresh)
+    assert code == EXIT_DECIDED
+    want_recs = _records(fresh)
+    assert len(want_recs) == 8
+
+    # the 5th computed item is interrupted: the 4 rows before it are kept
+    store = str(tmp_path / "certs.ndjson")
+    real = cli._sweep_item
+    calls = []
+
+    def interrupt_fifth(*a):
+        calls.append(a)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return real(*a)
+
+    monkeypatch.setattr(cli, "_sweep_item", interrupt_fifth)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv + ["--store", store])
+    assert _records(store) == want_recs[:4]
+    with open(store) as f:
+        kept = f.read()
+
+    # the rerun computes and appends only the 4 missing rows
+    calls.clear()
+    monkeypatch.setattr(cli, "_sweep_item", lambda *a: calls.append(a) or real(*a))
+    code, out = run(capsys, *argv, "--store", store)
+    assert code == EXIT_DECIDED and out == want
+    assert len(calls) == 4
+    with open(store) as f:
+        assert f.read().startswith(kept)
+    assert _records(store) == want_recs
 
 
 def test_sweep_empty_range(capsys):
@@ -209,19 +257,3 @@ def test_store_rejects_corruption_before_last_line(tmp_path, capsys):
         CertificateStore(path)
     assert main(["certify", "4", "1x10", "--store", path]) == 1
     assert "corrupt" in capsys.readouterr().err
-
-
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "3")
-    ap = cli.build_parser()
-    args = ap.parse_args(["sweep", "1", "10", "0"])
-    assert args.threads == 3
-    args = ap.parse_args(["sweep", "1", "10", "0", "--threads", "2"])
-    assert args.threads == 2
-
-
-def test_sweep_threaded_matches_serial(capsys):
-    base = ["sweep", "10:12", "10", "2", "--format", "csv", "--seed", "4"]
-    _, serial = run(capsys, *base, "--threads", "1")
-    _, threaded = run(capsys, *base, "--threads", "4")
-    assert serial == threaded

@@ -195,6 +195,16 @@ def test_theorem_upper_bound_stops_at_first_full_rank_trial():
         assert cert.h0_bound == min(r.h0_sample for r in every)
 
 
+def test_theorem_upper_bound_refuses_trials_below_one():
+    # (13; 4^10) at mu 1 is sampled; (174; 55^10) at mu 57 reduces to
+    # (3; (-2)^10), whose h0 is exact
+    for (d, n, m, mu) in [(13, 10, 4, 1), (174, 10, 55, 57)]:
+        plan = reduce(homogeneous_system(d, n, m), n, mu)
+        assert plan.hypothesis
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            theorem_upper_bound(plan, trials=0)
+
+
 def test_theorem_upper_bound_refuses_without_hypothesis():
     plan = reduce(homogeneous_system(13, 10, 4), 10, 4)
     with pytest.raises(InapplicableError):
