@@ -1,17 +1,19 @@
 """Exact dense linear algebra over GF(p), plus an integer rank oracle.
 
 Everything here is deterministic.  Rank over GF(p), p < 2^31, is computed by
-blocked right-looking Gaussian elimination (the delayed-reduction scheme of
-Dumas, Giorgi and Pernet's FFLAS/FFPACK, in the rank-revealing form of
-Jeannerod, Pernet and Storjohann).  Each panel of PANEL columns is factored
-by one unblocked kernel, first-nonzero pivoting on int64 residues (any
-nonzero pivot is exact over a field).  Its k pivot rows and columns give an
-invertible minor A11, and the trailing block takes the Schur update
-A22 -= A21 A11^-1 A12 (mod p): float64 BLAS products of 11-bit limbs against
-31-bit residues, exact because every partial sum stays below 2^53.  Blocks
-whose short side is at most CUTOFF, small matrices included, go through the
-unblocked kernel alone.  The rational oracle uses fraction-free Bareiss
-elimination with Python big integers.
+one recursive rank-revealing LU, in place (the recursive PLUQ of Dumas,
+Pernet and Sultan, with the delayed reduction of Dumas, Giorgi and
+Pernet's FFLAS/FFPACK).  The columns split in half; the left half is
+factored first, its row swaps moving whole rows.  A unit lower triangular
+solve turns the pivot rows' right block into X = L11^-1 A12, the rows below
+take the Schur update A22 -= L21 X (mod p), and A22 is factored in turn.
+Blocks at most LEAF columns wide, small matrices included, go through one
+unblocked kernel: first-nonzero pivoting on int64 residues (any nonzero
+pivot is exact over a field), which stores the multipliers of L below each
+pivot.  The products are float64 BLAS products of 11-bit limbs against
+31-bit residues, exact because every partial sum stays below 2^53, so an
+entry is reduced mod p once per up to MAX_INNER terms.  The rational oracle
+uses fraction-free Bareiss elimination with Python big integers.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ MAX_PRIME = 2 ** 31
 # Largest prime below 2^31.
 DEFAULT_PRIME = 2147483629
 
-# Blocked elimination (see above); the Schur update runs CHUNK_CELLS trailing
-# entries at a time to bound its temporaries.
-PANEL = 64  # at most MAX_INNER
-CUTOFF = 256
+# Recursive elimination (see above): blocks at most LEAF columns wide go
+# through the unblocked kernel, and products run in tiles whose limb and
+# product temporaries hold about CHUNK_CELLS entries each.
+LEAF = 32  # at most MAX_INNER
 CHUNK_CELLS = 1 << 18
 
 # Schur products split one factor into LIMBS limbs of LIMB_BITS bits; the
@@ -123,15 +125,22 @@ def sqrt_mod(a: int, p: int) -> int:
 
 
 class GFMatrix:
-    """Dense row-major matrix over GF(p), entries fully reduced int64."""
+    """Dense matrix over GF(p), entries fully reduced int64, in either
+    memory order."""
 
-    def __init__(self, data, p: int = DEFAULT_PRIME):
+    def __init__(self, data, p: int = DEFAULT_PRIME, reduced: bool = False):
+        """`reduced` says data is a 2-D int64 array with entries in [0, p);
+        it is then adopted as it is, without a copy."""
         check_modulus(p)
         _check_word_size(p)
+        self.p = p
+        if reduced:
+            self.data = data
+            return
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:
-            arr = arr.reshape(arr.shape[0] if arr.size else 0, -1)
-        self.p = p
+            n = arr.shape[0] if arr.ndim else 1
+            arr = arr.reshape(n, arr.size // n if n else 0)
         self.data = np.mod(arr, p)
 
     @property
@@ -152,104 +161,174 @@ def _check_word_size(p: int) -> None:
                          "word-size elimination")
 
 
-def rank(M: GFMatrix) -> int:
+def rank(M: GFMatrix, overwrite: bool = False) -> int:
     """Rank of M over GF(p).
 
-    The result does not depend on row or column order.  The input matrix is
-    not modified.
+    The result does not depend on row or column order.  M is not modified
+    unless `overwrite` is set: then M.data is eliminated in place when its
+    layout allows, with no working copy, and its entries are undefined
+    afterwards.
     """
-    return _rank_mod(M.data, M.p)
+    if not overwrite:
+        return _rank_mod(M.data, M.p)
+    a = M.data.T if M.rows > M.cols else M.data
+    return _rank_inplace(np.ascontiguousarray(a), M.p)
 
 
 def _rank_mod(data: np.ndarray, p: int) -> int:
     """Rank mod p (p < 2^31) of an integer matrix; data is not modified."""
     _check_word_size(p)
     data = np.asarray(data, dtype=np.int64)
-    if data.ndim != 2 or 0 in data.shape:
+    if data.ndim != 2:
         return 0
     if data.shape[0] > data.shape[1]:
-        data = data.T  # same rank; short side as rows keeps panels short
+        data = data.T  # same rank; the recursion splits the long side
     a = np.mod(data, p, out=np.empty(data.shape, dtype=np.int64))
-    nrows, ncols = a.shape
-    r = c = 0
-    while min(nrows - r, ncols - c) > CUTOFF:
-        c1 = c + PANEL
-        # pivot rows are swapped to the top of a[r:], original values kept
-        piv = _eliminate(a[r:, c:c1].copy(), p, follow=a[r:])
-        k = len(piv)
-        if k:
-            cols = c + np.array(piv)
-            # A22 -= A21 (A11^-1 A12), A11 the pivot minor of this panel
-            x = _mul_mod(_inverse_mod(a[r:r + k, cols], p), a[r:r + k, c1:], p)
-            xs = _shifted(x, p)
-            step = max(1, CHUNK_CELLS // (ncols - c1))
-            for i in range(r + k, nrows, step):
-                s = a[i:i + step, c1:]
-                # the product is below 2^53, so s minus it is exact in float64
-                np.subtract(s, _limbs(a[i:i + step, cols]) @ xs, out=s,
-                            casting="unsafe")
-                s %= p
-        r, c = r + k, c1
-    return r + len(_eliminate(a[r:, c:], p))
+    return _rank_inplace(a, p)
 
 
-def _eliminate(a: np.ndarray, p: int, follow=None) -> list:
-    """First-nonzero Gaussian elimination of reduced int64 a, in place.
+def _rank_inplace(a: np.ndarray, p: int) -> int:
+    """Rank of reduced int64 a, which is overwritten by its factors."""
+    if 0 in a.shape:
+        return 0
+    return len(_lu(a, p, 0, 0, a.shape[1]))
 
-    Returns the pivot columns; their number is the rank.  Any nonzero pivot
-    is exact over a field.  Row swaps are also applied to `follow`.
+
+def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
+    """Rank-revealing LU of the block a[r0:, c0:c1], in place.
+
+    Returns the pivot columns in increasing order; their number is the
+    block's rank.  Row swaps move whole rows of a, and the i-th pivot row
+    ends at r0 + i.  The pivot rows then hold U, and below each pivot its
+    column holds the multipliers of the unit lower triangular L.  The left
+    half of the columns is factored first; its pivot rows' right block A12
+    becomes X = L11^-1 A12, the rows below take A22 -= L21 X, and A22 is
+    factored in turn.
     """
-    nrows, ncols = a.shape
+    if c1 - c0 <= LEAF:
+        return _eliminate(a, p, r0, c0, c1)
+    h = (c0 + c1) // 2
+    left = _lu(a, p, r0, c0, h)
+    r1 = r0 + len(left)
+    if left:
+        x = a[r0:r1, h:c1]
+        _trsm(a, p, r0, left, x)
+        _submul(a[r1:, h:c1], a[r1:], left, x, p)
+    if r1 == a.shape[0]:
+        return left
+    return left + _lu(a, p, r1, h, c1)
+
+
+def _eliminate(a: np.ndarray, p: int, r0: int = 0, c0: int = 0,
+               c1: int = None) -> list:
+    """Unblocked form of _lu on a[r0:, c0:c1] (all of a by default).
+
+    First-nonzero pivoting: any nonzero pivot is exact over a field.  The
+    block is worked on as a contiguous transposed copy, so that every
+    column operation runs over contiguous memory.
+    """
+    if c1 is None:
+        c1 = a.shape[1]
+    t = np.ascontiguousarray(a[r0:, c0:c1].T)
+    nrows = t.shape[1]
     pivots = []
     r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(a[r:, c])
+    for c in range(c1 - c0):
+        nz = np.flatnonzero(t[c, r:])
         if nz.size == 0:
             continue
-        piv = r + nz[0]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-            if follow is not None:
-                follow[[r, piv]] = follow[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        # normalize the pivot row once, then clear the column below
-        a[r, c:] = a[r, c:] * inv % p
-        factors = a[r + 1:, c]
-        if factors.any():
-            a[r + 1:, c:] = (a[r + 1:, c:] - factors[:, None] * a[r, c:]) % p
-        pivots.append(c)
+        if nz[0]:
+            i, j = r, r + nz[0]
+            a[[r0 + i, r0 + j]] = a[[r0 + j, r0 + i]]
+            t[:, [i, j]] = t[:, [j, i]]
+        pivots.append(c0 + c)
         r += 1
+        if r == nrows:
+            break
+        if nz.size > 1:
+            # store the multipliers, then update the columns to their right
+            mult = t[c, r:]
+            mult *= pow(int(t[c, r - 1]), -1, p)
+            mult %= p
+            rest = t[c + 1:, r:]
+            rest -= t[c + 1:, r - 1, None] * mult
+            rest %= p
+    a[r0:, c0:c1] = t.T
     return pivots
 
 
-def _inverse_mod(m: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of an invertible k x k matrix mod p, by two elimination passes."""
-    k = len(m)
-    aug = np.concatenate([m, np.eye(k, dtype=np.int64)], axis=1)
-    _eliminate(aug, p)  # [U | E] with E m = U unit upper triangular
-    # reversing rows and columns makes U unit lower triangular; a second
-    # pass clears it to I and turns E into (the reversal of) U^-1 E = m^-1
-    rev = aug[::-1, ::-1]
-    back = np.concatenate([rev[:, k:], rev[:, :k]], axis=1)
-    _eliminate(back, p)
-    return np.ascontiguousarray(back[::-1, ::-1][:, :k])
+def _trsm(a: np.ndarray, p: int, r0: int, cols: list, x: np.ndarray) -> None:
+    """x <- L^-1 x in place, L the unit lower triangular matrix with
+    L[i, j] = a[r0 + i, cols[j]] for i > j (multipliers stored by _lu)."""
+    k = len(cols)
+    if k <= LEAF:
+        # x^T L^-T: the limbs go to the wide factor, the reductions of
+        # _shifted to the small one
+        inv = _unit_lower_inverse(a[r0:r0 + k][:, cols], p)
+        x[...] = _mul_mod(x.T, inv.T, p).T
+        return
+    h = k // 2
+    _trsm(a, p, r0, cols[:h], x[:h])
+    _submul(x[h:], a[r0 + h:r0 + k], cols[:h], x[:h], p)
+    _trsm(a, p, r0 + h, cols[h:], x[h:])
+
+
+def _unit_lower_inverse(l: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of the unit lower triangular matrix whose strictly
+    lower part is that of the square l, by forward substitution."""
+    k = len(l)
+    inv = np.eye(k, dtype=np.int64)
+    for j in range(k - 1):
+        inv[j + 1:] = (inv[j + 1:] - l[j + 1:, j, None] * inv[j]) % p
+    return inv
+
+
+def _submul(c: np.ndarray, a: np.ndarray, cols: list, b: np.ndarray,
+            p: int) -> None:
+    """c -= a[:, cols] @ b (mod p) in place, for reduced int64 operands.
+
+    The inner dimension runs MAX_INNER at a time, so every limb product is
+    exact (see _mul_mod), and c is updated tile by tile, which bounds the
+    temporaries.
+    """
+    m, n = c.shape
+    for k0 in range(0, len(cols), MAX_INNER):
+        sel = cols[k0:k0 + MAX_INNER]
+        # limbs and product hold about CHUNK_CELLS entries; the shifted rows
+        # may grow to an eighth of c, so that a large c recomputes its limbs
+        # for fewer column tiles
+        w = LIMBS * len(sel)
+        tn = min(n, max(1, max(CHUNK_CELLS, c.size // 8) // w))
+        tm = max(1, CHUNK_CELLS // max(w, tn))
+        for j in range(0, n, tn):
+            xs = _shifted(b[k0:k0 + MAX_INNER, j:j + tn], p)
+            for i in range(0, m, tm):
+                s = c[i:i + tm, j:j + tn]
+                # the product is below 2^53, so s minus it is exact in float64
+                np.subtract(s, _limbs(a[i:i + tm, sel]) @ xs, out=s,
+                            casting="unsafe")
+                s %= p
 
 
 def _limbs(a: np.ndarray) -> np.ndarray:
     """[a_0 | a_1 | a_2] as float64, where a = a_0 + a_1 2^11 + a_2 2^22."""
+    k = a.shape[1]
     mask = (1 << LIMB_BITS) - 1
-    return np.concatenate([(a >> (j * LIMB_BITS)) & mask for j in range(LIMBS)],
-                          axis=1).astype(np.float64)
+    out = np.empty((a.shape[0], LIMBS * k))
+    for j in range(LIMBS):
+        out[:, j * k:(j + 1) * k] = (a >> (j * LIMB_BITS)) & mask
+    return out
 
 
 def _shifted(b: np.ndarray, p: int) -> np.ndarray:
     """[b; b 2^11; b 2^22] mod p as float64, the partner of _limbs."""
-    parts = [b]
-    for _ in range(LIMBS - 1):
-        parts.append((parts[-1] << LIMB_BITS) % p)
-    return np.concatenate(parts, axis=0).astype(np.float64)
+    k = b.shape[0]
+    out = np.empty((LIMBS * k, b.shape[1]))
+    for j in range(LIMBS):
+        if j:
+            b = (b << LIMB_BITS) % p
+        out[j * k:(j + 1) * k] = b
+    return out
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

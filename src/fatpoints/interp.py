@@ -240,14 +240,16 @@ def _derivative_table(c: int, d: int, m: int, p: int) -> np.ndarray:
     return tab
 
 
-def condition_rows(point, m: int, d: int, p: int) -> np.ndarray:
+def condition_rows(point, m: int, d: int, p: int, out=None) -> np.ndarray:
     """Rows forcing a degree-d form to vanish to order m at `point`.
 
     One row per derivative multi-index (alpha, beta) with alpha + beta < m,
     taken in an affine chart where the point has a nonzero coordinate
     (z preferred).  Requires p > d so derivative coefficients are nonzero
     mod p exactly when they are nonzero over the integers, and p < 2^31 so
-    the int64 products of reduced residues are exact.
+    the int64 products of reduced residues are exact.  The reduced rows are
+    written into `out` (any int64 view of the right shape) when given, and
+    returned.
     """
     if m < 1:
         raise ValueError("multiplicity must be >= 1")
@@ -275,7 +277,13 @@ def condition_rows(point, m: int, d: int, p: int) -> np.ndarray:
     du = _derivative_table(coords[u], d, m, p)[exps[:, u]].T
     dv = _derivative_table(coords[v], d, m, p)[exps[:, v]].T
 
-    rows = np.empty((m * (m + 1) // 2, len(exps)), dtype=np.int64)
+    shape = (m * (m + 1) // 2, len(exps))
+    if out is None:
+        rows = np.empty(shape, dtype=np.int64)
+    elif out.shape == shape:
+        rows = out
+    else:
+        raise ValueError(f"out has shape {out.shape}, not {shape}")
     r = 0
     for alpha in range(m):
         block = rows[r:r + m - alpha]
@@ -286,28 +294,40 @@ def condition_rows(point, m: int, d: int, p: int) -> np.ndarray:
 
 
 def build_matrix(s: FatPointSystem, cfg: PointConfig) -> GFMatrix:
-    """Stack condition rows for every point with positive multiplicity."""
+    """Condition rows for every point with positive multiplicity.
+
+    The rows go straight into one int64 buffer.  A tall matrix (more
+    conditions than monomials) is laid out transposed, so that the rank
+    kernel, which factors the transpose of a tall matrix, can eliminate it
+    in place.
+    """
     if s.tags != cfg.tags:
         raise ConfigError("system and configuration tags disagree")
     eff = linsys.effective_part(s)
     ncols = linsys.monomial_count(eff.d)
-    blocks = [condition_rows(cfg.points[i], m, eff.d, cfg.p)
-              for i, m in enumerate(eff.mults) if m >= 1]
-    if blocks:
-        data = np.vstack(blocks)
+    conds = [(cfg.points[i], m) for i, m in enumerate(eff.mults) if m >= 1]
+    nrows = sum(m * (m + 1) // 2 for _, m in conds)
+    if nrows > ncols:
+        data = np.empty((ncols, nrows), dtype=np.int64).T
     else:
-        data = np.zeros((0, ncols), dtype=np.int64)
-    return GFMatrix(data, cfg.p)
+        data = np.empty((nrows, ncols), dtype=np.int64)
+    r = 0
+    for point, m in conds:
+        k = m * (m + 1) // 2
+        condition_rows(point, m, eff.d, cfg.p, out=data[r:r + k])
+        r += k
+    return GFMatrix(data, cfg.p, reduced=True)
 
 
 def h0_at_sample(s: FatPointSystem, cfg: PointConfig) -> RankReport:
     """Sections of the system at this concrete configuration.
 
     h0_sample = monomials - rank bounds the generic characteristic-zero h0
-    from above (semicontinuity in both the points and the prime).
+    from above (semicontinuity in both the points and the prime).  The
+    matrix is eliminated in place.
     """
     M = build_matrix(s, cfg)
-    r = gfmat.rank(M)
+    r = gfmat.rank(M, overwrite=True)
     return RankReport(
         monomials=M.cols,
         conditions=M.rows,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fatpoints import gfmat
-from fatpoints.gfmat import (CUTOFF, DEFAULT_PRIME, MAX_INNER, GFMatrix,
+from fatpoints.gfmat import (DEFAULT_PRIME, LEAF, MAX_INNER, GFMatrix,
                              field_inverse, is_prime, legendre, rank,
                              rational_rank, sqrt_mod)
 
@@ -75,6 +75,23 @@ def test_rank_matches_rational_oracle():
             assert rp <= rq
         # entries are tiny, so no pivot minor is divisible by the big prime
         assert rank(GFMatrix(np.array(M), DEFAULT_PRIME)) == rq
+
+
+def test_gfmatrix_from_empty_list_is_0x0():
+    M = GFMatrix([], 101)
+    assert (M.rows, M.cols) == (0, 0)
+    assert rank(M) == 0 and rank(M, overwrite=True) == 0
+    assert GFMatrix([5, 7], 101).data.tolist() == [[5], [7]]
+
+
+def test_rank_leaves_matrix_unchanged():
+    rng = np.random.default_rng(4)
+    for shape in [(3 * LEAF, 5 * LEAF), (5 * LEAF + 3, 3 * LEAF)]:
+        M = GFMatrix(rng.integers(0, 101, shape), 101)
+        before = M.data.copy()
+        r = rank(M)
+        assert (M.data == before).all()
+        assert rank(M, overwrite=True) == r
 
 
 def test_rational_rank_proportional_rows():
@@ -160,50 +177,97 @@ def _unblocked_rank(M, p):
 
 
 def _low_rank(rng, rows, cols, r, p):
-    # r random rows mixed with small coefficients: exact in int64
-    coef = rng.integers(0, 4, (rows, r))
-    base = rng.integers(0, p, (r, cols))
-    out = np.zeros((rows, cols), dtype=np.int64)
-    for j in range(r):
-        out = (out + coef[:, j:j + 1] * base[j]) % p
-    return out
+    # r random rows mixed with coefficients below 4: every partial sum of
+    # the float64 product is an integer below 2^53, so it is exact
+    coef = rng.integers(0, 4, (rows, r)).astype(np.float64)
+    base = rng.integers(0, p, (r, cols)).astype(np.float64)
+    return (coef @ base).astype(np.int64) % p
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 65521, DEFAULT_PRIME])
 def test_blocked_rank_matches_unblocked_kernel(p):
+    # n columns recurse four levels deep before the leaves
     rng = np.random.default_rng(p)
-    n = CUTOFF + 40
-    cases = [
-        rng.integers(0, p, (n + 60, n)),                    # tall
-        rng.integers(0, p, (n, n + 90)),                    # wide
-        _low_rank(rng, n, n + 10, 200, p),                  # rank-deficient
-        _low_rank(rng, n + 20, n, CUTOFF + 10, p),
+    n = 8 * LEAF + 40
+    one_row = np.zeros((1, n), dtype=np.int64)
+    one_row[0, -1] = 1                                  # pivot in last leaf
+    zero_lines = rng.integers(0, p, (n, n + 30))
+    zero_lines[:, rng.choice(n + 30, 40, replace=False)] = 0
+    zero_lines[rng.choice(n, 30, replace=False)] = 0
+    zero_leaves = rng.integers(0, p, (n, n + 100))
+    zero_leaves[:, :LEAF] = 0                           # first leaf empty
+    h = (n + 100) // 2
+    zero_leaves[:, h:h + 2 * LEAF + 5] = 0              # right half starts empty
+    # columns that depend on earlier ones: pivots missing inside one leaf,
+    # inside halves at several levels, and across the top split
+    dep = rng.integers(0, p, (n, n + 50))
+    for c in (5, LEAF + 3, 3 * LEAF + 1, 5 * LEAF, (n + 50) // 2 + 2, n + 49):
+        dep[:, c] = (2 * dep[:, c - 1] + dep[:, c // 3]) % p
+    cases = [  # (matrix, full rank)
+        (rng.integers(0, p, (n + 60, n)), True),            # tall
+        (rng.integers(0, p, (n, n + 90)), True),            # wide
+        (rng.integers(0, p, (3 * LEAF + 5, 8 * LEAF)), True),  # rows run out
+        (rng.integers(1, p, (1, n)), True),
+        (rng.integers(1, p, (n, 1)), True),
+        (one_row, True),
+        (np.zeros((n, 1), dtype=np.int64), False),
+        (_low_rank(rng, n, n + 10, 200, p), False),
+        (_low_rank(rng, n + 20, n, 5 * LEAF + 10, p), False),
+        (zero_lines, False),
+        (zero_leaves, False),
+        (dep, True),
+        (dep[:, :n].copy(), False),
+        (dep[:, :n].T.copy(), False),
     ]
-    zero_cols = rng.integers(0, p, (n, n + 30))
-    zero_cols[:, rng.choice(n + 30, 40, replace=False)] = 0
-    zero_cols[rng.choice(n, 30, replace=False)] = 0
-    cases.append(zero_cols)
-    zero_panel = rng.integers(0, p, (n, n + 100))
-    zero_panel[:, :gfmat.PANEL] = 0                         # first panel empty
-    zero_panel[:, 2 * gfmat.PANEL:4 * gfmat.PANEL + 5] = 0  # two more
-    cases.append(zero_panel)
-    for M in cases:
-        assert min(M.shape) > CUTOFF
-        assert rank(GFMatrix(M, p)) == _unblocked_rank(M, p)
+    for M, full in cases:
+        want = _unblocked_rank(M, p)
+        assert (want == min(M.shape)) == full
+        assert rank(GFMatrix(M, p)) == want
+
+
+def test_rank_chunks_pivot_blocks_beyond_max_inner():
+    # the left half's 700 pivots exceed MAX_INNER, so the Schur update of
+    # the 60 rows below them runs its inner dimension in two chunks
+    p = DEFAULT_PRIME
+    M = _low_rank(np.random.default_rng(8), 760, 1400, 740, p)
+    assert 1400 // 2 > MAX_INNER
+    assert rank(GFMatrix(M, p)) == _unblocked_rank(M, p) == 740
 
 
 def test_blocked_rank_matches_rational_oracle():
     # low-rank integer matrices keep Bareiss cheap; negative entries become
     # residues near p, so the limb products see full-size operands
     rng = np.random.default_rng(5)
-    for r, shape in [(6, (CUTOFF + 30, CUTOFF + 50)),
-                     (9, (CUTOFF + 70, CUTOFF + 20))]:
+    for r, shape in [(6, (8 * LEAF + 30, 8 * LEAF + 50)),
+                     (9, (8 * LEAF + 70, 8 * LEAF + 20))]:
         coef = rng.integers(-3, 4, (shape[0], r))
         base = rng.integers(-3, 4, (r, shape[1]))
         M = coef @ base
         want = rational_rank(M)
         assert want == r
         assert rank(GFMatrix(M, DEFAULT_PRIME)) == want
+        assert _unblocked_rank(M, DEFAULT_PRIME) == want
+
+
+@pytest.mark.parametrize("k", [1, 5, LEAF, 2 * LEAF + 7])
+def test_trsm_matches_integer_oracle(k):
+    # L's multipliers sit in scattered columns of a wider matrix, below row
+    # r0, as _lu leaves them; 2 LEAF + 7 rows recurse twice
+    for p in (7, DEFAULT_PRIME):
+        rng = np.random.default_rng(k)
+        r0 = 3
+        a = rng.integers(0, p, (r0 + k + 4, k + 40))
+        cols = sorted(rng.choice(k + 40, k, replace=False).tolist())
+        x = rng.integers(0, p, (k, 2 * LEAF + 1))
+        L = [[1 if i == j else int(a[r0 + i, cols[j]]) if i > j else 0
+              for j in range(k)] for i in range(k)]
+        got = x.copy()
+        gfmat._trsm(a, p, r0, cols, got)
+        # L (L^-1 x) = x, in Python integers
+        for i in range(k):
+            for c in range(x.shape[1]):
+                assert sum(L[i][j] * int(got[j, c])
+                           for j in range(i + 1)) % p == x[i, c]
 
 
 def test_mul_mod_exact_at_worst_case():
@@ -223,15 +287,3 @@ def test_mul_mod_exact_at_worst_case():
     with pytest.raises(ValueError):
         gfmat._mul_mod(np.ones((1, MAX_INNER + 1), dtype=np.int64),
                        np.ones((MAX_INNER + 1, 1), dtype=np.int64), p)
-
-
-def test_inverse_mod():
-    rng = np.random.default_rng(3)
-    for p in (3, 65521, DEFAULT_PRIME):
-        for k in (1, 5, gfmat.PANEL):
-            while True:
-                m = rng.integers(0, p, (k, k))
-                if _unblocked_rank(m, p) == k:
-                    break
-            inv = gfmat._inverse_mod(m, p)
-            assert (gfmat._mul_mod(m, inv, p) == np.eye(k, dtype=np.int64)).all()

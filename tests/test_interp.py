@@ -204,6 +204,64 @@ def test_build_matrix_large_shape():
     assert (M.rows, M.cols) == (1710, 1711)
 
 
+def test_condition_rows_into_out_match_returned_rows():
+    for pt, m, d in [((5, 7, 1), 3, 6), ((3, 1, 0), 4, 9), ((2, 9, 4), 1, 2)]:
+        want = condition_rows(pt, m, d, P)
+        k, ncols = want.shape
+        host = np.full((k + 4, ncols), -1, dtype=np.int64)
+        got = condition_rows(pt, m, d, P, out=host[2:2 + k])
+        assert got.base is host and (host[2:2 + k] == want).all()
+        assert (host[:2] == -1).all() and (host[2 + k:] == -1).all()
+        # a transposed layout, as build_matrix uses for tall matrices
+        host_t = np.full((ncols, k + 1), -1, dtype=np.int64)
+        condition_rows(pt, m, d, P, out=host_t.T[1:])
+        assert (host_t.T[1:] == want).all() and (host_t[:, 0] == -1).all()
+    with pytest.raises(ValueError):
+        condition_rows((5, 7, 1), 2, 3, P,
+                       out=np.empty((3, 11), dtype=np.int64))
+
+
+def _stacked_rows(s, cfg):
+    # the former build: one block per point, stacked and reduced again
+    eff = linsys.effective_part(s)
+    blocks = [condition_rows(cfg.points[i], m, eff.d, cfg.p)
+              for i, m in enumerate(eff.mults) if m >= 1]
+    return np.mod(np.vstack(blocks), cfg.p)
+
+
+@pytest.mark.parametrize("s", [
+    homogeneous_system(38, 10, 12),
+    homogeneous_system(40, 5, 20),                          # tall
+    FatPointSystem(13, (5, 4, 0, 4, -1, 3, 4, 2, 1, 4),
+                   (ON_CUBIC, GENERIC) * 5),
+], ids=["38-12x10", "40-20x5", "mixed"])
+def test_build_matrix_writes_one_buffer(s):
+    cfg = config_for_system(s, P, 7)
+    M = build_matrix(s, cfg)
+    want = _stacked_rows(s, cfg)
+    assert M.data.dtype == np.int64 and M.data.shape == want.shape
+    assert (M.data == want).all()
+    # the short side is contiguous, so rank(M, overwrite=True) copies nothing
+    short = M.data.T if M.rows > M.cols else M.data
+    assert short.flags.c_contiguous
+
+
+@pytest.mark.parametrize("s", [
+    homogeneous_system(40, 5, 20),                          # tall, deficit 1
+    homogeneous_system(13, 10, 4),                          # wide, full rank
+    homogeneous_system(4, 10, 1, tag=ON_CUBIC),
+    homogeneous_system(2, 2, 2),                            # square, deficit
+], ids=["40-20x5", "13-4x10", "4-1x10-cubic", "2-2x2"])
+def test_h0_at_sample_in_place_matches_rank_of_copy(s):
+    cfg = config_for_system(s, P, 3)
+    M = build_matrix(s, cfg)
+    r = gfmat.rank(M)
+    want = interp.RankReport(monomials=M.cols, conditions=M.rows, rank=r,
+                             h0_sample=M.cols - r,
+                             full_rank=r == min(M.rows, M.cols))
+    assert h0_at_sample(s, cfg) == want
+
+
 def test_build_matrix_tag_mismatch():
     s = homogeneous_system(4, 10, 1, tag=ON_CUBIC)
     cfg = sample_config(10, 0, P, 5)
