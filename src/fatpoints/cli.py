@@ -12,7 +12,6 @@ import json
 import sys
 
 from . import elliptic, gfmat, interp, linsys
-from .elliptic import InapplicableError
 from .gfmat import DEFAULT_PRIME
 from .linsys import GENERIC, ON_CUBIC, FatPointSystem
 from .store import CertificateStore, record_key
@@ -86,10 +85,17 @@ def _store(args):
     return CertificateStore(args.store) if args.store else None
 
 
-def _persist(args, command: str, s: FatPointSystem, cert):
-    st = _store(args)
-    if st is not None:
-        st.put(command, _system_dict(s), _config_dict(args), cert)
+def _stored(st, command: str, s: FatPointSystem, args, compute):
+    """compute() -> (verdict, certificate or None), run only when the store
+    holds no record of this invocation; its certificate is stored at once."""
+    key = (command, _system_dict(s), _config_dict(args))
+    cert = st.lookup_certificate(record_key(*key)) if st is not None else None
+    if cert is not None:
+        return cert.verdict, cert
+    verdict, cert = compute()
+    if st is not None and cert is not None:
+        st.put(*key, cert)
+    return verdict, cert
 
 
 def cmd_expdim(args) -> int:
@@ -111,8 +117,8 @@ def cmd_certify(args) -> int:
     tag = ON_CUBIC if args.placement == "cubic" else GENERIC
     s = FatPointSystem(args.d, mults, (tag,) * len(mults))
     _check_runconfig(args, max(args.d, 0))
-    cert = interp.certify(s, trials=args.trials, p=args.prime, seed=args.seed)
-    _persist(args, "certify", s, cert)
+    _, cert = _stored(_store(args), "certify", s, args, lambda: (
+        None, interp.certify(s, args.trials, args.prime, args.seed)))
     _emit(cert.to_dict(),
           [f"system   {s}  ({args.placement})",
            f"verdict  {cert.verdict}",
@@ -210,33 +216,27 @@ def cmd_bound(args) -> int:
     return EXIT_DECIDED
 
 
-def _mu_info(d: int, n: int, m: int):
-    """(printable bound, usable-as-integer flag); n <= 9 has no bound."""
-    if n <= 9:
-        return "", False
-    mu = elliptic.mu_bound(d, n, m)
-    return str(mu), mu.denominator == 1 and mu > 0
-
-
 SWEEP_FIELDS = ("d", "n", "m", "v", "mu", "integral", "verdict", "h0")
 
 
 def _sweep_row(d: int, n: int, m: int, verdict: str, cert) -> dict:
-    """One sweep row; h0 falls back to the certificate's upper bound."""
-    mu, integral = _mu_info(d, n, m)
+    """One sweep row: mu is the twist bound (empty below 10 points),
+    integral whether the corollary applies, and h0 falls back to the
+    certificate's upper bound."""
     h0 = None
     if cert is not None:
         h0 = cert.h0 if cert.h0 is not None else cert.h0_bound
     return {"d": d, "n": n, "m": m,
             "v": linsys.expected_dim(linsys.homogeneous_system(d, n, m)),
-            "mu": mu, "integral": integral, "verdict": verdict, "h0": h0}
+            "mu": str(elliptic.mu_bound(d, n, m)) if n > 9 else "",
+            "integral": elliptic.corollary_twist(d, n, m) is not None,
+            "verdict": verdict, "h0": h0}
 
 
 def _sweep_item(s: FatPointSystem, n: int, m: int, args):
     """(verdict, certificate or None) for the homogeneous system s = (d; m^n)."""
-    _, integral = _mu_info(s.d, n, m)
     try:
-        if integral:
+        if elliptic.corollary_twist(s.d, n, m) is not None:
             cert = elliptic.corollary_nonspecial(s.d, n, m, trials=args.trials,
                                                  p=args.prime, seed=args.seed)
         elif _too_large(s, args):
@@ -256,19 +256,11 @@ def cmd_sweep(args) -> int:
     items = [(d, n, m) for d in ds for n in ns for m in ms]
     _check_runconfig(args, max((d for d, _, _ in items), default=0))
     st = _store(args)
-    config = _config_dict(args)
     rows = []
     for d, n, m in items:
         s = linsys.homogeneous_system(d, n, m)
-        system = _system_dict(s)
-        key = record_key("sweep", system, config)
-        cert = st.lookup_certificate(key) if st is not None else None
-        if cert is not None:
-            verdict = cert.verdict
-        else:
-            verdict, cert = _sweep_item(s, n, m, args)
-            if st is not None and cert is not None:
-                st.put("sweep", system, config, cert)
+        verdict, cert = _stored(st, "sweep", s, args,
+                                lambda: _sweep_item(s, n, m, args))
         rows.append(_sweep_row(d, n, m, verdict, cert))
 
     if args.format == "json":
@@ -281,16 +273,17 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=int, default=interp.DEFAULT_TRIALS)
-    common.add_argument("--store", type=str, default=None,
-                        help="newline-delimited JSON certificate store")
-    common.add_argument("--max-matrix-entries", type=int,
-                        default=DEFAULT_MAX_MATRIX_ENTRIES)
-    common.add_argument("--format", choices=("table", "json", "csv"),
-                        default="table")
+    flags = {
+        "--prime": dict(type=int, default=DEFAULT_PRIME),
+        "--seed": dict(type=int, default=0),
+        "--trials": dict(type=int, default=interp.DEFAULT_TRIALS),
+        "--store": dict(type=str, default=None,
+                        help="newline-delimited JSON certificate store"),
+        "--max-matrix-entries": dict(type=int,
+                                     default=DEFAULT_MAX_MATRIX_ENTRIES),
+        "--format": dict(choices=("table", "json", "csv"), default="table"),
+    }
+    run = ("--prime", "--seed", "--trials")
 
     ap = argparse.ArgumentParser(
         prog="fatpoints",
@@ -298,15 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "linear systems with multiple base points")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, *names, **kw):
+        """A subcommand taking --format and only the named flags it reads."""
+        p = sub.add_parser(name, **kw)
+        for flag in names + ("--format",):
+            p.add_argument(flag, **flags[flag])
+        return p
 
     p = add_parser("expdim", help="chi, expected dimension, counts")
     p.add_argument("d", type=int)
     p.add_argument("mults", nargs="?", default="")
     p.set_defaults(func=cmd_expdim)
 
-    p = add_parser("certify", help="certify (non)speciality by sampling")
+    p = add_parser("certify", *run, "--store", help="certify (non)speciality by sampling")
     p.add_argument("d", type=int)
     p.add_argument("mults")
     p.add_argument("--placement", choices=("generic", "cubic"),
@@ -320,13 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, default=None)
     p.set_defaults(func=cmd_reduce)
 
-    p = add_parser("bound", help="best h0 upper bound over twists")
+    p = add_parser("bound", *run, "--max-matrix-entries",
+                   help="best h0 upper bound over twists")
     p.add_argument("d", type=int)
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.set_defaults(func=cmd_bound)
 
-    p = add_parser("sweep", help="batch run over (d, n, m) ranges")
+    p = add_parser("sweep", *run, "--store", "--max-matrix-entries",
+                   help="batch run over (d, n, m) ranges")
     p.add_argument("d_range")
     p.add_argument("n_range")
     p.add_argument("m_range")
@@ -342,8 +341,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, InapplicableError,
-            elliptic.ReductionError, interp.ConfigError) as e:
+    except (UsageError, ValueError, elliptic.ReductionError,
+            interp.ConfigError, interp.SamplingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

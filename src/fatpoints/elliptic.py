@@ -3,14 +3,15 @@
 The reduction moves the first k points of a system onto a smooth cubic and
 twists by mu: the degree drops by 3*mu and the first k multiplicities by mu.
 When the twisted system's Euler characteristic does not drop, its h0 bounds
-the original system's h0 from above; when the characteristics agree exactly
-(integral mu at the boundary), nonspeciality transfers back to the original
-system.
+the original system's h0 from above (`theorem_upper_bound`, for d, m >= 1).
+The corollary is the floor case of that bound: when it equals max(chi, 0),
+which at an integral twist bound is when the reduced system is nonspecial,
+the original system is nonspecial too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import interp, linsys
@@ -141,40 +142,34 @@ def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS
                        evidence=evidence)
 
 
+def corollary_twist(d: int, n: int, m: int) -> int | None:
+    """The twist bound mu of (d; m^n) where the corollary applies, else None:
+    mu a positive integer (so the two chis agree), n >= 10 and d, m >= 1."""
+    if n < MIN_SPECIALIZED or d < 1 or m < 1:
+        return None
+    mu = mu_bound(d, n, m)
+    return int(mu) if mu.denominator == 1 and mu > 0 else None
+
+
 def corollary_nonspecial(d: int, n: int, m: int,
                          trials: int = interp.DEFAULT_TRIALS,
                          p: int = DEFAULT_PRIME, seed: int = 0) -> Certificate:
-    """Transfer nonspeciality from the reduced system to (d; m^n).
+    """Nonspeciality of (d; m^n) as the floor case of the twist bound.
 
-    Applies only when the twist bound is itself a positive integer, so the
-    two Euler characteristics agree exactly.  If the reduced system is
-    certified nonspecial, so is the original; otherwise the result is
-    inconclusive for the original, with the reduced system's h0 attached as
-    an upper bound.
+    At the corollary's twist `theorem_upper_bound` gives h0 <= b, and always
+    h0 >= max(chi, 0); so b == max(chi, 0) pins h0 = b and the system is
+    nonspecial.  Otherwise the result is inconclusive, with b attached as an
+    upper bound.  Since the two chis agree here, the floor case is exactly
+    the reduced system being certified nonspecial.
     """
-    mu = mu_bound(d, n, m)
-    if mu.denominator != 1 or mu <= 0:
-        raise InapplicableError(f"twist bound {mu} is not a positive integer")
-    mu = int(mu)
-    s = linsys.homogeneous_system(d, n, m)
-    plan = reduce(s, n, mu)
-    assert chi_gap(d, n, m, mu) == 0
-    assert plan.chi_reduced == plan.chi_original
-
-    cert_red = interp.certify(plan.reduced, trials=trials, p=p, seed=seed)
-    if cert_red.verdict == NONSPECIAL:
-        # chi values agree, so the reduced h0 is the original h0
-        return Certificate(verdict=NONSPECIAL, method=DEGENERATION_CODIM,
-                           system=s, chi=plan.chi_original,
-                           prime=p, seed=seed, trials=trials,
-                           h0_bound=cert_red.h0, h0=cert_red.h0,
-                           h1=(cert_red.h0 - plan.chi_original
-                               if cert_red.h0 is not None else None),
-                           evidence=cert_red.evidence)
-    # theorem_upper_bound would rerun these trials; the reduced system's
-    # h0_bound is already the bound it would return
-    return Certificate(verdict=INCONCLUSIVE, method=DEGENERATION_CODIM,
-                       system=s, chi=plan.chi_original,
-                       prime=p, seed=seed, trials=trials,
-                       h0_bound=cert_red.h0_bound,
-                       evidence=cert_red.evidence)
+    mu = corollary_twist(d, n, m)
+    if mu is None:
+        raise InapplicableError("the corollary needs n >= 10, d >= 1, m >= 1 "
+                                "and a positive integral twist bound")
+    plan = reduce(linsys.homogeneous_system(d, n, m), n, mu)
+    cert = replace(theorem_upper_bound(plan, trials, p, seed),
+                   method=DEGENERATION_CODIM)
+    b = cert.h0_bound
+    if b == max(cert.chi, 0):
+        return replace(cert, verdict=NONSPECIAL, h0=b, h1=b - cert.chi)
+    return replace(cert, verdict=INCONCLUSIVE)

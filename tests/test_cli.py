@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from fatpoints import cli
+from fatpoints import cli, interp
 from fatpoints.cli import EXIT_DECIDED, EXIT_UNDECIDED, main, parse_mults, parse_range
 from fatpoints.interp import certify
 from fatpoints.linsys import homogeneous_system
@@ -257,3 +257,72 @@ def test_store_rejects_corruption_before_last_line(tmp_path, capsys):
         CertificateStore(path)
     assert main(["certify", "4", "1x10", "--store", path]) == 1
     assert "corrupt" in capsys.readouterr().err
+
+
+def test_sweep_outside_corollary_takes_direct_route(capsys):
+    # (0; 0^10) has an integral twist bound 1 but d = m = 0: the constants
+    # give h0 = 1, which the direct route finds exactly
+    code, out = run(capsys, "sweep", "0", "10:12", "0", "--format", "json")
+    assert code == EXIT_DECIDED
+    rows = json.loads(out)
+    assert [(r["verdict"], r["h0"], r["integral"]) for r in rows] == \
+        [("nonspecial-certified", 1, False)] * 3
+
+
+def test_sweep_certificates_never_below_the_floor(tmp_path, capsys):
+    # ranges starting with '-' need the '--' separator
+    store = str(tmp_path / "certs.ndjson")
+    code, _ = run(capsys, "sweep", "--store", store, "--", "-3:3", "10:12",
+                  "-1:2")
+    assert code == EXIT_DECIDED
+    certs = [r["certificate"] for r in _records(store)]
+    assert len(certs) == 84
+    for c in certs:
+        assert c["h1"] is None or c["h1"] >= 0
+        if c["system"]["d"] >= -2:
+            assert c["h0"] >= max(c["chi"], 0)
+
+
+def test_sampling_failure_is_an_error_not_a_traceback(capsys):
+    # GF(7) has too few cubic points for 20 distinct ones
+    assert main(["certify", "2", "1x20", "--placement", "cubic",
+                 "--prime", "7"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    for argv in (["expdim", "13", "4x10", "--prime", "4"],
+                 ["expdim", "13", "4x10", "--trials", "0"],
+                 ["reduce", "13", "10", "4", "--seed", "1"],
+                 ["reduce", "13", "10", "4", "--store", "s.ndjson"],
+                 ["bound", "13", "10", "4", "--store", "s.ndjson"],
+                 ["certify", "13", "4x10", "--max-matrix-entries", "10"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err and captured.out == ""
+
+
+def test_certify_store_is_a_lookup_on_rerun(tmp_path, capsys, monkeypatch):
+    store = str(tmp_path / "certs.ndjson")
+    for fmt in ("json", "table"):
+        argv = ["certify", "13", "4x10", "--seed", "2", "--store", store,
+                "--format", fmt]
+        code, first = run(capsys, *argv)
+        assert code == EXIT_DECIDED
+        with monkeypatch.context() as mp:
+            mp.setattr(interp, "certify", lambda *a, **k: pytest.fail("recomputed"))
+            assert run(capsys, *argv) == (code, first)
+    assert len(_records(store)) == 1
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")).read()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()
+             if line.startswith("fatpoints ")]
+    assert len(lines) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == EXIT_DECIDED, argv
+        capsys.readouterr()

@@ -7,7 +7,7 @@ from fatpoints import elliptic, interp, linsys
 from fatpoints.elliptic import (InapplicableError, ReductionError,
                                 RuledSurfaceDivisor, chi_gap,
                                 chi_identity_check, corollary_nonspecial,
-                                mu_bound, reduce, ruled_chi,
+                                corollary_twist, mu_bound, reduce, ruled_chi,
                                 theorem_upper_bound)
 from fatpoints.interp import (INCONCLUSIVE, NONSPECIAL, SPECIAL_EXACT,
                               UPPER_BOUND, certify)
@@ -243,9 +243,44 @@ def test_corollary_inapplicable_for_fractional_mu():
         corollary_nonspecial(13, 13, 4)
 
 
+def test_corollary_inapplicable_without_positive_degree_and_multiplicity():
+    # integral twist bounds, outside the scope of theorem_upper_bound:
+    # (0; 0^10) has the constants (h0 = 1), and for (-3; 1^10) h2 need not
+    # vanish, so h1 cannot be read off chi
+    for (d, n, m) in [(0, 10, 0), (-3, 10, 1), (0, 11, 1), (-1, 12, 2)]:
+        assert mu_bound(d, n, m).denominator == 1 and mu_bound(d, n, m) > 0
+        assert corollary_twist(d, n, m) is None
+        with pytest.raises(InapplicableError):
+            corollary_nonspecial(d, n, m)
+    assert [corollary_twist(*c) for c in CASES] == MUS
+
+
+def test_corollary_is_floor_case_of_the_bound():
+    # at the corollary's twist the floor case is exactly the reduced system
+    # being certified nonspecial, since the two chis agree; (18; 4^21) and
+    # (27; 7^15) reduce to (0; (-2)^n), whose exact h0 = 1 is above the floor
+    grid = [(d, n, m) for d in range(1, 31) for n in range(10, 15)
+            for m in range(1, 9)]
+    verdicts = set()
+    for (d, n, m) in grid + [(18, 21, 4), (27, 15, 7)]:
+        mu = corollary_twist(d, n, m)
+        if mu is None:
+            continue
+        cert = corollary_nonspecial(d, n, m, trials=1, seed=2)
+        red = certify(reduce(homogeneous_system(d, n, m), n, mu).reduced,
+                      trials=1, seed=2)
+        assert (cert.verdict == NONSPECIAL) == (red.verdict == NONSPECIAL)
+        assert cert.h0_bound == red.h0_bound
+        if cert.verdict == NONSPECIAL:
+            assert cert.h0 == max(cert.chi, 0) and cert.h1 >= 0
+        verdicts.add(cert.verdict)
+    assert verdicts == {NONSPECIAL, INCONCLUSIVE}
+
+
 def test_corollary_agrees_with_direct_certification():
-    # cross-validation on cases small enough to run both routes
-    for (d, n, m) in [(13, 10, 4), (28, 12, 8)]:
+    # cross-validation on cases small enough to run both routes; (1; 1^10)
+    # twists by 15 to an empty system, so its bound is exact
+    for (d, n, m) in [(13, 10, 4), (28, 12, 8), (1, 10, 1)]:
         via_reduction = corollary_nonspecial(d, n, m, seed=3)
         direct = certify(homogeneous_system(d, n, m), seed=3)
         assert via_reduction.verdict == direct.verdict == NONSPECIAL
