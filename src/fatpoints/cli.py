@@ -191,8 +191,12 @@ def _bound_for(d: int, n: int, m: int, args):
             continue
         if linsys.exact_h0(plan.reduced) is None and _too_large(plan.reduced, args):
             continue
-        cert = elliptic.theorem_upper_bound(plan, trials=args.trials,
-                                            p=args.prime, seed=args.seed)
+        try:
+            cert = elliptic.theorem_upper_bound(plan, trials=args.trials,
+                                                p=args.prime, seed=args.seed)
+        except elliptic.InapplicableError:
+            # a positive twist of a system with d or m below 1
+            continue
         if best is None or cert.h0_bound < best:
             best, best_mu = cert.h0_bound, mu
         if best == floor:
@@ -281,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="newline-delimited JSON certificate store"),
         "--max-matrix-entries": dict(type=int,
                                      default=DEFAULT_MAX_MATRIX_ENTRIES),
-        "--format": dict(choices=("table", "json", "csv"), default="table"),
     }
     run = ("--prime", "--seed", "--trials")
 
@@ -291,11 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "linear systems with multiple base points")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, *names, **kw):
+    def add_parser(name, *names, formats=("table", "json"), **kw):
         """A subcommand taking --format and only the named flags it reads."""
         p = sub.add_parser(name, **kw)
-        for flag in names + ("--format",):
+        for flag in names:
             p.add_argument(flag, **flags[flag])
+        p.add_argument("--format", choices=formats, default="table")
         return p
 
     p = add_parser("expdim", help="chi, expected dimension, counts")
@@ -325,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = add_parser("sweep", *run, "--store", "--max-matrix-entries",
+                   formats=("table", "json", "csv"),
                    help="batch run over (d, n, m) ranges")
     p.add_argument("d_range")
     p.add_argument("n_range")

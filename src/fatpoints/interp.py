@@ -2,7 +2,10 @@
 
 A multiplicity-m condition at a point forces all partial derivatives of
 order < m to vanish there, i.e. m(m+1)/2 linear conditions on the monomial
-coefficients.  Full rank of the resulting matrix at one sampled
+coefficients.  The tables these rows come from (monomial exponents,
+falling factorials, the powers of every point's affine coordinates) are
+built once per matrix, and each point's rows are written straight into the
+matrix's one int64 buffer.  Full rank of the resulting matrix at one sampled
 configuration certifies full rank at generic points in characteristic zero
 (rank can only drop under specialization and reduction mod p), so a
 full-rank sample is a genuine nonspeciality certificate.  Rank deficits are
@@ -152,9 +155,16 @@ def derive_seed(seed: int, index: int) -> int:
 
 def monomial_basis(d: int):
     """Exponent triples (i, j, k), i+j+k = d, in lexicographic order."""
-    if d < 0:
-        return []
-    return [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
+    return [tuple(e) for e in _exponents(d).T.tolist()]
+
+
+def _exponents(d: int) -> np.ndarray:
+    """monomial_basis(d) as a (3, monomials) int64 array: row i holds the
+    exponents of the i-th variable.  Empty for d < 0."""
+    t = np.repeat(np.arange(d + 1, dtype=np.int64),
+                  np.arange(1, d + 2))                # t = d - i
+    k = np.arange(len(t), dtype=np.int64) - t * (t + 1) // 2
+    return np.stack([d - t, t - k, k])
 
 
 def sample_config(n_generic: int, n_cubic: int, p: int, seed: int,
@@ -219,25 +229,69 @@ def config_for_system(s: FatPointSystem, p: int, seed: int) -> PointConfig:
                          p, seed, tags=s.tags)
 
 
-def _derivative_table(c: int, d: int, m: int, p: int) -> np.ndarray:
-    """T[n, a] = n!/(n-a)! * c^(n-a) mod p, the a-th derivative of t^n at c.
+def _charts(points, d: int, p: int) -> list:
+    """(u, v, cu, cv) per point: the indices of the two affine variables in
+    its chart, the last nonzero coordinate (z preferred), and its affine
+    coordinates there.  Refuses p <= d, p >= 2^31 and the zero point."""
+    if p <= d:
+        raise ConfigError(f"prime {p} must exceed degree {d}")
+    if p >= MAX_PRIME:
+        raise ConfigError(f"prime {p} must be below 2^31")
+    charts = []
+    for point in points:
+        xyz = [c % p for c in point]
+        chart = next((i for i in (2, 1, 0) if xyz[i] != 0), None)
+        if chart is None:
+            raise ConfigError("zero projective point")
+        inv = pow(xyz[chart], -1, p)
+        u, v = (i for i in range(3) if i != chart)
+        charts.append((u, v, xyz[u] * inv % p, xyz[v] * inv % p))
+    return charts
 
-    Shape (d + 1, m); zero where a > n.  Every entry is reduced below p, so
-    with p < 2^31 each int64 product of two entries is exact.
+
+def _write_rows(points, mults, d: int, p: int, out) -> None:
+    """Condition rows of every point, in order, into consecutive rows of out.
+
+    Checks the prime and the points first (see _charts).  Everything that
+    does not depend on the point is built once: the exponent array, the
+    falling factorials fall[a, n] = n!/(n-a)! mod p (zero where a > n) for
+    a below the largest multiplicity, and the power ladder c^0..c^d of
+    every affine coordinate, one numpy step per power (0^0 = 1).  A point's
+    derivative table for one affine variable is then D[a, n] = fall[a, n] *
+    c^(n-a), the a-th derivative of t^n at c, gathered to the monomial
+    columns.  Every entry is reduced below p, so with p < 2^31 each int64
+    product of two entries is exact.
     """
+    charts = _charts(points, d, p)
+    exps = _exponents(d)
+    top = max(mults)
     n = np.arange(d + 1, dtype=np.int64)
-    pows = np.ones(d + 1, dtype=np.int64)
+    fall = np.ones((top, d + 1), dtype=np.int64)
+    for a in range(1, top):
+        # the factor 0 at n = a-1 keeps every later row zero for n < a
+        np.multiply(fall[a - 1], np.maximum(n - (a - 1), 0), out=fall[a])
+        fall[a] %= p
+    shift = np.maximum(n - np.arange(top, dtype=np.int64)[:, None], 0)
+    coords = np.array([c for (_, _, cu, cv) in charts for c in (cu, cv)],
+                      dtype=np.int64)
+    pw = np.ones((d + 1, len(coords)), dtype=np.int64)
     for i in range(1, d + 1):
-        pows[i] = pows[i - 1] * c % p
-    tab = np.empty((d + 1, m), dtype=np.int64)
-    fall = np.ones(d + 1, dtype=np.int64)
-    for a in range(m):
-        if a:
-            # falling factorial n(n-1)...(n-a+1); the factor 0 at n = a-1
-            # keeps every later column zero for n < a
-            fall = fall * np.maximum(n - (a - 1), 0) % p
-        tab[:, a] = fall * pows[np.maximum(n - a, 0)] % p
-    return tab
+        np.multiply(pw[i - 1], coords, out=pw[i])
+        pw[i] %= p
+
+    r = 0
+    for q, ((u, v, _, _), m) in enumerate(zip(charts, mults)):
+        # du[alpha, col]: alpha-th derivative of the first affine factor,
+        # per monomial; dv likewise for the second
+        f, sh = fall[:m], shift[:m]
+        du = (f * pw[sh, 2 * q] % p).take(exps[u], axis=1)
+        dv = (f * pw[sh, 2 * q + 1] % p).take(exps[v], axis=1)
+        for alpha in range(m):
+            block = out[r:r + m - alpha]
+            np.multiply(du[alpha], dv[:m - alpha], out=block)
+            block %= p
+            r += m - alpha
+        del du, dv  # at most one point's tables are alive at a time
 
 
 def condition_rows(point, m: int, d: int, p: int, out=None) -> np.ndarray:
@@ -249,57 +303,28 @@ def condition_rows(point, m: int, d: int, p: int, out=None) -> np.ndarray:
     mod p exactly when they are nonzero over the integers, and p < 2^31 so
     the int64 products of reduced residues are exact.  The reduced rows are
     written into `out` (any int64 view of the right shape) when given, and
-    returned.
+    returned.  This is the one-point case of build_matrix's row writer.
     """
     if m < 1:
         raise ValueError("multiplicity must be >= 1")
-    if p <= d:
-        raise ConfigError(f"prime {p} must exceed degree {d}")
-    if p >= MAX_PRIME:
-        raise ConfigError(f"prime {p} must be below 2^31")
-    x, y, z = (c % p for c in point)
-    # dehomogenize at the last nonzero coordinate, preferring z
-    if z != 0:
-        chart = 2
-    elif y != 0:
-        chart = 1
-    elif x != 0:
-        chart = 0
-    else:
-        raise ConfigError("zero projective point")
-    inv = pow((x, y, z)[chart], -1, p)
-    coords = [x * inv % p, y * inv % p, z * inv % p]
-    u, v = (i for i in range(3) if i != chart)
-    # exponents of the two affine variables, per monomial
-    exps = np.array(monomial_basis(d), dtype=np.int64).reshape(-1, 3)
-    # du[alpha, col]: alpha-th derivative of the first affine factor, per
-    # monomial; dv likewise for the second
-    du = _derivative_table(coords[u], d, m, p)[exps[:, u]].T
-    dv = _derivative_table(coords[v], d, m, p)[exps[:, v]].T
-
-    shape = (m * (m + 1) // 2, len(exps))
+    shape = (m * (m + 1) // 2, linsys.monomial_count(d))
     if out is None:
         rows = np.empty(shape, dtype=np.int64)
     elif out.shape == shape:
         rows = out
     else:
         raise ValueError(f"out has shape {out.shape}, not {shape}")
-    r = 0
-    for alpha in range(m):
-        block = rows[r:r + m - alpha]
-        np.multiply(du[alpha], dv[:m - alpha], out=block)
-        block %= p
-        r += m - alpha
+    _write_rows([point], [m], d, p, rows)
     return rows
 
 
 def build_matrix(s: FatPointSystem, cfg: PointConfig) -> GFMatrix:
     """Condition rows for every point with positive multiplicity.
 
-    The rows go straight into one int64 buffer.  A tall matrix (more
-    conditions than monomials) is laid out transposed, so that the rank
-    kernel, which factors the transpose of a tall matrix, can eliminate it
-    in place.
+    The rows go straight into one int64 buffer, from tables built once per
+    matrix.  A tall matrix (more conditions than monomials) is laid out
+    transposed, so that the rank kernel, which factors the transpose of a
+    tall matrix, can eliminate it in place.
     """
     if s.tags != cfg.tags:
         raise ConfigError("system and configuration tags disagree")
@@ -311,11 +336,9 @@ def build_matrix(s: FatPointSystem, cfg: PointConfig) -> GFMatrix:
         data = np.empty((ncols, nrows), dtype=np.int64).T
     else:
         data = np.empty((nrows, ncols), dtype=np.int64)
-    r = 0
-    for point, m in conds:
-        k = m * (m + 1) // 2
-        condition_rows(point, m, eff.d, cfg.p, out=data[r:r + k])
-        r += k
+    if conds:
+        points, mults = zip(*conds)
+        _write_rows(points, mults, eff.d, cfg.p, data)
     return GFMatrix(data, cfg.p, reduced=True)
 
 

@@ -114,6 +114,15 @@ def test_bound_reports(capsys):
         assert json.loads(out)["h0_bound"] == want
 
 
+def test_bound_scans_down_to_the_zero_twist(capsys):
+    # every positive twist of (0; 0^10) is inapplicable (d, m < 1); the
+    # scan skips them and mu = 0 gives h0 <= 1, the floor
+    code, out = run(capsys, "bound", "0", "10", "0", "--format", "json")
+    assert code == EXIT_DECIDED
+    rec = json.loads(out)
+    assert (rec["h0_bound"], rec["mu"]) == (1, 0)
+
+
 def test_sweep_csv_and_resume(tmp_path, capsys):
     store = str(tmp_path / "certs.ndjson")
     args = ["sweep", "13", "10", "4:5", "--format", "csv", "--store", store,
@@ -300,6 +309,14 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err and captured.out == ""
+
+
+def test_subcommands_without_csv_output_reject_it(capsys):
+    for argv in (["expdim", "13", "4x10"], ["certify", "13", "4x10"],
+                 ["reduce", "13", "10", "4"], ["bound", "13", "10", "4"]):
+        assert main(argv + ["--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert "invalid choice" in captured.err and captured.out == ""
 
 
 def test_certify_store_is_a_lookup_on_rerun(tmp_path, capsys, monkeypatch):

@@ -246,6 +246,30 @@ def test_build_matrix_writes_one_buffer(s):
     assert short.flags.c_contiguous
 
 
+def _loop_matrix(s, cfg):
+    # the Python-integer oracle's rows for every point with m >= 1, stacked
+    eff = linsys.effective_part(s)
+    return [row for pt, m in zip(cfg.points, eff.mults) if m >= 1
+            for row in loop_condition_rows(pt, m, eff.d, cfg.p)]
+
+
+@pytest.mark.parametrize("p", [97, 1000003, P])
+def test_build_matrix_matches_loop_oracle(p):
+    mixed = FatPointSystem(11, (4, 0, 3, -2, 2, 5, 1, 3),
+                           (ON_CUBIC, GENERIC) * 4)
+    # charts z, y (z = 0) and x (y = z = 0); (0, 0, 5) has both affine
+    # coordinates 0, so its value row needs 0^0 = 1; 32 conditions on 28
+    # monomials make the matrix tall
+    hand = FatPointSystem(6, (3, 2, 4, 1, 2, 3, 2))
+    pts = ((3, 1, 0), (4, 0, 0), (0, 0, 5), (0, 7, 1), (5, 0, 1), (0, 4, 0),
+           (2, 9, 1))
+    for s, cfg in [
+            (mixed, config_for_system(mixed, p, 11)),
+            (hand, interp.PointConfig(p=p, points=pts, tags=hand.tags, seed=0))]:
+        M = build_matrix(s, cfg)
+        assert M.data.tolist() == _loop_matrix(s, cfg)
+
+
 @pytest.mark.parametrize("s", [
     homogeneous_system(40, 5, 20),                          # tall, deficit 1
     homogeneous_system(13, 10, 4),                          # wide, full rank
