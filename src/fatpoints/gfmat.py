@@ -18,6 +18,8 @@ uses fraction-free Bareiss elimination with Python big integers.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # Moduli must stay below 2^31: the int64 elimination multiplies two reduced
@@ -45,8 +47,12 @@ class GFMatError(Exception):
     pass
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24.
+
+    Memoized: every matrix and every sampled configuration checks its
+    modulus, nearly always the same one."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -5,12 +5,15 @@ order < m to vanish there, i.e. m(m+1)/2 linear conditions on the monomial
 coefficients.  The tables these rows come from (monomial exponents,
 falling factorials, the powers of every point's affine coordinates) are
 built once per matrix, and each point's rows are written straight into the
-matrix's one int64 buffer.  Full rank of the resulting matrix at one sampled
-configuration certifies full rank at generic points in characteristic zero
-(rank can only drop under specialization and reduction mod p), so a
-full-rank sample is a genuine nonspeciality certificate.  Rank deficits are
-never certified by sampling alone: repeated agreeing deficits only yield a
-"special-suspected" verdict.
+matrix's one int64 buffer.  A sampled configuration is first moved to a
+projective frame: three of its points go to the coordinate points, where
+their conditions only kill monomials, so just the other points' rows on
+the kept monomials are eliminated (h0_at_sample).  Full rank of the
+conditions at one sampled configuration certifies full rank at generic
+points in characteristic zero (rank can only drop under specialization and
+reduction mod p), so a full-rank sample is a genuine nonspeciality
+certificate.  Rank deficits are never certified by sampling alone: repeated
+agreeing deficits only yield a "special-suspected" verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -249,10 +252,12 @@ def _charts(points, d: int, p: int) -> list:
     return charts
 
 
-def _write_rows(points, mults, d: int, p: int, out) -> None:
+def _write_rows(points, mults, d: int, p: int, out, keep=None) -> None:
     """Condition rows of every point, in order, into consecutive rows of out.
 
-    Checks the prime and the points first (see _charts).  Everything that
+    The columns are the monomials of monomial_basis(d), or only those at
+    the indices `keep` when given.  Checks the prime and the points first
+    (see _charts), also when there are no points.  Everything that
     does not depend on the point is built once: the exponent array, the
     falling factorials fall[a, n] = n!/(n-a)! mod p (zero where a > n) for
     a below the largest multiplicity, and the power ladder c^0..c^d of
@@ -263,8 +268,8 @@ def _write_rows(points, mults, d: int, p: int, out) -> None:
     product of two entries is exact.
     """
     charts = _charts(points, d, p)
-    exps = _exponents(d)
-    top = max(mults)
+    exps = _exponents(d) if keep is None else _exponents(d)[:, keep]
+    top = max(mults, default=0)
     n = np.arange(d + 1, dtype=np.int64)
     fall = np.ones((top, d + 1), dtype=np.int64)
     for a in range(1, top):
@@ -318,28 +323,65 @@ def condition_rows(point, m: int, d: int, p: int, out=None) -> np.ndarray:
     return rows
 
 
-def build_matrix(s: FatPointSystem, cfg: PointConfig) -> GFMatrix:
+def build_matrix(s: FatPointSystem, cfg: PointConfig,
+                 keep=None) -> GFMatrix:
     """Condition rows for every point with positive multiplicity.
 
-    The rows go straight into one int64 buffer, from tables built once per
-    matrix.  A tall matrix (more conditions than monomials) is laid out
-    transposed, so that the rank kernel, which factors the transpose of a
-    tall matrix, can eliminate it in place.
+    The columns are the monomials of monomial_basis(d), or only those at
+    the index array `keep` when given.  The rows go straight into one int64
+    buffer, from tables built once per matrix.  A tall matrix (more
+    conditions than monomials) is laid out transposed, so that the rank
+    kernel, which factors the transpose of a tall matrix, can eliminate it
+    in place.
     """
     if s.tags != cfg.tags:
         raise ConfigError("system and configuration tags disagree")
     eff = linsys.effective_part(s)
-    ncols = linsys.monomial_count(eff.d)
-    conds = [(cfg.points[i], m) for i, m in enumerate(eff.mults) if m >= 1]
-    nrows = sum(m * (m + 1) // 2 for _, m in conds)
+    ncols = linsys.monomial_count(eff.d) if keep is None else len(keep)
+    conds = [i for i, m in enumerate(eff.mults) if m >= 1]
+    nrows = sum(eff.mults[i] * (eff.mults[i] + 1) // 2 for i in conds)
     if nrows > ncols:
         data = np.empty((ncols, nrows), dtype=np.int64).T
     else:
         data = np.empty((nrows, ncols), dtype=np.int64)
-    if conds:
-        points, mults = zip(*conds)
-        _write_rows(points, mults, eff.d, cfg.p, data)
+    _write_rows([cfg.points[i] for i in conds], [eff.mults[i] for i in conds],
+                eff.d, cfg.p, data, keep)
     return GFMatrix(data, cfg.p, reduced=True)
+
+
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _frame(eff: FatPointSystem, cfg: PointConfig):
+    """Move three points of cfg to the coordinate points e1, e2, e3.
+
+    The frame is the three points of largest multiplicity (stable order),
+    all positive, whose matrix A of columns is invertible mod p.  Every
+    point q goes to adj(A) q, which is A^-1 q up to the scalar det A, so
+    the frame lands on e1, e2, e3 in order.  A form vanishes to order m at e1
+    exactly when its monomials x^i y^j z^k with j + k < m are absent
+    (likewise i + k < m at e2 and i + j < m at e3).  Returns the system
+    with the frame's multiplicities set to 0, the moved configuration and
+    the indices in monomial_basis(d) of the monomials the frame keeps; or
+    eff, cfg and None when there is no frame.
+    """
+    top = sorted(range(len(eff.mults)), key=lambda i: -eff.mults[i])[:3]
+    if len(top) < 3 or eff.mults[top[2]] < 1:
+        return eff, cfg, None
+    a, b, c = (cfg.points[i] for i in top)
+    adj = (_cross(b, c), _cross(c, a), _cross(a, b))
+    p = cfg.p
+    if sum(x * y for x, y in zip(adj[0], a)) % p == 0:
+        return eff, cfg, None
+    points = tuple(tuple(sum(x * y for x, y in zip(row, q)) % p for row in adj)
+                   for q in cfg.points)
+    m1, m2, m3 = (eff.mults[i] for i in top)
+    i, j, k = _exponents(eff.d)
+    keep = np.flatnonzero((j + k >= m1) & (i + k >= m2) & (i + j >= m3))
+    mults = tuple(0 if idx in top else m for idx, m in enumerate(eff.mults))
+    return replace(eff, mults=mults), replace(cfg, points=points), keep
 
 
 def h0_at_sample(s: FatPointSystem, cfg: PointConfig) -> RankReport:
@@ -347,16 +389,30 @@ def h0_at_sample(s: FatPointSystem, cfg: PointConfig) -> RankReport:
 
     h0_sample = monomials - rank bounds the generic characteristic-zero h0
     from above (semicontinuity in both the points and the prime).  The
-    matrix is eliminated in place.
+    configuration is moved to a projective frame first (_frame), which
+    leaves the rank unchanged: A acts invertibly on degree-d forms and
+    carries each fat point to its image, and with p > d the derivative rows
+    span exactly those vanishing conditions.  The frame's rows are scaled
+    unit vectors on the monomials they kill, so the rank is the number
+    killed plus the rank of the other points' rows on the kept monomials,
+    and only those are built and eliminated, in place.  The report counts
+    the monomials and conditions of the whole (effective) system.
     """
-    M = build_matrix(s, cfg)
+    if s.tags != cfg.tags:
+        raise ConfigError("system and configuration tags disagree")
+    eff = linsys.effective_part(s)
+    rest, moved, keep = _frame(eff, cfg)
+    M = build_matrix(rest, moved, keep)
     r = gfmat.rank(M, overwrite=True)
+    monomials = linsys.monomial_count(eff.d)
+    conditions = linsys.conditions_count(eff)
+    rank = monomials - M.cols + r  # killed monomials + rank on the kept
     return RankReport(
-        monomials=M.cols,
-        conditions=M.rows,
-        rank=r,
-        h0_sample=M.cols - r,
-        full_rank=(r == min(M.rows, M.cols)),
+        monomials=monomials,
+        conditions=conditions,
+        rank=rank,
+        h0_sample=monomials - rank,
+        full_rank=(rank == min(conditions, monomials)),
     )
 
 

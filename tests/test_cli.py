@@ -292,6 +292,13 @@ def test_sweep_certificates_never_below_the_floor(tmp_path, capsys):
             assert c["h0"] >= max(c["chi"], 0)
 
 
+def test_non_prime_is_usage_error_on_every_call(capsys):
+    # is_prime is memoized: the second, cached check must refuse as well
+    for prime in ("4", "4", "1000001", "1000001"):
+        assert main(["certify", "7", "1x5", "--prime", prime]) == 1
+        assert f"--prime {prime} is not prime" in capsys.readouterr().err
+
+
 def test_sampling_failure_is_an_error_not_a_traceback(capsys):
     # GF(7) has too few cubic points for 20 distinct ones
     assert main(["certify", "2", "1x20", "--placement", "cubic",

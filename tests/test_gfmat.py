@@ -27,6 +27,20 @@ def test_is_prime():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+def test_repeated_modulus_check_hits_the_is_prime_cache():
+    is_prime.cache_clear()
+    for _ in range(3):
+        gfmat.check_modulus(1000003)
+        GFMatrix([[1, 2]], 1000003)
+    info = is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    with pytest.raises(gfmat.GFMatError):
+        gfmat.check_modulus(1000001)
+    with pytest.raises(gfmat.GFMatError):
+        gfmat.check_modulus(1000001)  # a cached False still refuses
+    assert is_prime.cache_info().hits == 6
+
+
 def test_field_inverse_identity():
     assert field_inverse(1, 101) == 1
 

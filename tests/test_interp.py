@@ -278,12 +278,149 @@ def test_build_matrix_matches_loop_oracle(p):
 ], ids=["40-20x5", "13-4x10", "4-1x10-cubic", "2-2x2"])
 def test_h0_at_sample_in_place_matches_rank_of_copy(s):
     cfg = config_for_system(s, P, 3)
+    assert h0_at_sample(s, cfg) == full_matrix_report(s, cfg)
+
+
+def full_matrix_report(s, cfg):
+    # the reference: rank of the whole matrix, every point's rows on every
+    # monomial, at the unmoved configuration
     M = build_matrix(s, cfg)
     r = gfmat.rank(M)
-    want = interp.RankReport(monomials=M.cols, conditions=M.rows, rank=r,
+    return interp.RankReport(monomials=M.cols, conditions=M.rows, rank=r,
                              h0_sample=M.cols - r,
                              full_rank=r == min(M.rows, M.cols))
-    assert h0_at_sample(s, cfg) == want
+
+
+def frame_corpus():
+    # 240 seeded systems over the three primes.  Three in four are random:
+    # generic, on-cubic and mixed tags, multiplicities -1..8 (so zero and
+    # negative ones), degrees 0..12 (so frame points with 2m > d, and with
+    # m > d + 1, which kill every monomial).  Every fourth is (3k; k^a,
+    # (k-1)^b), a >= 10, on a cubic: it meets the cubic negatively, so its
+    # rank depends on where the points lie, and a point moved wrong shows.
+    rng = random.Random(606716)
+    for t in range(240):
+        p = (101, 1000003, P)[t % 3]
+        if t % 4 == 3:
+            k = rng.randint(1, 3)
+            mults = [k] * rng.randint(10, 11) + [k - 1] * rng.randint(0, 2)
+            rng.shuffle(mults)
+            s = FatPointSystem(3 * k, mults, (ON_CUBIC,) * len(mults))
+        else:
+            n = rng.randint(1, 8)
+            placement = (GENERIC, ON_CUBIC, None)[t % 5 % 3]
+            s = FatPointSystem(rng.randint(0, 12),
+                               [rng.randint(-1, 8) for _ in range(n)],
+                               [placement or rng.choice((GENERIC, ON_CUBIC))
+                                for _ in range(n)])
+        yield s, config_for_system(s, p, rng.randrange(2 ** 32))
+
+
+def test_h0_at_sample_matches_full_matrix_on_corpus():
+    seen = {"tags": set(), "p": set(), "overlap": 0, "all_killed": 0,
+            "no_frame": 0, "framed_deficit": 0}
+    for s, cfg in frame_corpus():
+        rep = h0_at_sample(s, cfg)
+        assert rep == full_matrix_report(s, cfg), (s, cfg.p)
+        seen["tags"].add(frozenset(s.tags))
+        seen["p"].add(cfg.p)
+        top = sorted(s.mults, reverse=True)[:3]
+        if interp._frame(linsys.effective_part(s), cfg)[2] is None:
+            seen["no_frame"] += 1
+            continue
+        seen["framed_deficit"] += not rep.full_rank
+        if top[0] > s.d + 1:
+            seen["all_killed"] += 1
+        elif 2 * top[1] > s.d:
+            seen["overlap"] += 1
+    assert {frozenset({GENERIC}), frozenset({ON_CUBIC}),
+            frozenset({GENERIC, ON_CUBIC})} <= seen["tags"]
+    assert seen["p"] == {101, 1000003, P}
+    assert min(seen["overlap"], seen["all_killed"], seen["no_frame"],
+               seen["framed_deficit"]) >= 10
+
+
+def _cfg(s, points, p=P):
+    return interp.PointConfig(p=p, points=tuple(points), tags=s.tags, seed=0)
+
+
+def test_frame_skipped_when_top_three_points_are_collinear_mod_p():
+    # (5, 101, 1) is (5, 0, 1) mod 101: on the line y = 0 through the other
+    # two, so det A = 0 mod p although it is not 0 over the integers
+    s = FatPointSystem(9, (4, 3, 4, 2, 2, 1))
+    pts = [(0, 0, 1), (1, 0, 1), (5, 101, 1), (2, 7, 1), (3, 1, 1), (8, 5, 1)]
+    cfg = _cfg(s, pts, p=101)
+    assert interp._frame(s, cfg)[2] is None
+    assert h0_at_sample(s, cfg) == full_matrix_report(s, cfg)
+    # a true line over Z as well: y = x + 1, with a special system on it
+    s = FatPointSystem(4, (2, 2, 2, 1))
+    cfg = _cfg(s, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (7, 1, 1)])
+    assert interp._frame(s, cfg)[2] is None
+    assert h0_at_sample(s, cfg) == full_matrix_report(s, cfg)
+
+
+@pytest.mark.parametrize("mults", [(5, 3), (5, 0, 3, -1), (2,), (0, 0, 0)])
+def test_no_frame_with_fewer_than_three_positive_points(mults):
+    s = FatPointSystem(4, mults)
+    pts = [(3, 5, 1), (2, 9, 1), (7, 4, 1), (6, 6, 1)][:len(mults)]
+    cfg = _cfg(s, pts)
+    assert interp._frame(s, cfg) == (s, cfg, None)
+    assert h0_at_sample(s, cfg) == full_matrix_report(s, cfg)
+
+
+def test_prime_checked_against_degree_when_the_frame_takes_every_point():
+    s = FatPointSystem(10, (3, 3, 3))
+    cfg = _cfg(s, [(1, 0, 1), (0, 1, 1), (1, 1, 1)], p=7)
+    assert interp._frame(s, cfg)[0].mults == (0, 0, 0)
+    with pytest.raises(ConfigError):
+        h0_at_sample(s, cfg)
+    assert h0_at_sample(s, _cfg(s, cfg.points, p=11)).h0_sample == 48
+
+
+def test_moved_points_in_the_y_and_x_charts():
+    # A has columns a, b, c.  q = a + b moves to (1, 1, 0): z = 0, so its
+    # rows are taken in the y-chart; r = 2a moves to (1, 0, 0): y = z = 0,
+    # the x-chart (r is the point a again, so the system is special)
+    a, b, c = (2, 3, 1), (5, 1, 1), (4, 4, 1)
+    q = tuple(u + v for u, v in zip(a, b))
+    r = tuple(2 * u for u in a)
+    s = FatPointSystem(7, (3, 2, 2, 2, 1, 1))
+    cfg = _cfg(s, [a, b, c, q, r, (9, 2, 1)])
+    rest, moved, keep = interp._frame(s, cfg)
+    assert rest.mults == (0, 0, 0, 2, 1, 1)
+    det = moved.points[0][0]
+    assert moved.points[:3] == ((det, 0, 0), (0, det, 0), (0, 0, det))
+    assert moved.points[3][2] == 0 and moved.points[3][:2] != (0, 0)
+    assert moved.points[4][1:] == (0, 0) and moved.points[4][0] != 0
+    assert h0_at_sample(s, cfg) == full_matrix_report(s, cfg)
+
+
+def test_frame_keeps_the_monomials_the_frame_points_leave():
+    # e1 with m1 = 3 kills j + k < 3, e2 with m2 = 2 kills i + k < 2, and
+    # e3 with m3 = 1 kills i + j < 1
+    s = FatPointSystem(4, (3, 1, 2, 1))
+    cfg = _cfg(s, [(1, 2, 1), (3, 1, 1), (5, 5, 1), (2, 8, 1)])
+    keep = interp._frame(s, cfg)[2]
+    basis = monomial_basis(4)
+    assert [basis[c] for c in keep] == [
+        e for e in basis
+        if e[1] + e[2] >= 3 and e[0] + e[2] >= 2 and e[0] + e[1] >= 1]
+    assert (0, 0, 4) not in [basis[c] for c in keep]
+
+
+@pytest.mark.parametrize("s", [
+    homogeneous_system(13, 10, 4),
+    homogeneous_system(40, 5, 20),                          # tall
+    FatPointSystem(11, (4, 0, 3, -2, 2, 5, 1, 3), (ON_CUBIC, GENERIC) * 4),
+], ids=["13-4x10", "40-20x5", "mixed"])
+def test_build_matrix_on_kept_columns(s):
+    cfg = config_for_system(s, P, 7)
+    full = build_matrix(s, cfg).data
+    for keep in (np.arange(0, full.shape[1], 3), np.array([], dtype=np.int64),
+                 interp._frame(linsys.effective_part(s), cfg)[2]):
+        M = build_matrix(s, cfg, keep)
+        assert M.data.shape == (full.shape[0], len(keep))
+        assert (M.data == full[:, keep]).all()
 
 
 def test_build_matrix_tag_mismatch():
