@@ -8,8 +8,8 @@ from .linsys import (FatPointSystem, GENERIC, ON_CUBIC, chi, conditions_count,
 from .interp import (Certificate, PointConfig, RankReport, build_matrix,
                      certify, condition_rows, h0_at_sample, monomial_basis,
                      sample_config)
-from .elliptic import (ReductionPlan, RuledSurfaceDivisor, chi_gap,
-                       chi_identity_check, corollary_nonspecial, mu_bound,
-                       reduce, ruled_chi, theorem_upper_bound)
+from .elliptic import (ReductionPlan, RuledSurfaceDivisor, best_bound,
+                       chi_gap, chi_identity_check, corollary_nonspecial,
+                       mu_bound, reduce, ruled_chi, theorem_upper_bound)
 
 __version__ = "0.1.0"

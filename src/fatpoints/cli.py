@@ -36,6 +36,8 @@ def parse_mults(text: str):
         part = part.strip()
         if "x" in part:
             m, k = part.split("x", 1)
+            if int(k) < 0:
+                raise ValueError(f"negative repeat count in {part!r}")
             out.extend([int(m)] * int(k))
         elif part:
             out.append(int(part))
@@ -101,14 +103,15 @@ def _stored(st, command: str, s: FatPointSystem, args, compute):
 def cmd_expdim(args) -> int:
     mults = parse_mults(args.mults)
     s = FatPointSystem(args.d, mults)
-    inv = linsys.invariants(s)
-    obj = {"d": s.d, "mults": list(mults), "chi": inv.chi, "v": inv.v,
-           "monomials": inv.monomials, "conditions": inv.conditions}
+    obj = {"d": s.d, "mults": list(mults), "chi": linsys.chi(s),
+           "v": linsys.expected_dim(s),
+           "monomials": linsys.monomial_count(s.d),
+           "conditions": linsys.conditions_count(s)}
     _emit(obj, [f"system        {s}",
-                f"chi           {inv.chi}",
-                f"expected dim  {inv.v}",
-                f"monomials     {inv.monomials}",
-                f"conditions    {inv.conditions}"], args.format)
+                f"chi           {obj['chi']}",
+                f"expected dim  {obj['v']}",
+                f"monomials     {obj['monomials']}",
+                f"conditions    {obj['conditions']}"], args.format)
     return EXIT_DECIDED
 
 
@@ -163,50 +166,15 @@ def cmd_reduce(args) -> int:
 
 
 def _too_large(s: FatPointSystem, args) -> bool:
-    """Whether the direct matrix of s has more than --max-matrix-entries."""
-    return (linsys.conditions_count(s) * linsys.monomial_count(s.d)
-            > args.max_matrix_entries)
-
-
-def _bound_for(d: int, n: int, m: int, args):
-    """Best h0 upper bound over all admissible integral twists.
-
-    Scans mu from the top of the admissible range down, pruning twists whose
-    chi already rules out an improvement, and stops once the bound reaches
-    the unconditional floor max(chi, 0).
-    """
-    top = elliptic.mu_bound(d, n, m)
-    if top < 0:
-        return None, None
-    s = linsys.homogeneous_system(d, n, m)
-    floor = max(linsys.chi(s), 0)
-    best = None
-    best_mu = None
-    for mu in range(int(top), -1, -1):
-        plan = elliptic.reduce(s, n, mu)
-        if not plan.hypothesis:
-            continue
-        # any bound from this twist is at least max(chi_reduced, 0)
-        if best is not None and max(plan.chi_reduced, 0) >= best:
-            continue
-        if linsys.exact_h0(plan.reduced) is None and _too_large(plan.reduced, args):
-            continue
-        try:
-            cert = elliptic.theorem_upper_bound(plan, trials=args.trials,
-                                                p=args.prime, seed=args.seed)
-        except elliptic.InapplicableError:
-            # a positive twist of a system with d or m below 1
-            continue
-        if best is None or cert.h0_bound < best:
-            best, best_mu = cert.h0_bound, mu
-        if best == floor:
-            break
-    return best, best_mu
+    """Whether the framed matrix of s has more than --max-matrix-entries."""
+    return interp.framed_cells(s) > args.max_matrix_entries
 
 
 def cmd_bound(args) -> int:
     _check_runconfig(args, max(args.d, 0))
-    best, best_mu = _bound_for(args.d, args.n, args.m, args)
+    best, best_mu = elliptic.best_bound(
+        args.d, args.n, args.m, lambda r: not _too_large(r, args),
+        args.trials, args.prime, args.seed)
     s = linsys.homogeneous_system(args.d, args.n, args.m)
     if best is None:
         _emit({"d": args.d, "n": args.n, "m": args.m, "h0_bound": None,
@@ -346,7 +314,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, elliptic.ReductionError,
+    except (UsageError, ValueError, OSError, elliptic.ReductionError,
             interp.ConfigError, interp.SamplingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,7 +3,8 @@
 The reduction moves the first k points of a system onto a smooth cubic and
 twists by mu: the degree drops by 3*mu and the first k multiplicities by mu.
 When the twisted system's Euler characteristic does not drop, its h0 bounds
-the original system's h0 from above (`theorem_upper_bound`, for d, m >= 1).
+the original system's h0 from above (`theorem_upper_bound`, for d, m >= 1);
+`best_bound` takes the least such bound over the integral twists.
 The corollary is the floor case of that bound: when it equals max(chi, 0),
 which at an integral twist bound is when the reduced system is nonspecial,
 the original system is nonspecial too.
@@ -140,6 +141,40 @@ def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS
                        system=plan.original, chi=plan.chi_original,
                        prime=p, seed=seed, trials=trials, h0_bound=bound,
                        evidence=evidence)
+
+
+def best_bound(d: int, n: int, m: int, fits,
+               trials: int = interp.DEFAULT_TRIALS, p: int = DEFAULT_PRIME,
+               seed: int = 0):
+    """(least h0 bound, its twist) of (d; m^n) over the integral twists,
+    or (None, None) when no twist gives one.
+
+    Twists run from the twist bound down to 0, all n points specialized;
+    the chi hypothesis holds on all of them, since the chi gap is
+    mu (n - 9)(mu_bound - mu) / 2.  Only mu = 0 is admissible unless
+    d, m >= 1.  A twist is skipped when its chi already rules out an
+    improvement or when fits(reduced system) is false, and the scan stops
+    once the bound reaches the floor max(chi, 0).
+    """
+    top = mu_bound(d, n, m)
+    if top < 0:
+        return None, None
+    s = linsys.homogeneous_system(d, n, m)
+    floor = max(linsys.chi(s), 0)
+    best = best_mu = None
+    for mu in range(int(top) if d >= 1 and m >= 1 else 0, -1, -1):
+        plan = reduce(s, n, mu)
+        # any bound from this twist is at least max(chi_reduced, 0)
+        if best is not None and max(plan.chi_reduced, 0) >= best:
+            continue
+        if not fits(plan.reduced):
+            continue
+        b = theorem_upper_bound(plan, trials, p, seed).h0_bound
+        if best is None or b < best:
+            best, best_mu = b, mu
+        if best == floor:
+            break
+    return best, best_mu
 
 
 def corollary_twist(d: int, n: int, m: int) -> int | None:

@@ -138,7 +138,9 @@ class GFMatrix:
         """`reduced` says data is a 2-D int64 array with entries in [0, p);
         it is then adopted as it is, without a copy."""
         check_modulus(p)
-        _check_word_size(p)
+        if p >= MAX_PRIME:
+            raise GFMatError(f"modulus {p} must be below 2^31 for exact "
+                             "word-size elimination")
         self.p = p
         if reduced:
             self.data = data
@@ -161,43 +163,18 @@ class GFMatrix:
         return f"GFMatrix({self.rows}x{self.cols} mod {self.p})"
 
 
-def _check_word_size(p: int) -> None:
-    if p >= MAX_PRIME:
-        raise GFMatError(f"modulus {p} must be below 2^31 for exact "
-                         "word-size elimination")
-
-
 def rank(M: GFMatrix, overwrite: bool = False) -> int:
-    """Rank of M over GF(p).
+    """Rank of M over GF(p), by _lu on a C-order copy of M or, for a tall
+    M, of its transpose (same rank; the recursion splits the long side).
 
-    The result does not depend on row or column order.  M is not modified
-    unless `overwrite` is set: then M.data is eliminated in place when its
-    layout allows, with no working copy, and its entries are undefined
-    afterwards.
+    With `overwrite` set, M.data is eliminated in place when its layout
+    allows, with no copy, and its entries are undefined afterwards.
     """
-    if not overwrite:
-        return _rank_mod(M.data, M.p)
     a = M.data.T if M.rows > M.cols else M.data
-    return _rank_inplace(np.ascontiguousarray(a), M.p)
-
-
-def _rank_mod(data: np.ndarray, p: int) -> int:
-    """Rank mod p (p < 2^31) of an integer matrix; data is not modified."""
-    _check_word_size(p)
-    data = np.asarray(data, dtype=np.int64)
-    if data.ndim != 2:
-        return 0
-    if data.shape[0] > data.shape[1]:
-        data = data.T  # same rank; the recursion splits the long side
-    a = np.mod(data, p, out=np.empty(data.shape, dtype=np.int64))
-    return _rank_inplace(a, p)
-
-
-def _rank_inplace(a: np.ndarray, p: int) -> int:
-    """Rank of reduced int64 a, which is overwritten by its factors."""
+    a = np.ascontiguousarray(a) if overwrite else np.array(a, order="C")
     if 0 in a.shape:
         return 0
-    return len(_lu(a, p, 0, 0, a.shape[1]))
+    return len(_lu(a, M.p, 0, 0, a.shape[1]))
 
 
 def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
@@ -356,8 +333,7 @@ def rational_rank(M) -> int:
     Fraction-free Bareiss elimination on Python big integers; intended for
     modest sizes (the cross-validation oracle), not performance.
     """
-    a = [[int(x) for x in row] for row in np.asarray(M).tolist()] if not isinstance(M, list) else [
-        [int(x) for x in row] for row in M]
+    a = [[int(x) for x in row] for row in M]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if nrows == 0 or ncols == 0:

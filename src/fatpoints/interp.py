@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gfmat, linsys
 from .gfmat import DEFAULT_PRIME, MAX_PRIME, GFMatrix
-from .linsys import GENERIC, ON_CUBIC, FatPointSystem
+from .linsys import ON_CUBIC, FatPointSystem
 
 SAMPLE_RETRIES = 64
 DEFAULT_TRIALS = 3
@@ -170,11 +170,10 @@ def _exponents(d: int) -> np.ndarray:
     return np.stack([d - t, t - k, k])
 
 
-def sample_config(n_generic: int, n_cubic: int, p: int, seed: int,
-                  tags=None) -> PointConfig:
-    """Sample a deterministic point configuration over GF(p).
+def sample_config(tags, p: int, seed: int) -> PointConfig:
+    """Sample a deterministic point configuration over GF(p), one point per
+    placement tag, in order.
 
-    On-cubic points come first unless an explicit tag sequence is given.
     Curve points are found by sampling x, testing quadratic residuosity of
     x^3 + ax + b and taking a Tonelli-Shanks square root.  All points are
     pairwise distinct (resampled on collision, bounded retries).
@@ -182,16 +181,11 @@ def sample_config(n_generic: int, n_cubic: int, p: int, seed: int,
     gfmat.check_modulus(p)
     if p <= 3:
         raise ConfigError("prime must exceed 3")
-    if tags is None:
-        tags = (ON_CUBIC,) * n_cubic + (GENERIC,) * n_generic
-    else:
-        tags = tuple(tags)
-        if tags.count(ON_CUBIC) != n_cubic or tags.count(GENERIC) != n_generic:
-            raise ConfigError("tag sequence disagrees with point counts")
+    tags = tuple(tags)
     rng = random.Random(f"{p}:{seed}")
 
     cubic = None
-    if n_cubic > 0:
+    if ON_CUBIC in tags:
         for _ in range(SAMPLE_RETRIES):
             a, b = rng.randrange(p), rng.randrange(p)
             if (4 * a * a * a + 27 * b * b) % p != 0:
@@ -222,14 +216,13 @@ def sample_config(n_generic: int, n_cubic: int, p: int, seed: int,
                 break
         else:
             raise SamplingError("retry budget exhausted while sampling points")
-    return PointConfig(p=p, points=tuple(points), tags=tuple(tags),
-                       seed=seed, cubic=cubic)
+    return PointConfig(p=p, points=tuple(points), tags=tags, seed=seed,
+                       cubic=cubic)
 
 
 def config_for_system(s: FatPointSystem, p: int, seed: int) -> PointConfig:
     """One point per system entry, placement matching the system's tags."""
-    return sample_config(s.tags.count(GENERIC), s.tags.count(ON_CUBIC),
-                         p, seed, tags=s.tags)
+    return sample_config(s.tags, p, seed)
 
 
 def _charts(points, d: int, p: int) -> list:
@@ -299,26 +292,20 @@ def _write_rows(points, mults, d: int, p: int, out, keep=None) -> None:
         del du, dv  # at most one point's tables are alive at a time
 
 
-def condition_rows(point, m: int, d: int, p: int, out=None) -> np.ndarray:
+def condition_rows(point, m: int, d: int, p: int) -> np.ndarray:
     """Rows forcing a degree-d form to vanish to order m at `point`.
 
     One row per derivative multi-index (alpha, beta) with alpha + beta < m,
     taken in an affine chart where the point has a nonzero coordinate
     (z preferred).  Requires p > d so derivative coefficients are nonzero
     mod p exactly when they are nonzero over the integers, and p < 2^31 so
-    the int64 products of reduced residues are exact.  The reduced rows are
-    written into `out` (any int64 view of the right shape) when given, and
-    returned.  This is the one-point case of build_matrix's row writer.
+    the int64 products of reduced residues are exact.  This is the
+    one-point case of build_matrix's row writer.
     """
     if m < 1:
         raise ValueError("multiplicity must be >= 1")
-    shape = (m * (m + 1) // 2, linsys.monomial_count(d))
-    if out is None:
-        rows = np.empty(shape, dtype=np.int64)
-    elif out.shape == shape:
-        rows = out
-    else:
-        raise ValueError(f"out has shape {out.shape}, not {shape}")
+    rows = np.empty((m * (m + 1) // 2, linsys.monomial_count(d)),
+                    dtype=np.int64)
     _write_rows([point], [m], d, p, rows)
     return rows
 
@@ -354,22 +341,37 @@ def _cross(u, v) -> tuple:
             u[0] * v[1] - u[1] * v[0])
 
 
-def _frame(eff: FatPointSystem, cfg: PointConfig):
-    """Move three points of cfg to the coordinate points e1, e2, e3.
+def _frame_of(eff: FatPointSystem):
+    """(top, keep) of the frame of eff, or None when it has none.
 
-    The frame is the three points of largest multiplicity (stable order),
-    all positive, whose matrix A of columns is invertible mod p.  Every
-    point q goes to adj(A) q, which is A^-1 q up to the scalar det A, so
-    the frame lands on e1, e2, e3 in order.  A form vanishes to order m at e1
-    exactly when its monomials x^i y^j z^k with j + k < m are absent
-    (likewise i + k < m at e2 and i + j < m at e3).  Returns the system
-    with the frame's multiplicities set to 0, the moved configuration and
-    the indices in monomial_basis(d) of the monomials the frame keeps; or
-    eff, cfg and None when there is no frame.
+    top is the indices of the three points of largest multiplicity (stable
+    order), all positive; keep is the indices in monomial_basis(d) of the
+    monomials a form can contain when it vanishes to order m1, m2, m3 at
+    e1, e2, e3: x^i y^j z^k vanishes to order m at e1 exactly when
+    j + k >= m (likewise i + k >= m at e2 and i + j >= m at e3).
     """
     top = sorted(range(len(eff.mults)), key=lambda i: -eff.mults[i])[:3]
     if len(top) < 3 or eff.mults[top[2]] < 1:
+        return None
+    m1, m2, m3 = (eff.mults[i] for i in top)
+    i, j, k = _exponents(eff.d)
+    return top, np.flatnonzero((j + k >= m1) & (i + k >= m2) & (i + j >= m3))
+
+
+def _frame(eff: FatPointSystem, cfg: PointConfig):
+    """Move the frame's three points (_frame_of) to e1, e2, e3.
+
+    The frame needs the matrix A of its three points as columns to be
+    invertible mod p.  Every point q goes to adj(A) q, which is A^-1 q up
+    to the scalar det A, so the frame lands on e1, e2, e3 in order.
+    Returns the system with the frame's multiplicities set to 0, the moved
+    configuration and the kept monomials; or eff, cfg and None when there
+    is no frame.
+    """
+    frame = _frame_of(eff)
+    if frame is None:
         return eff, cfg, None
+    top, keep = frame
     a, b, c = (cfg.points[i] for i in top)
     adj = (_cross(b, c), _cross(c, a), _cross(a, b))
     p = cfg.p
@@ -377,11 +379,21 @@ def _frame(eff: FatPointSystem, cfg: PointConfig):
         return eff, cfg, None
     points = tuple(tuple(sum(x * y for x, y in zip(row, q)) % p for row in adj)
                    for q in cfg.points)
-    m1, m2, m3 = (eff.mults[i] for i in top)
-    i, j, k = _exponents(eff.d)
-    keep = np.flatnonzero((j + k >= m1) & (i + k >= m2) & (i + j >= m3))
     mults = tuple(0 if idx in top else m for idx, m in enumerate(eff.mults))
     return replace(eff, mults=mults), replace(cfg, points=points), keep
+
+
+def framed_cells(s: FatPointSystem) -> int:
+    """Cells of the matrix h0_at_sample eliminates for s when the frame's
+    points are not collinear: the other points' conditions times the kept
+    monomials, or the whole matrix when s has no frame.  0 when
+    linsys.exact_h0 decides s, which needs no matrix."""
+    if linsys.exact_h0(s) is not None:
+        return 0
+    eff = linsys.effective_part(s)
+    top, keep = _frame_of(eff) or ((), range(linsys.monomial_count(eff.d)))
+    return len(keep) * sum(m * (m + 1) // 2 for i, m in enumerate(eff.mults)
+                           if i not in top)
 
 
 def h0_at_sample(s: FatPointSystem, cfg: PointConfig) -> RankReport:

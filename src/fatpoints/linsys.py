@@ -36,24 +36,12 @@ class FatPointSystem:
     def npoints(self) -> int:
         return len(self.mults)
 
-    @property
-    def homogeneous(self) -> bool:
-        return len(set(self.mults)) <= 1
-
     def __str__(self):
         return f"({self.d}; {','.join(map(str, self.mults))})"
 
 
 def homogeneous_system(d: int, n: int, m: int, tag: str = GENERIC) -> FatPointSystem:
     return FatPointSystem(d, (m,) * n, (tag,) * n)
-
-
-@dataclass(frozen=True)
-class SystemInvariants:
-    chi: int
-    v: int
-    conditions: int
-    monomials: int
 
 
 def monomial_count(d: int) -> int:
@@ -87,13 +75,6 @@ def exact_h0(s: FatPointSystem) -> Optional[int]:
     if conditions_count(s) == 0:
         return monomial_count(s.d)
     return None
-
-
-def invariants(s: FatPointSystem) -> SystemInvariants:
-    c = chi(s)
-    return SystemInvariants(chi=c, v=c - 1,
-                            conditions=conditions_count(s),
-                            monomials=monomial_count(s.d))
 
 
 def effective_part(s: FatPointSystem) -> FatPointSystem:

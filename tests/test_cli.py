@@ -23,6 +23,20 @@ def test_parse_mults():
     assert parse_mults("-1x3") == (-1, -1, -1)
 
 
+def test_negative_repeat_count_is_an_error(capsys):
+    with pytest.raises(ValueError, match="negative repeat count"):
+        parse_mults("3,4x-10")
+    assert main(["certify", "13", "4x-10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_store_that_is_a_directory_is_an_error(tmp_path, capsys):
+    assert main(["certify", "13", "4x10", "--store", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_parse_range():
     assert parse_range("5") == [5]
     assert parse_range("3:6") == [3, 4, 5, 6]
@@ -183,6 +197,19 @@ def test_sweep_resumes_after_interrupt(tmp_path, capsys, monkeypatch):
     with open(store) as f:
         assert f.read().startswith(kept)
     assert _records(store) == want_recs
+
+
+def test_sweep_skips_rows_whose_framed_matrix_is_too_large(capsys):
+    # (13; 4^13) has no integral twist bound (15/2), so it goes the direct
+    # route: 100 x 75 = 7500 cells on its frame, 130 x 105 = 13650 in all
+    for limit, verdict in (("10000", "nonspecial-certified"),
+                           ("7500", "nonspecial-certified"),
+                           ("7499", "skipped-too-large"),
+                           ("7000", "skipped-too-large")):
+        code, out = run(capsys, "sweep", "13", "13", "4", "--format", "json",
+                        "--max-matrix-entries", limit)
+        assert code == EXIT_DECIDED
+        assert json.loads(out)[0]["verdict"] == verdict, limit
 
 
 def test_sweep_empty_range(capsys):

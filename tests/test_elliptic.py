@@ -5,7 +5,7 @@ import pytest
 
 from fatpoints import elliptic, interp, linsys
 from fatpoints.elliptic import (InapplicableError, ReductionError,
-                                RuledSurfaceDivisor, chi_gap,
+                                RuledSurfaceDivisor, best_bound, chi_gap,
                                 chi_identity_check, corollary_nonspecial,
                                 corollary_twist, mu_bound, reduce, ruled_chi,
                                 theorem_upper_bound)
@@ -223,6 +223,41 @@ def test_theorem_bound_never_below_chi():
             continue
         cert = theorem_upper_bound(plan, trials=1, seed=7)
         assert cert.h0_bound >= max(plan.chi_original, 0)
+
+
+def test_twist_scan_range_satisfies_the_chi_hypothesis():
+    # chi gap mu (n - 9)(mu_bound - mu) / 2 >= 0 on 0 <= mu <= mu_bound
+    for d in range(-3, 40):
+        for n in range(10, 16):
+            for m in range(-1, 12):
+                top = mu_bound(d, n, m)
+                s = homogeneous_system(d, n, m)
+                for mu in range(int(top) + 1 if top >= 0 else 0):
+                    assert reduce(s, n, mu).hypothesis, (d, n, m, mu)
+
+
+def test_best_bound_is_the_least_bound_over_admissible_twists():
+    # the scan prunes by chi and stops at the floor; the reference runs
+    # theorem_upper_bound at every twist from 0 to the twist bound
+    for (d, n, m) in [(13, 10, 4), (10, 11, 3), (9, 13, 2), (21, 12, 6),
+                      (0, 10, 0), (-3, 10, 1), (2, 10, 2)]:
+        top = mu_bound(d, n, m)
+        best, mu = best_bound(d, n, m, lambda r: True, trials=1, seed=4)
+        if top < 0:
+            assert (best, mu) == (None, None)
+            continue
+        bounds = {}
+        for t in range(int(top) + 1):
+            plan = reduce(homogeneous_system(d, n, m), n, t)
+            try:
+                bounds[t] = theorem_upper_bound(plan, trials=1, seed=4).h0_bound
+            except InapplicableError:
+                assert t > 0 and (d < 1 or m < 1)
+        assert best == min(bounds.values()) and bounds[mu] == best
+    assert best_bound(13, 10, 4, lambda r: False) == (None, None)
+    # only the exact twists fit: (1; 1^10) twists to an empty system
+    assert best_bound(1, 10, 1, lambda r: linsys.exact_h0(r) is not None) \
+        == (0, 15)
 
 
 def test_corollary_certifies_first_four_cases():

@@ -181,8 +181,6 @@ def test_rank_refuses_word_overflowing_prime():
     M[5] = (M[0] + M[1]) % big
     with pytest.raises(gfmat.GFMatError, match="2\\^31"):
         rank(GFMatrix(M, big))
-    with pytest.raises(gfmat.GFMatError, match="2\\^31"):
-        gfmat._rank_mod(M, big)
     assert gfmat.MAX_PRIME == 2 ** 31 and DEFAULT_PRIME < gfmat.MAX_PRIME
 
 

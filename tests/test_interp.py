@@ -53,14 +53,14 @@ def test_monomial_basis_structure():
 
 
 def test_sample_config_generic_only():
-    cfg = sample_config(3, 0, P, 1)
+    cfg = sample_config((GENERIC,) * 3, P, 1)
     assert len(cfg.points) == 3
     assert cfg.cubic is None
     assert len(set(cfg.points)) == 3
 
 
 def test_sample_config_on_cubic():
-    cfg = sample_config(0, 10, P, 2)
+    cfg = sample_config((ON_CUBIC,) * 10, P, 2)
     a, b = cfg.cubic
     assert (4 * a ** 3 + 27 * b ** 2) % P != 0
     assert len(set(cfg.points)) == 10
@@ -70,13 +70,14 @@ def test_sample_config_on_cubic():
 
 
 def test_sample_config_deterministic():
-    assert sample_config(4, 6, P, 99) == sample_config(4, 6, P, 99)
-    assert sample_config(4, 6, P, 99) != sample_config(4, 6, P, 100)
+    tags = (ON_CUBIC,) * 6 + (GENERIC,) * 4
+    assert sample_config(tags, P, 99) == sample_config(tags, P, 99)
+    assert sample_config(tags, P, 99) != sample_config(tags, P, 100)
 
 
 def test_sample_config_small_prime_rejected():
     with pytest.raises(ConfigError):
-        sample_config(1, 0, 3, 0)
+        sample_config((GENERIC,), 3, 0)
 
 
 def test_condition_rows_simple_point():
@@ -204,23 +205,6 @@ def test_build_matrix_large_shape():
     assert (M.rows, M.cols) == (1710, 1711)
 
 
-def test_condition_rows_into_out_match_returned_rows():
-    for pt, m, d in [((5, 7, 1), 3, 6), ((3, 1, 0), 4, 9), ((2, 9, 4), 1, 2)]:
-        want = condition_rows(pt, m, d, P)
-        k, ncols = want.shape
-        host = np.full((k + 4, ncols), -1, dtype=np.int64)
-        got = condition_rows(pt, m, d, P, out=host[2:2 + k])
-        assert got.base is host and (host[2:2 + k] == want).all()
-        assert (host[:2] == -1).all() and (host[2 + k:] == -1).all()
-        # a transposed layout, as build_matrix uses for tall matrices
-        host_t = np.full((ncols, k + 1), -1, dtype=np.int64)
-        condition_rows(pt, m, d, P, out=host_t.T[1:])
-        assert (host_t.T[1:] == want).all() and (host_t[:, 0] == -1).all()
-    with pytest.raises(ValueError):
-        condition_rows((5, 7, 1), 2, 3, P,
-                       out=np.empty((3, 11), dtype=np.int64))
-
-
 def _stacked_rows(s, cfg):
     # the former build: one block per point, stacked and reduced again
     eff = linsys.effective_part(s)
@@ -344,6 +328,29 @@ def _cfg(s, points, p=P):
     return interp.PointConfig(p=p, points=tuple(points), tags=s.tags, seed=0)
 
 
+def test_framed_cells_counts_the_matrix_h0_at_sample_eliminates(monkeypatch):
+    built = []
+
+    def build(*args):
+        M = build_matrix(*args)
+        built.append(M.rows * M.cols)
+        return M
+
+    monkeypatch.setattr(interp, "build_matrix", build)
+    for s, cfg in frame_corpus():
+        h0_at_sample(s, cfg)
+        assert built.pop() == interp.framed_cells(s), (s, cfg.p)
+    # the collinear fallback ranks the whole matrix: 33 x 55, not 7 x 29
+    s = FatPointSystem(9, (4, 3, 4, 2, 2, 1))
+    pts = [(0, 0, 1), (1, 0, 1), (5, 101, 1), (2, 7, 1), (3, 1, 1), (8, 5, 1)]
+    h0_at_sample(s, _cfg(s, pts, p=101))
+    assert (built.pop(), interp.framed_cells(s)) == (33 * 55, 7 * 29)
+    for (d, n, m), cells in [((57, 13, 18), 1710 * 1198),
+                             ((13, 13, 4), 100 * 75), ((40, 5, 20), 420 * 231),
+                             ((13, 2, 4), 20 * 105), ((-1, 10, 2), 0)]:
+        assert interp.framed_cells(homogeneous_system(d, n, m)) == cells
+
+
 def test_frame_skipped_when_top_three_points_are_collinear_mod_p():
     # (5, 101, 1) is (5, 0, 1) mod 101: on the line y = 0 through the other
     # two, so det A = 0 mod p although it is not 0 over the integers
@@ -425,7 +432,7 @@ def test_build_matrix_on_kept_columns(s):
 
 def test_build_matrix_tag_mismatch():
     s = homogeneous_system(4, 10, 1, tag=ON_CUBIC)
-    cfg = sample_config(10, 0, P, 5)
+    cfg = sample_config((GENERIC,) * 10, P, 5)
     with pytest.raises(ConfigError):
         build_matrix(s, cfg)
 
