@@ -67,10 +67,7 @@ def _config_dict(args) -> dict:
 def _check_runconfig(args, max_degree: int) -> None:
     if args.trials < 1:
         raise UsageError(f"--trials {args.trials} must be at least 1")
-    if args.prime >= gfmat.MAX_PRIME:
-        raise UsageError(f"--prime {args.prime} must be below 2^31")
-    if not gfmat.is_prime(args.prime):
-        raise UsageError(f"--prime {args.prime} is not prime")
+    gfmat.check_modulus(args.prime, "--prime")
     if args.prime <= max(2 * max_degree, 3):
         raise UsageError(f"--prime {args.prime} too small for degree {max_degree}")
 
@@ -314,8 +311,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError, elliptic.ReductionError,
-            interp.ConfigError, interp.SamplingError) as e:
+    except (UsageError, ValueError, OSError, gfmat.GFMatError,
+            elliptic.ReductionError, interp.ConfigError,
+            interp.SamplingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -44,14 +44,6 @@ class ReductionPlan:
     hypothesis: bool     # chi_reduced >= chi_original
 
 
-@dataclass(frozen=True)
-class RuledSurfaceDivisor:
-    """mu * (minimal section) + (degree-b_prime divisor) * fiber; e = -C0^2."""
-    mu: int
-    b_prime: int
-    e: int
-
-
 def mu_bound(d: int, n: int, m: int) -> Fraction:
     """Largest admissible twist for the homogeneous system (d; m^n).
 
@@ -109,12 +101,6 @@ def chi_identity_check(plan: ReductionPlan) -> bool:
     if plan.hypothesis and plan.chi_S > 0:
         return False
     return True
-
-
-def ruled_chi(D: RuledSurfaceDivisor) -> Fraction:
-    """Euler characteristic (mu+1)(b' - mu*e/2) of the divisor on the ruled
-    surface, from Riemann-Roch with K = -2*C0 - e*f and arithmetic genus -1."""
-    return (D.mu + 1) * (Fraction(D.b_prime) - Fraction(D.mu * D.e, 2))
 
 
 def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS,

@@ -1,18 +1,20 @@
 """Exact dense linear algebra over GF(p), plus an integer rank oracle.
 
-Everything here is deterministic.  Rank over GF(p), p < 2^31, is computed by
-one recursive rank-revealing LU, in place (the recursive PLUQ of Dumas,
-Pernet and Sultan, with the delayed reduction of Dumas, Giorgi and
-Pernet's FFLAS/FFPACK).  The columns split in half; the left half is
-factored first, its row swaps moving whole rows.  A unit lower triangular
-solve turns the pivot rows' right block into X = L11^-1 A12, the rows below
-take the Schur update A22 -= L21 X (mod p), and A22 is factored in turn.
+Everything here is deterministic.  Rank over GF(p), p an odd prime below
+MAX_PRIME = 2^21, is computed by one recursive rank-revealing LU, in place
+(the recursive PLUQ of Dumas, Pernet and Sultan, with the delayed reduction
+of Dumas, Giorgi and Pernet's FFLAS/FFPACK).  The columns split in half;
+the left half is factored first, its row swaps moving whole rows.  A unit
+lower triangular solve turns the pivot rows' right block into
+X = L11^-1 A12, the rows below take the Schur update A22 -= L21 X (mod p),
+and A22 is factored in turn.
 Blocks at most LEAF columns wide, small matrices included, go through one
 unblocked kernel: first-nonzero pivoting on int64 residues (any nonzero
 pivot is exact over a field), which stores the multipliers of L below each
-pivot.  The products are float64 BLAS products of 11-bit limbs against
-31-bit residues, exact because every partial sum stays below 2^53, so an
-entry is reduced mod p once per up to MAX_INNER terms.  The rational oracle
+pivot.  The products are plain float64 BLAS products of reduced residues:
+with p < 2^21 and at most MAX_INNER = 2048 terms, every partial sum is an
+integer below 2^53 and so exact, and an entry is reduced mod p once per up
+to MAX_INNER terms (the word-size bound of FFLAS).  The rational oracle
 uses fraction-free Bareiss elimination with Python big integers.
 """
 
@@ -22,25 +24,20 @@ from functools import lru_cache
 
 import numpy as np
 
-# Moduli must stay below 2^31: the int64 elimination multiplies two reduced
-# residues, and the limb products of the Schur update need residues below
-# 2^31 to stay exact in float64.
-MAX_PRIME = 2 ** 31
+# Moduli must stay below 2^21, so that a float64 product of reduced
+# residues with inner dimension up to MAX_INNER is exact:
+# MAX_INNER * (p - 1)^2 < 2^11 * 2^42 = 2^53.
+MAX_PRIME = 1 << 21
+MAX_INNER = 1 << 11
 
-# Largest prime below 2^31.
-DEFAULT_PRIME = 2147483629
+# Largest prime below 2^21.
+DEFAULT_PRIME = 2097143
 
 # Recursive elimination (see above): blocks at most LEAF columns wide go
-# through the unblocked kernel, and products run in tiles whose limb and
-# product temporaries hold about CHUNK_CELLS entries each.
+# through the unblocked kernel, and products run in tiles whose operand
+# and product temporaries hold about CHUNK_CELLS entries each.
 LEAF = 32  # at most MAX_INNER
 CHUNK_CELLS = 1 << 18
-
-# Schur products split one factor into LIMBS limbs of LIMB_BITS bits; the
-# limb product's inner dimension LIMBS * K must stay at most 2^11.
-LIMB_BITS = 11
-LIMBS = 3
-MAX_INNER = (1 << 11) // LIMBS
 
 
 class GFMatError(Exception):
@@ -75,17 +72,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_modulus(p: int) -> None:
-    if p <= 2 or not is_prime(p):
-        raise GFMatError(f"modulus {p} is not an odd prime")
-
-
-def field_inverse(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p; a must be nonzero mod p."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("inverse of 0 mod %d" % p)
-    return pow(a, -1, p)
+def check_modulus(p: int, name: str = "modulus") -> None:
+    """The package's one word-size rule: p must be an odd prime below
+    MAX_PRIME.  `name` labels p in the error message."""
+    if not is_prime(p):
+        raise GFMatError(f"{name} {p} is not prime")
+    if p == 2:
+        raise GFMatError(f"{name} 2 is not odd")
+    if p >= MAX_PRIME:
+        raise GFMatError(f"{name} {p} must be below 2^21, so that float64 "
+                         "products of residues are exact")
 
 
 def legendre(a: int, p: int) -> int:
@@ -138,9 +134,6 @@ class GFMatrix:
         """`reduced` says data is a 2-D int64 array with entries in [0, p);
         it is then adopted as it is, without a copy."""
         check_modulus(p)
-        if p >= MAX_PRIME:
-            raise GFMatError(f"modulus {p} must be below 2^31 for exact "
-                             "word-size elimination")
         self.p = p
         if reduced:
             self.data = data
@@ -202,16 +195,13 @@ def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
     return left + _lu(a, p, r1, h, c1)
 
 
-def _eliminate(a: np.ndarray, p: int, r0: int = 0, c0: int = 0,
-               c1: int = None) -> list:
-    """Unblocked form of _lu on a[r0:, c0:c1] (all of a by default).
+def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
+    """Unblocked form of _lu on a[r0:, c0:c1].
 
     First-nonzero pivoting: any nonzero pivot is exact over a field.  The
     block is worked on as a contiguous transposed copy, so that every
     column operation runs over contiguous memory.
     """
-    if c1 is None:
-        c1 = a.shape[1]
     t = np.ascontiguousarray(a[r0:, c0:c1].T)
     nrows = t.shape[1]
     pivots = []
@@ -245,10 +235,7 @@ def _trsm(a: np.ndarray, p: int, r0: int, cols: list, x: np.ndarray) -> None:
     L[i, j] = a[r0 + i, cols[j]] for i > j (multipliers stored by _lu)."""
     k = len(cols)
     if k <= LEAF:
-        # x^T L^-T: the limbs go to the wide factor, the reductions of
-        # _shifted to the small one
-        inv = _unit_lower_inverse(a[r0:r0 + k][:, cols], p)
-        x[...] = _mul_mod(x.T, inv.T, p).T
+        x[...] = _mul_mod(_unit_lower_inverse(a[r0:r0 + k][:, cols], p), x, p)
         return
     h = k // 2
     _trsm(a, p, r0, cols[:h], x[:h])
@@ -270,61 +257,39 @@ def _submul(c: np.ndarray, a: np.ndarray, cols: list, b: np.ndarray,
             p: int) -> None:
     """c -= a[:, cols] @ b (mod p) in place, for reduced int64 operands.
 
-    The inner dimension runs MAX_INNER at a time, so every limb product is
-    exact (see _mul_mod), and c is updated tile by tile, which bounds the
+    The inner dimension runs MAX_INNER at a time, so every product is exact
+    (see _mul_mod), and c is updated tile by tile, which bounds the
     temporaries.
     """
     m, n = c.shape
     for k0 in range(0, len(cols), MAX_INNER):
         sel = cols[k0:k0 + MAX_INNER]
-        # limbs and product hold about CHUNK_CELLS entries; the shifted rows
-        # may grow to an eighth of c, so that a large c recomputes its limbs
-        # for fewer column tiles
-        w = LIMBS * len(sel)
-        tn = min(n, max(1, max(CHUNK_CELLS, c.size // 8) // w))
-        tm = max(1, CHUNK_CELLS // max(w, tn))
+        # operands and product hold about CHUNK_CELLS entries; the rows of b
+        # may grow to an eighth of c, so that a large c converts its rows
+        # of a for fewer column tiles
+        k = len(sel)
+        tn = min(n, max(1, max(CHUNK_CELLS, c.size // 8) // k))
+        tm = max(1, CHUNK_CELLS // max(k, tn))
         for j in range(0, n, tn):
-            xs = _shifted(b[k0:k0 + MAX_INNER, j:j + tn], p)
+            xs = b[k0:k0 + MAX_INNER, j:j + tn].astype(np.float64)
             for i in range(0, m, tm):
                 s = c[i:i + tm, j:j + tn]
                 # the product is below 2^53, so s minus it is exact in float64
-                np.subtract(s, _limbs(a[i:i + tm, sel]) @ xs, out=s,
-                            casting="unsafe")
+                np.subtract(s, a[i:i + tm, sel].astype(np.float64) @ xs,
+                            out=s, casting="unsafe")
                 s %= p
-
-
-def _limbs(a: np.ndarray) -> np.ndarray:
-    """[a_0 | a_1 | a_2] as float64, where a = a_0 + a_1 2^11 + a_2 2^22."""
-    k = a.shape[1]
-    mask = (1 << LIMB_BITS) - 1
-    out = np.empty((a.shape[0], LIMBS * k))
-    for j in range(LIMBS):
-        out[:, j * k:(j + 1) * k] = (a >> (j * LIMB_BITS)) & mask
-    return out
-
-
-def _shifted(b: np.ndarray, p: int) -> np.ndarray:
-    """[b; b 2^11; b 2^22] mod p as float64, the partner of _limbs."""
-    k = b.shape[0]
-    out = np.empty((LIMBS * k, b.shape[1]))
-    for j in range(LIMBS):
-        if j:
-            b = (b << LIMB_BITS) % p
-        out[j * k:(j + 1) * k] = b
-    return out
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) mod p for reduced int64 a and b, exact in float64 BLAS.
 
-    _limbs(a) @ _shifted(b) is congruent to a @ b.  Each of its terms is an
-    11-bit limb times a residue below 2^31, and there are LIMBS * K <= 2048
-    of them, so every partial sum is an integer below 2^53, where float64
-    arithmetic is exact in any summation order.
+    Each term is a product of two residues below 2^21, and there are at
+    most MAX_INNER = 2^11 of them, so every partial sum is an integer below
+    2^53, where float64 arithmetic is exact in any summation order.
     """
     if a.shape[1] > MAX_INNER:
         raise ValueError(f"inner dimension {a.shape[1]} exceeds {MAX_INNER}")
-    return (_limbs(a) @ _shifted(b, p)).astype(np.int64) % p
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
 
 
 def rational_rank(M) -> int:

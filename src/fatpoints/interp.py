@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import gfmat, linsys
-from .gfmat import DEFAULT_PRIME, MAX_PRIME, GFMatrix
+from .gfmat import DEFAULT_PRIME, GFMatrix
 from .linsys import ON_CUBIC, FatPointSystem
 
 SAMPLE_RETRIES = 64
@@ -228,11 +228,11 @@ def config_for_system(s: FatPointSystem, p: int, seed: int) -> PointConfig:
 def _charts(points, d: int, p: int) -> list:
     """(u, v, cu, cv) per point: the indices of the two affine variables in
     its chart, the last nonzero coordinate (z preferred), and its affine
-    coordinates there.  Refuses p <= d, p >= 2^31 and the zero point."""
+    coordinates there.  Refuses a modulus gfmat.check_modulus refuses,
+    p <= d and the zero point."""
+    gfmat.check_modulus(p, "prime")
     if p <= d:
         raise ConfigError(f"prime {p} must exceed degree {d}")
-    if p >= MAX_PRIME:
-        raise ConfigError(f"prime {p} must be below 2^31")
     charts = []
     for point in points:
         xyz = [c % p for c in point]
@@ -257,8 +257,8 @@ def _write_rows(points, mults, d: int, p: int, out, keep=None) -> None:
     every affine coordinate, one numpy step per power (0^0 = 1).  A point's
     derivative table for one affine variable is then D[a, n] = fall[a, n] *
     c^(n-a), the a-th derivative of t^n at c, gathered to the monomial
-    columns.  Every entry is reduced below p, so with p < 2^31 each int64
-    product of two entries is exact.
+    columns.  Every entry is reduced below p < 2^21, so each int64 product
+    of two entries is exact.
     """
     charts = _charts(points, d, p)
     exps = _exponents(d) if keep is None else _exponents(d)[:, keep]
@@ -298,7 +298,7 @@ def condition_rows(point, m: int, d: int, p: int) -> np.ndarray:
     One row per derivative multi-index (alpha, beta) with alpha + beta < m,
     taken in an affine chart where the point has a nonzero coordinate
     (z preferred).  Requires p > d so derivative coefficients are nonzero
-    mod p exactly when they are nonzero over the integers, and p < 2^31 so
+    mod p exactly when they are nonzero over the integers, and p < 2^21 so
     the int64 products of reduced residues are exact.  This is the
     one-point case of build_matrix's row writer.
     """

@@ -2,9 +2,12 @@
 
 Records are keyed by a content hash of (command, input system, run config),
 so re-running an identical invocation is a lookup, not a recomputation.
-Timestamps are excluded from the hash.  A last line without its newline was
-torn by a crash mid-write: loading drops it with a warning on stderr and the
-next append cuts it off.  A bad line before the last one is an error.
+Timestamps are excluded from the hash.  A record whose certificate has
+another schema than the one this code writes is a miss: the caller
+recomputes, the new record is appended, and the later line wins on load.
+A last line without its newline was torn by a crash mid-write: loading
+drops it with a warning on stderr and the next append cuts it off.  A bad
+line before the last one is an error.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 from typing import Optional
 
 from . import __version__
-from .interp import Certificate, certificate_from_dict
+from .interp import CERT_SCHEMA_VERSION, Certificate, certificate_from_dict
 
 STORE_SCHEMA_VERSION = 1
 
@@ -26,6 +29,10 @@ def record_key(command: str, system: dict, config: dict) -> str:
     payload = json.dumps({"command": command, "system": system, "config": config},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _current(rec: dict) -> bool:
+    return rec["certificate"].get("schema_version") == CERT_SCHEMA_VERSION
 
 
 class CertificateStore:
@@ -59,14 +66,17 @@ class CertificateStore:
 
     def lookup_certificate(self, key: str) -> Optional[Certificate]:
         rec = self._by_key.get(key)
-        return certificate_from_dict(rec["certificate"]) if rec else None
+        if rec is None or not _current(rec):
+            return None
+        return certificate_from_dict(rec["certificate"])
 
     def put(self, command: str, system: dict, config: dict,
             cert: Certificate) -> dict:
-        """Append a record unless an identical invocation is already stored."""
+        """Append a record unless an identical invocation is already stored
+        with a current certificate."""
         key = record_key(command, system, config)
         existing = self._by_key.get(key)
-        if existing is not None:
+        if existing is not None and _current(existing):
             return existing
         rec = {
             "schema_version": STORE_SCHEMA_VERSION,

@@ -76,18 +76,22 @@ def test_usage_error_exit_code(capsys):
 
 def test_certify_refuses_prime_beyond_int64_products(capsys):
     # (4; 2^5) is the double conic through five points: h0 = 1, chi = 0.
-    # Above 2^31 the int64 matrix build is not exact, so it must refuse
-    # rather than certify
+    # At or above 2^21 the float64 products of the elimination are not
+    # exact, so it must refuse rather than certify
     assert main(["certify", "4", "2x5", "--prime", "1099511627689"]) == 1
-    assert "2^31" in capsys.readouterr().err
+    assert "2^21" in capsys.readouterr().err
 
 
 def test_prime_beyond_2_31_is_usage_error(capsys):
-    # 2147483659 is the least prime above 2^31
+    # 2097169 is the least prime above 2^21, the bound now, and 2147483659
+    # the least above 2^31, the bound before it
     for argv in (["certify", "13", "4x10"], ["sweep", "13", "10", "4"],
                  ["sweep", "6:5", "10", "1"]):
-        assert main(argv + ["--prime", "2147483659"]) == 1
-        assert "--prime 2147483659 must be below 2^31" in capsys.readouterr().err
+        for prime in ("2097169", "2147483659"):
+            assert main(argv + ["--prime", prime]) == 1
+            captured = capsys.readouterr()
+            assert f"--prime {prime} must be below 2^21" in captured.err
+            assert captured.out == ""
 
 
 def test_trials_below_one_is_usage_error(capsys):
@@ -197,6 +201,37 @@ def test_sweep_resumes_after_interrupt(tmp_path, capsys, monkeypatch):
     with open(store) as f:
         assert f.read().startswith(kept)
     assert _records(store) == want_recs
+
+
+def test_store_record_of_another_schema_is_a_miss(tmp_path, capsys):
+    # a record with the certificate an older corollary wrote for (0; 0^10):
+    # schema 2, h0 = 0, h1 = -1, though chi = 1 makes h0 = 0 impossible
+    argv = ["sweep", "0", "10", "0", "--format", "json"]
+    _, want = run(capsys, *argv)
+    assert json.loads(want)[0]["h0"] == 1
+    store = str(tmp_path / "certs.ndjson")
+    run(capsys, *argv, "--store", store)
+    with open(store) as f:
+        rec = json.loads(f.read())
+    rec["certificate"].update(schema_version=2, h0=0, h1=-1)
+    with open(store, "w") as f:
+        f.write(json.dumps(rec) + "\n")
+
+    # the stale record is recomputed and the current one appended after it
+    code, out = run(capsys, *argv, "--store", store)
+    assert code == EXIT_DECIDED and out == want
+    recs = _records(store)
+    assert len(recs) == 2 and recs[0]["key"] == recs[1]["key"]
+    assert recs[1]["certificate"]["schema_version"] == interp.CERT_SCHEMA_VERSION
+
+    # resuming on that store hits the later line and appends nothing
+    size = os.path.getsize(store)
+    code, out = run(capsys, *argv, "--store", store)
+    assert code == EXIT_DECIDED and out == want
+    assert os.path.getsize(store) == size
+    st = CertificateStore(store)
+    assert len(st) == 1
+    assert st.lookup_certificate(recs[0]["key"]).h0 == 1
 
 
 def test_sweep_skips_rows_whose_framed_matrix_is_too_large(capsys):

@@ -1,14 +1,12 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from fatpoints import elliptic, interp, linsys
 from fatpoints.elliptic import (InapplicableError, ReductionError,
-                                RuledSurfaceDivisor, best_bound, chi_gap,
-                                chi_identity_check, corollary_nonspecial,
-                                corollary_twist, mu_bound, reduce, ruled_chi,
-                                theorem_upper_bound)
+                                best_bound, chi_gap, chi_identity_check,
+                                corollary_nonspecial, corollary_twist,
+                                mu_bound, reduce, theorem_upper_bound)
 from fatpoints.interp import (INCONCLUSIVE, NONSPECIAL, SPECIAL_EXACT,
                               UPPER_BOUND, certify)
 from fatpoints.linsys import (FatPointSystem, GENERIC, ON_CUBIC, chi,
@@ -140,31 +138,6 @@ def test_chi_identity_random_plans():
             assert plan.chi_S <= 0
 
 
-def symbolic_ruled_chi(mu, b_prime, e):
-    # oracle: expand (1/2) D.(D - K) + p_a + 1 with D = mu*C0 + b'*f,
-    # K = -2*C0 - e*f, using C0^2 = -e, C0.f = 1, f^2 = 0, p_a = -1
-    def dot(c1, f1, c2, f2):
-        return Fraction(c1 * c2 * (-e) + (c1 * f2 + c2 * f1))
-    d_c, d_f = mu, b_prime
-    k_c, k_f = -2, -e
-    return dot(d_c, d_f, d_c - k_c, d_f - k_f) / 2 - 1 + 1
-
-
-def test_ruled_chi_examples():
-    assert ruled_chi(RuledSurfaceDivisor(0, 1, 0)) == 1
-    assert ruled_chi(RuledSurfaceDivisor(1, 0, -1)) == symbolic_ruled_chi(1, 0, -1) == 1
-    assert ruled_chi(RuledSurfaceDivisor(2, 3, 0)) == symbolic_ruled_chi(2, 3, 0) == 9
-
-
-def test_ruled_chi_matches_symbolic_expansion():
-    rng = random.Random(5)
-    for _ in range(200):
-        mu = rng.randint(0, 10)
-        b = rng.randint(-5, 10)
-        e = rng.choice([0, -1])
-        assert ruled_chi(RuledSurfaceDivisor(mu, b, e)) == symbolic_ruled_chi(mu, b, e)
-
-
 def test_theorem_upper_bound_paper_cases():
     plan = reduce(homogeneous_system(174, 10, 55), 10, 57)
     cert = theorem_upper_bound(plan, seed=0)
@@ -258,6 +231,17 @@ def test_best_bound_is_the_least_bound_over_admissible_twists():
     # only the exact twists fit: (1; 1^10) twists to an empty system
     assert best_bound(1, 10, 1, lambda r: linsys.exact_h0(r) is not None) \
         == (0, 15)
+
+
+def test_best_bound_stops_at_the_floor(monkeypatch):
+    # (13; 4^10) reaches its floor chi = 5 at the top twist 3; the later
+    # twists could not lower the bound, so the scan reduces no further
+    calls = []
+    real = elliptic.reduce
+    monkeypatch.setattr(elliptic, "reduce",
+                        lambda s, k, mu: calls.append(mu) or real(s, k, mu))
+    assert best_bound(13, 10, 4, lambda r: True, trials=1) == (5, 3)
+    assert calls == [3]
 
 
 def test_corollary_certifies_first_four_cases():

@@ -4,19 +4,11 @@ import numpy as np
 import pytest
 
 from fatpoints import gfmat
-from fatpoints.gfmat import (DEFAULT_PRIME, LEAF, MAX_INNER, GFMatrix,
-                             field_inverse, is_prime, legendre, rank,
+from fatpoints.gfmat import (DEFAULT_PRIME, LEAF, MAX_INNER, MAX_PRIME,
+                             GFMatrix, is_prime, legendre, rank,
                              rational_rank, sqrt_mod)
 
 PRIMES = [101, 32003, DEFAULT_PRIME]
-
-
-def brute_inverse(a, p):
-    # independent oracle: scan for the inverse
-    for b in range(1, p):
-        if a * b % p == 1:
-            return b
-    raise AssertionError
 
 
 def test_is_prime():
@@ -39,34 +31,6 @@ def test_repeated_modulus_check_hits_the_is_prime_cache():
     with pytest.raises(gfmat.GFMatError):
         gfmat.check_modulus(1000001)  # a cached False still refuses
     assert is_prime.cache_info().hits == 6
-
-
-def test_field_inverse_identity():
-    assert field_inverse(1, 101) == 1
-
-
-def test_field_inverse_minus_one():
-    for p in PRIMES:
-        assert field_inverse(p - 1, p) == p - 1
-
-
-def test_field_inverse_brute_force():
-    # frozen from the scan oracle
-    assert brute_inverse(3, 101) == 34
-    assert field_inverse(3, 101) == 34
-
-
-def test_field_inverse_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        field_inverse(0, 101)
-    with pytest.raises(ZeroDivisionError):
-        field_inverse(101, 101)
-
-
-def test_field_inverse_involution_exhaustive():
-    for p in [3, 5, 7, 11, 101, 211, 499, 997]:
-        for a in range(1, p):
-            assert field_inverse(field_inverse(a, p), p) == a
 
 
 def test_rank_identity():
@@ -179,13 +143,18 @@ def test_rank_refuses_word_overflowing_prime():
     rng = np.random.default_rng(1)
     M = rng.integers(0, big, (6, 6))
     M[5] = (M[0] + M[1]) % big
-    with pytest.raises(gfmat.GFMatError, match="2\\^31"):
+    with pytest.raises(gfmat.GFMatError, match="2\\^21"):
         rank(GFMatrix(M, big))
-    assert gfmat.MAX_PRIME == 2 ** 31 and DEFAULT_PRIME < gfmat.MAX_PRIME
+    # 2097169 is the least prime above 2^21, and the default the largest
+    # below it
+    with pytest.raises(gfmat.GFMatError, match="2\\^21"):
+        GFMatrix(M, 2097169)
+    assert MAX_PRIME == 2 ** 21 and DEFAULT_PRIME < MAX_PRIME
+    assert not any(is_prime(q) for q in range(DEFAULT_PRIME + 1, 2097169))
 
 
 def _unblocked_rank(M, p):
-    return len(gfmat._eliminate(np.mod(M, p), p))
+    return len(gfmat._eliminate(np.mod(M, p), p, 0, 0, M.shape[1]))
 
 
 def _low_rank(rng, rows, cols, r, p):
@@ -238,12 +207,30 @@ def test_blocked_rank_matches_unblocked_kernel(p):
 
 
 def test_rank_chunks_pivot_blocks_beyond_max_inner():
-    # the left half's 700 pivots exceed MAX_INNER, so the Schur update of
-    # the 60 rows below them runs its inner dimension in two chunks
+    # [[I, B], [C, C B]] has rank r = MAX_INNER + 12, all of it in the left
+    # half, so the Schur update of the 30 rows below runs its inner
+    # dimension in two chunks
     p = DEFAULT_PRIME
-    M = _low_rank(np.random.default_rng(8), 760, 1400, 740, p)
-    assert 1400 // 2 > MAX_INNER
-    assert rank(GFMatrix(M, p)) == _unblocked_rank(M, p) == 740
+    r = MAX_INNER + 12
+    rng = np.random.default_rng(8)
+    B = rng.integers(0, p, (r, r))
+    C = rng.integers(0, 4, (30, r))
+    M = np.block([[np.eye(r, dtype=np.int64), B], [C, C @ B % p]])
+    assert rank(GFMatrix(M, p)) == r
+
+    # the same chunking on scattered pivot columns, every entry p - 1, and
+    # on random residues, against Python integers
+    k = MAX_INNER + 100
+    cols = sorted(rng.choice(k + 30, k, replace=False).tolist())
+    c = rng.integers(0, p, (3, 4))
+    for a, b in ((np.full((3, k + 30), p - 1), np.full((k, 4), p - 1)),
+                 (rng.integers(0, p, (3, k + 30)), rng.integers(0, p, (k, 4)))):
+        got = c.copy()
+        gfmat._submul(got, a, cols, b, p)
+        want = [[(int(c[i, j]) - sum(int(a[i, q]) * int(b[t, j])
+                                     for t, q in enumerate(cols))) % p
+                 for j in range(4)] for i in range(3)]
+        assert got.tolist() == want
 
 
 def test_blocked_rank_matches_rational_oracle():
@@ -283,13 +270,13 @@ def test_trsm_matches_integer_oracle(k):
 
 
 def test_mul_mod_exact_at_worst_case():
+    # every entry p - 1 at inner dimension MAX_INNER: the largest sum a
+    # float64 product of residues must hold, against Python integers
     p = DEFAULT_PRIME
-    # every entry p - 1, and every limb at its maximum below p
-    for v in (p - 1, 0x7FBFFFFF):
-        a = np.full((3, MAX_INNER), v, dtype=np.int64)
-        b = np.full((MAX_INNER, 4), v, dtype=np.int64)
-        want = MAX_INNER * v * v % p
-        assert (gfmat._mul_mod(a, b, p) == want).all()
+    assert MAX_INNER == 2048 and MAX_INNER * (MAX_PRIME - 2) ** 2 < 2 ** 53
+    a = np.full((3, MAX_INNER), p - 1, dtype=np.int64)
+    b = np.full((MAX_INNER, 4), p - 1, dtype=np.int64)
+    assert (gfmat._mul_mod(a, b, p) == MAX_INNER * (p - 1) ** 2 % p).all()
     rng = np.random.default_rng(2)
     a = rng.integers(p - 2 ** 20, p, (5, MAX_INNER))
     b = rng.integers(p - 2 ** 20, p, (MAX_INNER, 3))

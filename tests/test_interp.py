@@ -171,10 +171,10 @@ def test_condition_rows_match_loop_oracle_at_large_degree(d, m, chart):
 
 
 def test_condition_rows_refuse_primes_beyond_int64_products():
-    # 2147483659 is the least prime above 2^31
-    with pytest.raises(ConfigError):
-        condition_rows((1, 2, 1), 2, 4, 2147483659)
-    assert condition_rows((1, 2, 1), 2, 4, 2147483647).shape == (3, 15)
+    # 2097169 is the least prime above 2^21, 2097143 the largest below
+    with pytest.raises(gfmat.GFMatError, match="2\\^21"):
+        condition_rows((1, 2, 1), 2, 4, 2097169)
+    assert condition_rows((1, 2, 1), 2, 4, 2097143).shape == (3, 15)
 
 
 def test_condition_rows_m2_full_rank():
