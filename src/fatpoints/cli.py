@@ -55,10 +55,6 @@ def parse_range(text: str):
     return [int(text)]
 
 
-def _system_dict(s: FatPointSystem) -> dict:
-    return {"d": s.d, "mults": list(s.mults), "tags": list(s.tags)}
-
-
 def _config_dict(args) -> dict:
     return {"prime": str(args.prime), "seed": str(args.seed),
             "trials": args.trials}
@@ -86,8 +82,9 @@ def _store(args):
 
 def _stored(st, command: str, s: FatPointSystem, args, compute):
     """compute() -> (verdict, certificate or None), run only when the store
-    holds no record of this invocation; its certificate is stored at once."""
-    key = (command, _system_dict(s), _config_dict(args))
+    serves no certificate for this invocation; its certificate is stored at
+    once."""
+    key = (command, s.to_dict(), _config_dict(args))
     cert = st.lookup_certificate(record_key(*key)) if st is not None else None
     if cert is not None:
         return cert.verdict, cert
@@ -140,12 +137,12 @@ def cmd_reduce(args) -> int:
     exact = linsys.exact_h0(red)
     if exact is not None:
         h1 = exact - plan.chi_reduced
-        if exact > 0 and h1 > 0:
+        if interp.is_special(exact, h1):
             warn = f"reduced system is special (h0 = h1 = {exact})" if exact == h1 \
                 else f"reduced system is special (h0 = {exact}, h1 = {h1})"
     obj = {"d": args.d, "n": args.n, "m": args.m, "mu": mu,
            "mu_bound": str(bound), "mu_bound_integral": integral,
-           "reduced": _system_dict(red),
+           "reduced": red.to_dict(),
            "chi_original": plan.chi_original, "chi_reduced": plan.chi_reduced,
            "chi_S": plan.chi_S, "hypothesis": plan.hypothesis,
            "warning": warn}
@@ -190,16 +187,13 @@ SWEEP_FIELDS = ("d", "n", "m", "v", "mu", "integral", "verdict", "h0")
 
 def _sweep_row(d: int, n: int, m: int, verdict: str, cert) -> dict:
     """One sweep row: mu is the twist bound (empty below 10 points),
-    integral whether the corollary applies, and h0 falls back to the
-    certificate's upper bound."""
-    h0 = None
-    if cert is not None:
-        h0 = cert.h0 if cert.h0 is not None else cert.h0_bound
+    integral whether the corollary applies, and h0 the certificate's
+    h0_bound, which is its h0 whenever that is pinned."""
     return {"d": d, "n": n, "m": m,
             "v": linsys.expected_dim(linsys.homogeneous_system(d, n, m)),
             "mu": str(elliptic.mu_bound(d, n, m)) if n > 9 else "",
             "integral": elliptic.corollary_twist(d, n, m) is not None,
-            "verdict": verdict, "h0": h0}
+            "verdict": verdict, "h0": None if cert is None else cert.h0_bound}
 
 
 def _sweep_item(s: FatPointSystem, n: int, m: int, args):

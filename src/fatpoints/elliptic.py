@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from . import interp, linsys
 from .gfmat import DEFAULT_PRIME
-from .interp import (DEGENERATION_BOUND, DEGENERATION_CODIM, INCONCLUSIVE,
-                     NONSPECIAL, UPPER_BOUND, Certificate)
+from .interp import DEGENERATION_BOUND, DEGENERATION_CODIM, Certificate
 from .linsys import GENERIC, ON_CUBIC, FatPointSystem
 
 MIN_SPECIALIZED = 10
@@ -111,22 +110,15 @@ def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS
     h0: exact when fixed-component arithmetic applies, otherwise the best
     on-cubic sample value (itself an upper bound by semicontinuity).
     """
-    interp.check_trials(trials)
     if not plan.hypothesis:
         raise InapplicableError("chi hypothesis fails; the bound does not apply")
     if plan.mu > 0 and (plan.original.d < 1 or any(m < 1 for m in plan.original.mults)):
         # the degeneration argument needs positive degree and multiplicities
         # (otherwise the restricted divisor on the cubic need not be general)
         raise InapplicableError("original degree and multiplicities must be positive")
-    bound = linsys.exact_h0(plan.reduced)
-    evidence = ()
-    if bound is None:
-        evidence = interp.run_trials(plan.reduced, trials, p, seed)
-        bound = min(r.h0_sample for (_, _, r) in evidence)
-    return Certificate(verdict=UPPER_BOUND, method=DEGENERATION_BOUND,
-                       system=plan.original, chi=plan.chi_original,
-                       prime=p, seed=seed, trials=trials, h0_bound=bound,
-                       evidence=evidence)
+    bound, evidence = interp.least_h0(plan.reduced, trials, p, seed)
+    return Certificate(DEGENERATION_BOUND, plan.original, p, seed, trials,
+                       bound, evidence)
 
 
 def best_bound(d: int, n: int, m: int, fits,
@@ -188,9 +180,5 @@ def corollary_nonspecial(d: int, n: int, m: int,
         raise InapplicableError("the corollary needs n >= 10, d >= 1, m >= 1 "
                                 "and a positive integral twist bound")
     plan = reduce(linsys.homogeneous_system(d, n, m), n, mu)
-    cert = replace(theorem_upper_bound(plan, trials, p, seed),
+    return replace(theorem_upper_bound(plan, trials, p, seed),
                    method=DEGENERATION_CODIM)
-    b = cert.h0_bound
-    if b == max(cert.chi, 0):
-        return replace(cert, verdict=NONSPECIAL, h0=b, h1=b - cert.chi)
-    return replace(cert, verdict=INCONCLUSIVE)

@@ -45,6 +45,8 @@ DIRECT_GENERIC = "direct-generic"
 DIRECT_ON_CUBIC = "direct-on-cubic"
 DEGENERATION_CODIM = "degeneration-corollary"
 DEGENERATION_BOUND = "degeneration-bound"
+DIRECT = (DIRECT_GENERIC, DIRECT_ON_CUBIC)
+METHODS = DIRECT + (DEGENERATION_CODIM, DEGENERATION_BOUND)
 
 CERT_SCHEMA_VERSION = 3
 
@@ -76,23 +78,67 @@ class RankReport:
     monomials: int
     conditions: int
     rank: int
-    h0_sample: int
-    full_rank: bool
+
+    @property
+    def h0_sample(self) -> int:
+        return self.monomials - self.rank
+
+    @property
+    def full_rank(self) -> bool:
+        return self.rank == min(self.conditions, self.monomials)
+
+
+def is_special(h0: int, h1: Optional[int]) -> bool:
+    """h0 > 0 and h1 > 0: nonempty, with dependent conditions."""
+    return h0 > 0 and h1 is not None and h1 > 0
 
 
 @dataclass(frozen=True)
 class Certificate:
-    verdict: str
+    """What a verdict rests on: the route, the run, the least h0 found and
+    the trials behind it (none when h0 is exact arithmetic).  chi, h0, h1
+    and the verdict are derived from these, here and nowhere else."""
     method: str
     system: FatPointSystem
-    chi: int
     prime: int
     seed: int
     trials: int
-    h0_bound: Optional[int] = None
-    h0: Optional[int] = None
-    h1: Optional[int] = None
+    h0_bound: int
     evidence: tuple = ()   # ((prime, seed, RankReport), ...)
+
+    @property
+    def chi(self) -> int:
+        return linsys.chi(self.system)
+
+    @property
+    def h0(self) -> Optional[int]:
+        """h0_bound where it pins the generic h0: exact arithmetic or a
+        full-rank last trial on a direct route, or the floor max(chi, 0) on
+        the corollary route; never the twist bound."""
+        if self.method in DIRECT:
+            pinned = not self.evidence or self.evidence[-1][2].full_rank
+        else:
+            pinned = (self.method == DEGENERATION_CODIM
+                      and self.h0_bound == max(self.chi, 0))
+        return self.h0_bound if pinned else None
+
+    @property
+    def h1(self) -> Optional[int]:
+        """h0 - chi, valid since h2 = 0 for d >= -2; null below that."""
+        h0 = self.h0
+        return None if h0 is None or self.system.d < -2 else h0 - self.chi
+
+    @property
+    def verdict(self) -> str:
+        if self.method == DEGENERATION_BOUND:
+            return UPPER_BOUND
+        if self.h0 is not None:
+            return SPECIAL_EXACT if is_special(self.h0, self.h1) else NONSPECIAL
+        # sampling never pins a deficit: agreeing ones are only suspected
+        if (self.method in DIRECT and self.trials >= 3
+                and len({r.h0_sample for (_, _, r) in self.evidence}) == 1):
+            return SPECIAL_SUSPECTED
+        return INCONCLUSIVE
 
     @property
     def decided(self) -> bool:
@@ -103,11 +149,7 @@ class Certificate:
             "schema_version": CERT_SCHEMA_VERSION,
             "verdict": self.verdict,
             "method": self.method,
-            "system": {
-                "d": self.system.d,
-                "mults": list(self.system.mults),
-                "tags": list(self.system.tags),
-            },
+            "system": self.system.to_dict(),
             "chi": self.chi,
             "prime": str(self.prime),
             "seed": str(self.seed),
@@ -136,17 +178,21 @@ class Certificate:
 
 
 def certificate_from_dict(d: dict) -> Certificate:
-    sys_ = FatPointSystem(d["system"]["d"], tuple(d["system"]["mults"]),
-                          tuple(d["system"]["tags"]))
-    ev = tuple(
-        (int(e["prime"]), int(e["seed"]),
-         RankReport(**e["report"]))
-        for e in d["evidence"]
-    )
+    """The certificate of d's inputs; d's derived fields are not read, so
+    to_dict() gives d back only if they are the ones this code derives."""
+    if d["method"] not in METHODS:
+        raise ValueError(f"unknown method {d['method']!r}")
+    s = d["system"]
     return Certificate(
-        verdict=d["verdict"], method=d["method"], system=sys_, chi=d["chi"],
+        method=d["method"],
+        system=FatPointSystem(s["d"], tuple(s["mults"]), tuple(s["tags"])),
         prime=int(d["prime"]), seed=int(d["seed"]), trials=d["trials"],
-        h0_bound=d["h0_bound"], h0=d["h0"], h1=d["h1"], evidence=ev,
+        h0_bound=d["h0_bound"],
+        evidence=tuple(
+            (int(e["prime"]), int(e["seed"]),
+             RankReport(e["report"]["monomials"], e["report"]["conditions"],
+                        e["report"]["rank"]))
+            for e in d["evidence"]),
     )
 
 
@@ -292,24 +338,6 @@ def _write_rows(points, mults, d: int, p: int, out, keep=None) -> None:
         del du, dv  # at most one point's tables are alive at a time
 
 
-def condition_rows(point, m: int, d: int, p: int) -> np.ndarray:
-    """Rows forcing a degree-d form to vanish to order m at `point`.
-
-    One row per derivative multi-index (alpha, beta) with alpha + beta < m,
-    taken in an affine chart where the point has a nonzero coordinate
-    (z preferred).  Requires p > d so derivative coefficients are nonzero
-    mod p exactly when they are nonzero over the integers, and p < 2^21 so
-    the int64 products of reduced residues are exact.  This is the
-    one-point case of build_matrix's row writer.
-    """
-    if m < 1:
-        raise ValueError("multiplicity must be >= 1")
-    rows = np.empty((m * (m + 1) // 2, linsys.monomial_count(d)),
-                    dtype=np.int64)
-    _write_rows([point], [m], d, p, rows)
-    return rows
-
-
 def build_matrix(s: FatPointSystem, cfg: PointConfig,
                  keep=None) -> GFMatrix:
     """Condition rows for every point with positive multiplicity.
@@ -417,32 +445,24 @@ def h0_at_sample(s: FatPointSystem, cfg: PointConfig) -> RankReport:
     M = build_matrix(rest, moved, keep)
     r = gfmat.rank(M, overwrite=True)
     monomials = linsys.monomial_count(eff.d)
-    conditions = linsys.conditions_count(eff)
-    rank = monomials - M.cols + r  # killed monomials + rank on the kept
-    return RankReport(
-        monomials=monomials,
-        conditions=conditions,
-        rank=rank,
-        h0_sample=monomials - rank,
-        full_rank=(rank == min(conditions, monomials)),
-    )
+    # the monomials the frame killed, plus the rank on the kept ones
+    return RankReport(monomials, linsys.conditions_count(eff),
+                      monomials - M.cols + r)
 
 
-def _method_for(s: FatPointSystem) -> str:
-    return DIRECT_ON_CUBIC if ON_CUBIC in s.tags else DIRECT_GENERIC
+def least_h0(s: FatPointSystem, trials: int, p: int, seed: int) -> tuple:
+    """(least h0 found, evidence) for s.
 
-
-def check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-
-def run_trials(s: FatPointSystem, trials: int, p: int, seed: int) -> tuple:
-    """Evidence ((p, sub-seed, RankReport), ...) of trials 0, 1, ... in order.
-
-    Stops after the first full-rank trial: its h0_sample is the floor
+    The evidence is empty when linsys.exact_h0 decides s.  Otherwise it is
+    ((p, sub-seed, RankReport), ...) of trials 0, 1, ... in order, and stops
+    after the first full-rank trial: its h0_sample is the floor
     max(monomials - conditions, 0), so no later trial can lower the least.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    h0 = linsys.exact_h0(s)
+    if h0 is not None:
+        return h0, ()
     evidence = []
     for t in range(trials):
         sub = derive_seed(seed, t)
@@ -450,7 +470,7 @@ def run_trials(s: FatPointSystem, trials: int, p: int, seed: int) -> tuple:
         evidence.append((p, sub, rep))
         if rep.full_rank:
             break
-    return tuple(evidence)
+    return min(r.h0_sample for (_, _, r) in evidence), tuple(evidence)
 
 
 def certify(s: FatPointSystem, trials: int = DEFAULT_TRIALS,
@@ -458,41 +478,10 @@ def certify(s: FatPointSystem, trials: int = DEFAULT_TRIALS,
     """Decide (non)speciality of the system, sampling where needed.
 
     Exact route: when no vanishing conditions survive (d < 0, or every
-    multiplicity <= 0), h0 is fixed-component arithmetic and the verdict is
-    exact.  Sampling route: trials run in order and stop at the first
-    full-rank one, which pins the generic h0 exactly; `trials` is the number
-    requested and `evidence` lists the trials that ran.  When no trial is
-    full rank, agreeing deficits over >= 3 seeds give special-suspected
-    only, and anything else is inconclusive; both carry the least h0 as
-    h0_bound only.  h1 is inferred as h0 - chi, valid since h2 = 0 for
-    d >= -2.
+    multiplicity <= 0), h0 is fixed-component arithmetic.  Sampling route:
+    trials run in order and stop at the first full-rank one, which pins the
+    generic h0; `trials` is the number requested and `evidence` lists the
+    trials that ran.  The Certificate derives the verdict from these.
     """
-    check_trials(trials)
-    ch = linsys.chi(s)
-    method = _method_for(s)
-
-    if s.d < -2:
-        # no sections at all; nonspecial by definition, though h1 cannot be
-        # inferred from chi (h2 need not vanish here)
-        return Certificate(verdict=NONSPECIAL, method=method, system=s,
-                           chi=ch, prime=p, seed=seed, trials=trials,
-                           h0_bound=0, h0=0, h1=None)
-
-    h0 = linsys.exact_h0(s)
-    evidence = ()
-    if h0 is None:
-        evidence = run_trials(s, trials, p, seed)
-        last = evidence[-1][2]
-        if not last.full_rank:
-            deficits = {r.h0_sample for (_, _, r) in evidence}
-            verdict = (SPECIAL_SUSPECTED if len(deficits) == 1 and trials >= 3
-                       else INCONCLUSIVE)
-            return Certificate(verdict=verdict, method=method, system=s,
-                               chi=ch, prime=p, seed=seed, trials=trials,
-                               h0_bound=min(deficits), evidence=evidence)
-        h0 = last.h0_sample
-    h1 = h0 - ch
-    verdict = SPECIAL_EXACT if (h0 > 0 and h1 > 0) else NONSPECIAL
-    return Certificate(verdict=verdict, method=method, system=s, chi=ch,
-                       prime=p, seed=seed, trials=trials,
-                       h0_bound=h0, h0=h0, h1=h1, evidence=evidence)
+    method = DIRECT_ON_CUBIC if ON_CUBIC in s.tags else DIRECT_GENERIC
+    return Certificate(method, s, p, seed, trials, *least_h0(s, trials, p, seed))

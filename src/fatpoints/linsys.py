@@ -39,6 +39,9 @@ class FatPointSystem:
     def __str__(self):
         return f"({self.d}; {','.join(map(str, self.mults))})"
 
+    def to_dict(self) -> dict:
+        return {"d": self.d, "mults": list(self.mults), "tags": list(self.tags)}
+
 
 def homogeneous_system(d: int, n: int, m: int, tag: str = GENERIC) -> FatPointSystem:
     return FatPointSystem(d, (m,) * n, (tag,) * n)

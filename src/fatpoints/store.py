@@ -2,12 +2,12 @@
 
 Records are keyed by a content hash of (command, input system, run config),
 so re-running an identical invocation is a lookup, not a recomputation.
-Timestamps are excluded from the hash.  A record whose certificate has
-another schema than the one this code writes is a miss: the caller
-recomputes, the new record is appended, and the later line wins on load.
-A last line without its newline was torn by a crash mid-write: loading
-drops it with a warning on stderr and the next append cuts it off.  A bad
-line before the last one is an error.
+Timestamps are excluded from the hash.  A record is a hit only if its
+certificate is one this code would sign (_checked); any other record is a
+miss: the caller recomputes, the new record is appended, and the later
+line wins on load.  A last line without its newline was torn by a crash
+mid-write: loading drops it with a warning on stderr and the next append
+cuts it off.  A bad line before the last one is an error.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import sys
 import time
 from typing import Optional
 
-from . import __version__
-from .interp import CERT_SCHEMA_VERSION, Certificate, certificate_from_dict
+from . import __version__, linsys
+from .interp import DIRECT, Certificate, certificate_from_dict
 
 STORE_SCHEMA_VERSION = 1
 
@@ -31,8 +31,32 @@ def record_key(command: str, system: dict, config: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _current(rec: dict) -> bool:
-    return rec["certificate"].get("schema_version") == CERT_SCHEMA_VERSION
+def _checked(rec: dict) -> Optional[Certificate]:
+    """The record's certificate if this code would sign it, else None.
+
+    It must (a) parse and derive again to the same JSON object, which fixes
+    the schema, chi, h0, h1, the verdict and every report's derived fields;
+    (b) with evidence, have the least h0_sample as h0_bound; (c) on a
+    direct route with no evidence, have linsys.exact_h0 as h0_bound;
+    (d) have h0_bound >= max(chi, 0) when d >= -2; and (e) be for the
+    system the record's key hashes.
+    """
+    try:
+        d = rec["certificate"]
+        cert = certificate_from_dict(d)
+        if cert.to_dict() != d or rec["key"] != record_key(
+                rec["command"], d["system"], rec["config"]):
+            return None
+    except (LookupError, TypeError, ValueError, ArithmeticError):
+        return None
+    if cert.evidence:
+        least = min(r.h0_sample for (_, _, r) in cert.evidence)
+    elif cert.method in DIRECT:
+        least = linsys.exact_h0(cert.system)
+    else:  # a degeneration route's reduced system is not in the record
+        least = cert.h0_bound
+    floor = max(cert.chi, 0) if cert.system.d >= -2 else 0
+    return cert if cert.h0_bound == least and cert.h0_bound >= floor else None
 
 
 class CertificateStore:
@@ -54,6 +78,8 @@ class CertificateStore:
                     continue
                 try:
                     rec = json.loads(line)
+                    if not isinstance(rec, dict) or not isinstance(rec.get("key"), str):
+                        raise ValueError("not an object with a string key")
                 except ValueError as e:
                     raise ValueError(f"store {path} line {n} is corrupt: {e}") from None
                 self._by_key[rec["key"]] = rec
@@ -66,17 +92,15 @@ class CertificateStore:
 
     def lookup_certificate(self, key: str) -> Optional[Certificate]:
         rec = self._by_key.get(key)
-        if rec is None or not _current(rec):
-            return None
-        return certificate_from_dict(rec["certificate"])
+        return None if rec is None else _checked(rec)
 
     def put(self, command: str, system: dict, config: dict,
             cert: Certificate) -> dict:
         """Append a record unless an identical invocation is already stored
-        with a current certificate."""
+        with a certificate that passes _checked."""
         key = record_key(command, system, config)
         existing = self._by_key.get(key)
-        if existing is not None and _current(existing):
+        if existing is not None and _checked(existing) is not None:
             return existing
         rec = {
             "schema_version": STORE_SCHEMA_VERSION,

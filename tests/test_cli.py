@@ -5,8 +5,9 @@ import pytest
 
 from fatpoints import cli, interp
 from fatpoints.cli import EXIT_DECIDED, EXIT_UNDECIDED, main, parse_mults, parse_range
+from fatpoints.elliptic import corollary_nonspecial, reduce, theorem_upper_bound
 from fatpoints.interp import certify
-from fatpoints.linsys import homogeneous_system
+from fatpoints.linsys import FatPointSystem, homogeneous_system
 from fatpoints.store import CertificateStore, record_key
 
 
@@ -203,35 +204,113 @@ def test_sweep_resumes_after_interrupt(tmp_path, capsys, monkeypatch):
     assert _records(store) == want_recs
 
 
-def test_store_record_of_another_schema_is_a_miss(tmp_path, capsys):
-    # a record with the certificate an older corollary wrote for (0; 0^10):
-    # schema 2, h0 = 0, h1 = -1, though chi = 1 makes h0 = 0 impossible
-    argv = ["sweep", "0", "10", "0", "--format", "json"]
-    _, want = run(capsys, *argv)
-    assert json.loads(want)[0]["h0"] == 1
+def _schema_2(c):
+    # the certificate an older corollary wrote for (0; 0^10): schema 2,
+    # h0 = 0, h1 = -1, though chi = 1 makes h0 = 0 impossible
+    c.update(schema_version=2, h0=0, h1=-1)
+
+
+def _claims_special(c):
+    # (a) derived fields that the inputs do not give: h0 5 is pinned
+    c.update(verdict="special-exact", h0=7)
+
+
+def _stale_report(c):
+    # (a) a report whose h0_sample is not monomials - rank
+    c["evidence"][-1]["report"]["h0_sample"] = 6
+
+
+def _bound_above_least_sample(c):
+    # (b) every report of (2; 2^2) reads h0_sample 1
+    c.update(h0_bound=2)
+
+
+def _bound_not_exact(c):
+    # (c) (0; 0^10) has exactly the one constant, and this claims 2
+    c.update(h0_bound=2, h0=2, h1=1, verdict="special-exact")
+
+
+def _bound_below_floor(c):
+    # (d) the corollary's exact bound for (11; 3^12) is chi = 6
+    c.update(h0_bound=5, h0=None, h1=None, verdict="inconclusive")
+
+
+def _another_systems_certificate(c):
+    # (e) a sound certificate, but for (2; 2^2), not for the key's system
+    c.clear()
+    c.update(certify(FatPointSystem(2, (2, 2))).to_dict())
+
+
+def _assert_miss(tmp_path, capsys, argv, tamper):
+    """A stored record with tamper(certificate) applied is a miss: the
+    invocation is recomputed, its record appended and served after that."""
+    argv = argv + ["--format", "json"]
+    want_code, want = run(capsys, *argv)
     store = str(tmp_path / "certs.ndjson")
     run(capsys, *argv, "--store", store)
     with open(store) as f:
         rec = json.loads(f.read())
-    rec["certificate"].update(schema_version=2, h0=0, h1=-1)
+    tamper(rec["certificate"])
     with open(store, "w") as f:
         f.write(json.dumps(rec) + "\n")
+    assert CertificateStore(store).lookup_certificate(rec["key"]) is None
 
-    # the stale record is recomputed and the current one appended after it
-    code, out = run(capsys, *argv, "--store", store)
-    assert code == EXIT_DECIDED and out == want
+    # the bad record is recomputed and the current one appended after it
+    assert run(capsys, *argv, "--store", store) == (want_code, want)
     recs = _records(store)
     assert len(recs) == 2 and recs[0]["key"] == recs[1]["key"]
     assert recs[1]["certificate"]["schema_version"] == interp.CERT_SCHEMA_VERSION
 
     # resuming on that store hits the later line and appends nothing
     size = os.path.getsize(store)
-    code, out = run(capsys, *argv, "--store", store)
-    assert code == EXIT_DECIDED and out == want
+    assert run(capsys, *argv, "--store", store) == (want_code, want)
     assert os.path.getsize(store) == size
     st = CertificateStore(store)
     assert len(st) == 1
-    assert st.lookup_certificate(recs[0]["key"]).h0 == 1
+    assert st.lookup_certificate(recs[0]["key"]).to_dict() == recs[1]["certificate"]
+
+
+def test_store_record_of_another_schema_is_a_miss(tmp_path, capsys):
+    _, out = run(capsys, "sweep", "0", "10", "0", "--format", "json")
+    assert json.loads(out)[0]["h0"] == 1
+    _assert_miss(tmp_path, capsys, ["sweep", "0", "10", "0"], _schema_2)
+
+
+@pytest.mark.parametrize("argv,tamper", [
+    (["certify", "13", "4x10"], _claims_special),
+    (["certify", "13", "4x10"], _stale_report),
+    (["certify", "2", "2x2"], _bound_above_least_sample),
+    (["sweep", "0", "10", "0"], _bound_not_exact),
+    (["sweep", "11", "12", "3"], _bound_below_floor),
+    (["certify", "13", "4x10"], _another_systems_certificate),
+], ids=["derived-fields", "report-fields", "least-sample", "exact-h0",
+        "floor", "other-system"])
+def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
+                                                tamper):
+    _assert_miss(tmp_path, capsys, argv, tamper)
+
+
+@pytest.mark.parametrize("make,verdict", [
+    (lambda: certify(homogeneous_system(0, 10, -1, tag="on-cubic")),
+     "nonspecial-certified"),
+    (lambda: certify(homogeneous_system(13, 10, 4)), "nonspecial-certified"),
+    (lambda: certify(homogeneous_system(3, 10, -2, tag="on-cubic")),
+     "special-exact"),
+    (lambda: certify(homogeneous_system(2, 2, 2)), "special-suspected"),
+    (lambda: certify(homogeneous_system(2, 2, 2), trials=2), "inconclusive"),
+    (lambda: corollary_nonspecial(174, 10, 55), "inconclusive"),
+    (lambda: theorem_upper_bound(reduce(homogeneous_system(13, 10, 4), 10, 1)),
+     "upper-bound"),
+], ids=["exact-nonspecial", "sampled-nonspecial", "special-exact",
+        "special-suspected", "direct-inconclusive", "corollary-inconclusive",
+        "upper-bound"])
+def test_store_serves_every_verdict_kind(tmp_path, make, verdict):
+    cert = make()
+    assert cert.verdict == verdict
+    path = str(tmp_path / "store.ndjson")
+    rec = CertificateStore(path).put("certify", cert.system.to_dict(), {}, cert)
+    back = CertificateStore(path).lookup_certificate(rec["key"])
+    assert back == cert and back.to_json() == cert.to_json()
 
 
 def test_sweep_skips_rows_whose_framed_matrix_is_too_large(capsys):
@@ -328,6 +407,21 @@ def test_store_rejects_corruption_before_last_line(tmp_path, capsys):
         CertificateStore(path)
     assert main(["certify", "4", "1x10", "--store", path]) == 1
     assert "corrupt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["{}", "[1]"], ids=["no-key", "array"])
+def test_store_line_that_is_not_a_keyed_object_is_corrupt(tmp_path, capsys,
+                                                          line):
+    path = str(tmp_path / "store.ndjson")
+    _one_record_store(path)
+    with open(path) as f:
+        whole = f.read()
+    with open(path, "w") as f:
+        f.write(whole + line + "\n")
+    with pytest.raises(ValueError, match="line 2 is corrupt"):
+        CertificateStore(path)
+    assert main(["certify", "4", "1x10", "--store", path]) == 1
+    assert "line 2 is corrupt" in capsys.readouterr().err
 
 
 def test_sweep_outside_corollary_takes_direct_route(capsys):

@@ -8,7 +8,7 @@ from fatpoints import gfmat, interp, linsys
 from fatpoints.gfmat import DEFAULT_PRIME
 from fatpoints.interp import (Certificate, ConfigError, NONSPECIAL,
                               SPECIAL_EXACT, SPECIAL_SUSPECTED, build_matrix,
-                              certificate_from_dict, certify, condition_rows,
+                              certificate_from_dict, certify,
                               config_for_system, derive_seed, h0_at_sample,
                               monomial_basis, sample_config)
 from fatpoints.linsys import (FatPointSystem, GENERIC, ON_CUBIC,
@@ -78,6 +78,13 @@ def test_sample_config_deterministic():
 def test_sample_config_small_prime_rejected():
     with pytest.raises(ConfigError):
         sample_config((GENERIC,), 3, 0)
+
+
+def condition_rows(point, m, d, p):
+    # the rows of one fat point: build_matrix on a one-point system
+    s = FatPointSystem(d, (m,))
+    cfg = interp.PointConfig(p=p, points=(point,), tags=s.tags, seed=0)
+    return build_matrix(s, cfg).data
 
 
 def test_condition_rows_simple_point():
@@ -270,9 +277,7 @@ def full_matrix_report(s, cfg):
     # monomial, at the unmoved configuration
     M = build_matrix(s, cfg)
     r = gfmat.rank(M)
-    return interp.RankReport(monomials=M.cols, conditions=M.rows, rank=r,
-                             h0_sample=M.cols - r,
-                             full_rank=r == min(M.rows, M.cols))
+    return interp.RankReport(monomials=M.cols, conditions=M.rows, rank=r)
 
 
 def frame_corpus():
