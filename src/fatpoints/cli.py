@@ -207,7 +207,9 @@ def _sweep_item(s: FatPointSystem, n: int, m: int, args):
         else:
             cert = interp.certify(s, trials=args.trials, p=args.prime,
                                   seed=args.seed)
-    except Exception as e:  # per-item failures are recorded, not fatal
+    except (interp.ConfigError, interp.SamplingError, gfmat.GFMatError,
+            elliptic.ReductionError) as e:
+        # the package's own per-item failures are recorded, not fatal
         return f"error: {e}", None
     return cert.verdict, cert
 

@@ -4,20 +4,21 @@ The reduction moves the first k points of a system onto a smooth cubic and
 twists by mu: the degree drops by 3*mu and the first k multiplicities by mu.
 When the twisted system's Euler characteristic does not drop, its h0 bounds
 the original system's h0 from above (`theorem_upper_bound`, for d, m >= 1);
-`best_bound` takes the least such bound over the integral twists.
-The corollary is the floor case of that bound: when it equals max(chi, 0),
-which at an integral twist bound is when the reduced system is nonspecial,
-the original system is nonspecial too.
+`best_bound` takes the least such bound over the integral twists.  At any
+twist, a bound equal to max(chi, 0) pins h0 and so proves the original
+system nonspecial.  The corollary is that floor case at the twist bound,
+where the two chis agree, so it holds exactly when the reduced system is
+nonspecial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import interp, linsys
 from .gfmat import DEFAULT_PRIME
-from .interp import DEGENERATION_BOUND, DEGENERATION_CODIM, Certificate
+from .interp import DEGENERATION_CODIM, Certificate
 from .linsys import GENERIC, ON_CUBIC, FatPointSystem
 
 MIN_SPECIALIZED = 10
@@ -108,7 +109,9 @@ def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS
 
     Requires the plan's chi hypothesis.  The bound is the reduced system's
     h0: exact when fixed-component arithmetic applies, otherwise the best
-    on-cubic sample value (itself an upper bound by semicontinuity).
+    on-cubic sample value (itself an upper bound by semicontinuity).  The
+    certificate is nonspecial-certified when the bound is the floor
+    max(chi, 0), and inconclusive otherwise.
     """
     if not plan.hypothesis:
         raise InapplicableError("chi hypothesis fails; the bound does not apply")
@@ -117,7 +120,7 @@ def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS
         # (otherwise the restricted divisor on the cubic need not be general)
         raise InapplicableError("original degree and multiplicities must be positive")
     bound, evidence = interp.least_h0(plan.reduced, trials, p, seed)
-    return Certificate(DEGENERATION_BOUND, plan.original, p, seed, trials,
+    return Certificate(DEGENERATION_CODIM, plan.original, p, seed, trials,
                        bound, evidence)
 
 
@@ -164,6 +167,15 @@ def corollary_twist(d: int, n: int, m: int) -> int | None:
     return int(mu) if mu.denominator == 1 and mu > 0 else None
 
 
+def corollary_plan(s: FatPointSystem) -> ReductionPlan | None:
+    """reduce(s, n, mu) at the corollary's twist mu when s = (d; m^n) with
+    all points generic, else None."""
+    if len(set(s.mults)) != 1 or any(t != GENERIC for t in s.tags):
+        return None
+    mu = corollary_twist(s.d, s.npoints, s.mults[0])
+    return None if mu is None else reduce(s, s.npoints, mu)
+
+
 def corollary_nonspecial(d: int, n: int, m: int,
                          trials: int = interp.DEFAULT_TRIALS,
                          p: int = DEFAULT_PRIME, seed: int = 0) -> Certificate:
@@ -175,10 +187,8 @@ def corollary_nonspecial(d: int, n: int, m: int,
     upper bound.  Since the two chis agree here, the floor case is exactly
     the reduced system being certified nonspecial.
     """
-    mu = corollary_twist(d, n, m)
-    if mu is None:
+    plan = corollary_plan(linsys.homogeneous_system(d, n, m))
+    if plan is None:
         raise InapplicableError("the corollary needs n >= 10, d >= 1, m >= 1 "
                                 "and a positive integral twist bound")
-    plan = reduce(linsys.homogeneous_system(d, n, m), n, mu)
-    return replace(theorem_upper_bound(plan, trials, p, seed),
-                   method=DEGENERATION_CODIM)
+    return theorem_upper_bound(plan, trials, p, seed)

@@ -38,15 +38,13 @@ NONSPECIAL = "nonspecial-certified"
 SPECIAL_EXACT = "special-exact"
 SPECIAL_SUSPECTED = "special-suspected"
 INCONCLUSIVE = "inconclusive"
-UPPER_BOUND = "upper-bound"
 
 # certification methods
 DIRECT_GENERIC = "direct-generic"
 DIRECT_ON_CUBIC = "direct-on-cubic"
 DEGENERATION_CODIM = "degeneration-corollary"
-DEGENERATION_BOUND = "degeneration-bound"
 DIRECT = (DIRECT_GENERIC, DIRECT_ON_CUBIC)
-METHODS = DIRECT + (DEGENERATION_CODIM, DEGENERATION_BOUND)
+METHODS = DIRECT + (DEGENERATION_CODIM,)
 
 CERT_SCHEMA_VERSION = 3
 
@@ -113,13 +111,13 @@ class Certificate:
     @property
     def h0(self) -> Optional[int]:
         """h0_bound where it pins the generic h0: exact arithmetic or a
-        full-rank last trial on a direct route, or the floor max(chi, 0) on
-        the corollary route; never the twist bound."""
+        full-rank last trial on a direct route; otherwise the floor
+        max(chi, 0), since a degeneration's h0_bound bounds h0 from above
+        and h0 >= max(chi, 0)."""
         if self.method in DIRECT:
             pinned = not self.evidence or self.evidence[-1][2].full_rank
         else:
-            pinned = (self.method == DEGENERATION_CODIM
-                      and self.h0_bound == max(self.chi, 0))
+            pinned = self.h0_bound == max(self.chi, 0)
         return self.h0_bound if pinned else None
 
     @property
@@ -130,8 +128,6 @@ class Certificate:
 
     @property
     def verdict(self) -> str:
-        if self.method == DEGENERATION_BOUND:
-            return UPPER_BOUND
         if self.h0 is not None:
             return SPECIAL_EXACT if is_special(self.h0, self.h1) else NONSPECIAL
         # sampling never pins a deficit: agreeing ones are only suspected

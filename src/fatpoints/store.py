@@ -19,7 +19,7 @@ import sys
 import time
 from typing import Optional
 
-from . import __version__, linsys
+from . import __version__, elliptic, linsys
 from .interp import DIRECT, Certificate, certificate_from_dict
 
 STORE_SCHEMA_VERSION = 1
@@ -36,10 +36,11 @@ def _checked(rec: dict) -> Optional[Certificate]:
 
     It must (a) parse and derive again to the same JSON object, which fixes
     the schema, chi, h0, h1, the verdict and every report's derived fields;
-    (b) with evidence, have the least h0_sample as h0_bound; (c) on a
-    direct route with no evidence, have linsys.exact_h0 as h0_bound;
-    (d) have h0_bound >= max(chi, 0) when d >= -2; and (e) be for the
-    system the record's key hashes.
+    (b) have as h0_bound the least h0_sample, or with no evidence the
+    linsys.exact_h0 of the system its route samples: the system itself on
+    a direct route, the reduced system of elliptic.corollary_plan on the
+    degeneration route; (c) have h0_bound >= max(chi, 0) when d >= -2;
+    and (d) be for the system the record's key hashes.
     """
     try:
         d = rec["certificate"]
@@ -53,8 +54,9 @@ def _checked(rec: dict) -> Optional[Certificate]:
         least = min(r.h0_sample for (_, _, r) in cert.evidence)
     elif cert.method in DIRECT:
         least = linsys.exact_h0(cert.system)
-    else:  # a degeneration route's reduced system is not in the record
-        least = cert.h0_bound
+    else:
+        plan = elliptic.corollary_plan(cert.system)
+        least = None if plan is None else linsys.exact_h0(plan.reduced)
     floor = max(cert.chi, 0) if cert.system.d >= -2 else 0
     return cert if cert.h0_bound == least and cert.h0_bound >= floor else None
 
@@ -86,9 +88,6 @@ class CertificateStore:
 
     def __len__(self):
         return len(self._by_key)
-
-    def lookup(self, key: str) -> Optional[dict]:
-        return self._by_key.get(key)
 
     def lookup_certificate(self, key: str) -> Optional[Certificate]:
         rec = self._by_key.get(key)

@@ -204,6 +204,23 @@ def test_sweep_resumes_after_interrupt(tmp_path, capsys, monkeypatch):
     assert _records(store) == want_recs
 
 
+def test_sweep_propagates_an_unexpected_exception(capsys, monkeypatch):
+    # only the package's own errors become an "error: ..." row
+    def raising(e):
+        def certify(*a, **k):
+            raise e
+        return certify
+
+    monkeypatch.setattr(interp, "certify", raising(interp.SamplingError("no")))
+    code, out = run(capsys, "sweep", "10", "10", "2", "--format", "json")
+    assert code == EXIT_DECIDED and json.loads(out)[0]["verdict"] == "error: no"
+
+    monkeypatch.setattr(interp, "certify", raising(RuntimeError("boom")))
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["sweep", "10", "10", "2"])
+    assert capsys.readouterr().out == ""
+
+
 def _schema_2(c):
     # the certificate an older corollary wrote for (0; 0^10): schema 2,
     # h0 = 0, h1 = -1, though chi = 1 makes h0 = 0 impossible
@@ -226,17 +243,23 @@ def _bound_above_least_sample(c):
 
 
 def _bound_not_exact(c):
-    # (c) (0; 0^10) has exactly the one constant, and this claims 2
+    # (b) (0; 0^10) has exactly the one constant, and this claims 2
     c.update(h0_bound=2, h0=2, h1=1, verdict="special-exact")
 
 
+def _corollary_bound_not_exact(c):
+    # (b) the corollary reduces (174; 55^10) to (3; (-2)^10), whose exact
+    # h0 is 10; this claims the floor 0 = chi
+    c.update(h0_bound=0, h0=0, h1=0, verdict="nonspecial-certified")
+
+
 def _bound_below_floor(c):
-    # (d) the corollary's exact bound for (11; 3^12) is chi = 6
+    # (c) the corollary's exact bound for (11; 3^12) is chi = 6
     c.update(h0_bound=5, h0=None, h1=None, verdict="inconclusive")
 
 
 def _another_systems_certificate(c):
-    # (e) a sound certificate, but for (2; 2^2), not for the key's system
+    # (d) a sound certificate, but for (2; 2^2), not for the key's system
     c.clear()
     c.update(certify(FatPointSystem(2, (2, 2))).to_dict())
 
@@ -281,10 +304,11 @@ def test_store_record_of_another_schema_is_a_miss(tmp_path, capsys):
     (["certify", "13", "4x10"], _stale_report),
     (["certify", "2", "2x2"], _bound_above_least_sample),
     (["sweep", "0", "10", "0"], _bound_not_exact),
+    (["sweep", "174", "10", "55"], _corollary_bound_not_exact),
     (["sweep", "11", "12", "3"], _bound_below_floor),
     (["certify", "13", "4x10"], _another_systems_certificate),
 ], ids=["derived-fields", "report-fields", "least-sample", "exact-h0",
-        "floor", "other-system"])
+        "corollary-exact-h0", "floor", "other-system"])
 def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
                                                 tamper):
     _assert_miss(tmp_path, capsys, argv, tamper)
@@ -300,10 +324,10 @@ def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
     (lambda: certify(homogeneous_system(2, 2, 2), trials=2), "inconclusive"),
     (lambda: corollary_nonspecial(174, 10, 55), "inconclusive"),
     (lambda: theorem_upper_bound(reduce(homogeneous_system(13, 10, 4), 10, 1)),
-     "upper-bound"),
+     "inconclusive"),
 ], ids=["exact-nonspecial", "sampled-nonspecial", "special-exact",
         "special-suspected", "direct-inconclusive", "corollary-inconclusive",
-        "upper-bound"])
+        "twist-inconclusive"])
 def test_store_serves_every_verdict_kind(tmp_path, make, verdict):
     cert = make()
     assert cert.verdict == verdict
@@ -350,7 +374,8 @@ def test_store_roundtrip(tmp_path):
     st2 = CertificateStore(path)
     assert len(st2) == 1
     key = record_key("certify", system, config)
-    assert st2.lookup(key) == rec
+    with open(path) as f:
+        assert json.loads(f.read()) == rec
     assert st2.lookup_certificate(key) == cert
 
     # identical put is a no-op

@@ -7,8 +7,7 @@ from fatpoints.elliptic import (InapplicableError, ReductionError,
                                 best_bound, chi_gap, chi_identity_check,
                                 corollary_nonspecial, corollary_twist,
                                 mu_bound, reduce, theorem_upper_bound)
-from fatpoints.interp import (INCONCLUSIVE, NONSPECIAL, SPECIAL_EXACT,
-                              UPPER_BOUND, certify)
+from fatpoints.interp import INCONCLUSIVE, NONSPECIAL, SPECIAL_EXACT, certify
 from fatpoints.linsys import (FatPointSystem, GENERIC, ON_CUBIC, chi,
                               homogeneous_system)
 
@@ -141,7 +140,7 @@ def test_chi_identity_random_plans():
 def test_theorem_upper_bound_paper_cases():
     plan = reduce(homogeneous_system(174, 10, 55), 10, 57)
     cert = theorem_upper_bound(plan, seed=0)
-    assert cert.verdict == UPPER_BOUND and cert.h0_bound == 10
+    assert cert.verdict == INCONCLUSIVE and cert.h0_bound == 10
 
     plan = reduce(homogeneous_system(57, 10, 18), 10, 19)
     cert = theorem_upper_bound(plan, seed=0)
@@ -152,7 +151,26 @@ def test_theorem_upper_bound_zero_twist():
     s = homogeneous_system(4, 10, 1)
     plan = reduce(s, 10, 0)
     cert = theorem_upper_bound(plan, seed=0)
-    assert cert.verdict == UPPER_BOUND and cert.h0_bound == 5
+    assert cert.verdict == NONSPECIAL and cert.h0_bound == 5
+
+
+@pytest.mark.parametrize("d,n,m,mu,h0,exact", [
+    (20, 14, 6, 10, 0, True), (4, 11, 1, 0, 4, False)])
+def test_theorem_upper_bound_at_the_floor_agrees_with_direct(d, n, m, mu, h0,
+                                                             exact):
+    # the corollary needs a positive integral twist bound, and neither
+    # system has one (53/5 and 0), but these twists still reach the floor
+    # max(chi, 0).  The reduced system of (20; 6^14) at mu 10 is exact,
+    # that of (4; 1^11) at mu 0 is sampled
+    s = homogeneous_system(d, n, m)
+    assert corollary_twist(d, n, m) is None and mu <= mu_bound(d, n, m)
+    plan = reduce(s, n, mu)
+    assert (linsys.exact_h0(plan.reduced) is not None) == exact
+    cert = theorem_upper_bound(plan, seed=1)
+    direct = certify(s, seed=1)
+    assert cert.verdict == direct.verdict == NONSPECIAL
+    assert cert.h0 == direct.h0 == h0
+    assert bool(cert.evidence) != exact
 
 
 def test_theorem_upper_bound_stops_at_first_full_rank_trial():
