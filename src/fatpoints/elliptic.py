@@ -13,6 +13,7 @@ nonspecial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,15 +114,40 @@ def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS
     certificate is nonspecial-certified when the bound is the floor
     max(chi, 0), and inconclusive otherwise.
     """
+    _check_admissible(plan)
+    bound, evidence = interp.least_h0(plan.reduced, trials, p, seed)
+    return Certificate(DEGENERATION_CODIM, plan.original, p, seed, trials,
+                       bound, evidence)
+
+
+def _check_admissible(plan: ReductionPlan) -> None:
+    """Raise InapplicableError unless theorem_upper_bound applies to plan."""
     if not plan.hypothesis:
         raise InapplicableError("chi hypothesis fails; the bound does not apply")
     if plan.mu > 0 and (plan.original.d < 1 or any(m < 1 for m in plan.original.mults)):
         # the degeneration argument needs positive degree and multiplicities
         # (otherwise the restricted divisor on the cubic need not be general)
         raise InapplicableError("original degree and multiplicities must be positive")
-    bound, evidence = interp.least_h0(plan.reduced, trials, p, seed)
-    return Certificate(DEGENERATION_CODIM, plan.original, p, seed, trials,
-                       bound, evidence)
+
+
+def plan_for_counts(s: FatPointSystem, monomials: int,
+                  conditions: int) -> ReductionPlan | None:
+    """A plan of s that theorem_upper_bound accepts and whose reduced
+    system has these monomial and condition counts, else None.  A stored
+    degeneration certificate keeps its reports but not its twist; the
+    monomial count gives the reduced degree, so the twist, and the
+    condition count the number of points specialized."""
+    d = (math.isqrt(8 * max(monomials, 0) + 1) - 3) // 2
+    for k in range(MIN_SPECIALIZED, s.npoints + 1):
+        try:
+            plan = reduce(s, k, (s.d - d) // 3)
+            _check_admissible(plan)
+        except ReductionError:
+            continue
+        if (linsys.monomial_count(plan.reduced.d),
+                linsys.conditions_count(plan.reduced)) == (monomials, conditions):
+            return plan
+    return None
 
 
 def best_bound(d: int, n: int, m: int, fits,

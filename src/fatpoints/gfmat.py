@@ -11,8 +11,11 @@ and A22 is factored in turn.
 Blocks at most LEAF columns wide, small matrices included, go through one
 unblocked kernel: first-nonzero pivoting on int64 residues (any nonzero
 pivot is exact over a field), which stores the multipliers of L below each
-pivot.  The products are plain float64 BLAS products of reduced residues:
-with p < 2^21 and at most MAX_INNER = 2048 terms, every partial sum is an
+pivot, reducing mod p only the pivot column and row and, once at the end,
+the block (at most LEAF updates below p^2 each fit int64).  The solve
+splits between leaves and inverts each leaf's block of L once, by doubling.
+The products are plain float64 BLAS products of reduced residues: with
+p < 2^21 and at most MAX_INNER = 2048 terms, every partial sum is an
 integer below 2^53 and so exact, and an entry is reduced mod p once per up
 to MAX_INNER terms (the word-size bound of FFLAS).  The rational oracle
 uses fraction-free Bareiss elimination with Python big integers.
@@ -167,32 +170,33 @@ def rank(M: GFMatrix, overwrite: bool = False) -> int:
     a = np.ascontiguousarray(a) if overwrite else np.array(a, order="C")
     if 0 in a.shape:
         return 0
-    return len(_lu(a, M.p, 0, 0, a.shape[1]))
+    return sum(map(len, _lu(a, M.p, 0, 0, a.shape[1], {})))
 
 
-def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
+def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int, inv: dict) -> list:
     """Rank-revealing LU of the block a[r0:, c0:c1], in place.
 
-    Returns the pivot columns in increasing order; their number is the
-    block's rank.  Row swaps move whole rows of a, and the i-th pivot row
-    ends at r0 + i.  The pivot rows then hold U, and below each pivot its
-    column holds the multipliers of the unit lower triangular L.  The left
-    half of the columns is factored first; its pivot rows' right block A12
-    becomes X = L11^-1 A12, the rows below take A22 -= L21 X, and A22 is
-    factored in turn.
+    Returns the pivot columns in increasing order, one list per leaf that
+    found any; their number is the block's rank.  Row swaps move whole
+    rows of a, and the i-th pivot row ends at r0 + i.  The pivot rows then
+    hold U, and below each pivot its column holds the multipliers of the
+    unit lower triangular L.  The left half of the columns is factored
+    first; its pivot rows' right block A12 becomes X = L11^-1 A12 (_trsm,
+    with `inv`), the rows below take A22 -= L21 X, and A22 is factored.
     """
     if c1 - c0 <= LEAF:
         return _eliminate(a, p, r0, c0, c1)
     h = (c0 + c1) // 2
-    left = _lu(a, p, r0, c0, h)
-    r1 = r0 + len(left)
+    left = _lu(a, p, r0, c0, h, inv)
+    cols = [c for seg in left for c in seg]
+    r1 = r0 + len(cols)
     if left:
         x = a[r0:r1, h:c1]
-        _trsm(a, p, r0, left, x)
-        _submul(a[r1:, h:c1], a[r1:], left, x, p)
+        _trsm(a, p, r0, left, x, inv)
+        _submul(a[r1:, h:c1], a[r1:], cols, x, p)
     if r1 == a.shape[0]:
         return left
-    return left + _lu(a, p, r1, h, c1)
+    return left + _lu(a, p, r1, h, c1, inv)
 
 
 def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
@@ -200,14 +204,17 @@ def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
 
     First-nonzero pivoting: any nonzero pivot is exact over a field.  The
     block is worked on as a contiguous transposed copy, so that every
-    column operation runs over contiguous memory.
+    column operation runs over contiguous memory.  Only pivot columns and
+    rows are reduced mod p before use, the rest once at the end: at most
+    c1 - c0 < 2^21 updates, each below p^2 < 2^42, keep entries below 2^63.
     """
     t = np.ascontiguousarray(a[r0:, c0:c1].T)
     nrows = t.shape[1]
     pivots = []
     r = 0
     for c in range(c1 - c0):
-        nz = np.flatnonzero(t[c, r:])
+        t[c, r:] %= p
+        nz = t[c, r:].nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0]:
@@ -223,33 +230,41 @@ def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
             mult = t[c, r:]
             mult *= pow(int(t[c, r - 1]), -1, p)
             mult %= p
-            rest = t[c + 1:, r:]
-            rest -= t[c + 1:, r - 1, None] * mult
-            rest %= p
+            row = t[c + 1:, r - 1]
+            row %= p
+            t[c + 1:, r:] -= row[:, None] * mult
+    t %= p
     a[r0:, c0:c1] = t.T
-    return pivots
+    return [pivots] if pivots else []
 
 
-def _trsm(a: np.ndarray, p: int, r0: int, cols: list, x: np.ndarray) -> None:
+def _trsm(a: np.ndarray, p: int, r0: int, segs: list, x: np.ndarray,
+          inv: dict) -> None:
     """x <- L^-1 x in place, L the unit lower triangular matrix with
-    L[i, j] = a[r0 + i, cols[j]] for i > j (multipliers stored by _lu)."""
-    k = len(cols)
-    if k <= LEAF:
-        x[...] = _mul_mod(_unit_lower_inverse(a[r0:r0 + k][:, cols], p), x, p)
+    L[i, j] = a[r0 + i, cols[j]] for i > j, cols the per-leaf lists segs of
+    _lu joined.  Later steps of _lu change no row of a finished leaf's
+    block of L, so `inv` keeps its inverse, by first row, for the call."""
+    if len(segs) == 1:
+        if r0 not in inv:
+            inv[r0] = _unit_lower_inverse(a[r0:r0 + len(x)][:, segs[0]], p)
+        x[...] = _mul_mod(inv[r0], x, p)
         return
-    h = k // 2
-    _trsm(a, p, r0, cols[:h], x[:h])
-    _submul(x[h:], a[r0 + h:r0 + k], cols[:h], x[:h], p)
-    _trsm(a, p, r0 + h, cols[h:], x[h:])
+    s = len(segs) // 2
+    cols = [c for seg in segs[:s] for c in seg]
+    h = len(cols)
+    _trsm(a, p, r0, segs[:s], x[:h], inv)
+    _submul(x[h:], a[r0 + h:r0 + len(x)], cols, x[:h], p)
+    _trsm(a, p, r0 + h, segs[s:], x[h:], inv)
 
 
 def _unit_lower_inverse(l: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of the unit lower triangular matrix whose strictly
-    lower part is that of the square l, by forward substitution."""
-    k = len(l)
-    inv = np.eye(k, dtype=np.int64)
-    for j in range(k - 1):
-        inv[j + 1:] = (inv[j + 1:] - l[j + 1:, j, None] * inv[j]) % p
+    """Inverse mod p of I + N, N the strictly lower part of the square l,
+    by doubling: N^k = 0, so it is (I - N)(I + N^2)(I + N^4)... up to N^k."""
+    n = np.tril(l, -1)
+    inv = (np.eye(len(l), dtype=np.int64) - n) % p
+    for _ in range(1, (len(l) - 1).bit_length()):
+        n = _mul_mod(n, n, p)
+        inv = (inv + _mul_mod(inv, n, p)) % p
     return inv
 
 

@@ -21,6 +21,7 @@ from typing import Optional
 
 from . import __version__, elliptic, linsys
 from .interp import DIRECT, Certificate, certificate_from_dict
+from .linsys import FatPointSystem
 
 STORE_SCHEMA_VERSION = 1
 
@@ -31,16 +32,32 @@ def record_key(command: str, system: dict, config: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _sampled(cert: Certificate) -> Optional[FatPointSystem]:
+    """The system cert's route samples, or None if there is none: the
+    system itself on a direct route.  A degeneration record keeps no twist:
+    with evidence, it is the reduced system of the plan that
+    elliptic.plan_for_counts finds for the first report, and with none,
+    that of elliptic.corollary_plan."""
+    if cert.method in DIRECT:
+        return cert.system
+    if cert.evidence:
+        r = cert.evidence[0][2]
+        plan = elliptic.plan_for_counts(cert.system, r.monomials, r.conditions)
+    else:
+        plan = elliptic.corollary_plan(cert.system)
+    return None if plan is None else plan.reduced
+
+
 def _checked(rec: dict) -> Optional[Certificate]:
     """The record's certificate if this code would sign it, else None.
 
     It must (a) parse and derive again to the same JSON object, which fixes
     the schema, chi, h0, h1, the verdict and every report's derived fields;
-    (b) have as h0_bound the least h0_sample, or with no evidence the
-    linsys.exact_h0 of the system its route samples: the system itself on
-    a direct route, the reduced system of elliptic.corollary_plan on the
-    degeneration route; (c) have h0_bound >= max(chi, 0) when d >= -2;
-    and (d) be for the system the record's key hashes.
+    (b) have reports that count the monomials and conditions of the system
+    its route samples (_sampled), and as h0_bound their least h0_sample,
+    or with no evidence the linsys.exact_h0 of that system; (c) have
+    h0_bound >= max(chi, 0) when d >= -2; and (d) be for the system the
+    record's key hashes.
     """
     try:
         d = rec["certificate"]
@@ -48,15 +65,19 @@ def _checked(rec: dict) -> Optional[Certificate]:
         if cert.to_dict() != d or rec["key"] != record_key(
                 rec["command"], d["system"], rec["config"]):
             return None
+        sampled = _sampled(cert)
+        if sampled is None:
+            return None
     except (LookupError, TypeError, ValueError, ArithmeticError):
+        return None
+    # equal to its effective part's, which interp.h0_at_sample reports
+    counts = (linsys.monomial_count(sampled.d), linsys.conditions_count(sampled))
+    if any((r.monomials, r.conditions) != counts for (_, _, r) in cert.evidence):
         return None
     if cert.evidence:
         least = min(r.h0_sample for (_, _, r) in cert.evidence)
-    elif cert.method in DIRECT:
-        least = linsys.exact_h0(cert.system)
     else:
-        plan = elliptic.corollary_plan(cert.system)
-        least = None if plan is None else linsys.exact_h0(plan.reduced)
+        least = linsys.exact_h0(sampled)
     floor = max(cert.chi, 0) if cert.system.d >= -2 else 0
     return cert if cert.h0_bound == least and cert.h0_bound >= floor else None
 

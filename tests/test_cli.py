@@ -253,6 +253,22 @@ def _corollary_bound_not_exact(c):
     c.update(h0_bound=0, h0=0, h1=0, verdict="nonspecial-certified")
 
 
+def _counts_of_another_system(c):
+    # (b) (40; 20^5) has 861 monomials and 1050 conditions; one full-rank
+    # report with 860 monomials would certify h0 = 0
+    e = c["evidence"][0]
+    e["report"] = {"monomials": 860, "conditions": 1050, "rank": 860,
+                   "h0_sample": 0, "full_rank": True}
+    c.update(evidence=[e], h0_bound=0, h0=0, h1=189,
+             verdict="nonspecial-certified")
+
+
+def _corollary_counts_of_no_twist(c):
+    # (b) the corollary samples (4; 1^10) for (13; 4^10): 15 monomials and
+    # 10 conditions; no twist's reduced system has 11 conditions here
+    c["evidence"][0]["report"].update(conditions=11, full_rank=False)
+
+
 def _bound_below_floor(c):
     # (c) the corollary's exact bound for (11; 3^12) is chi = 6
     c.update(h0_bound=5, h0=None, h1=None, verdict="inconclusive")
@@ -305,10 +321,13 @@ def test_store_record_of_another_schema_is_a_miss(tmp_path, capsys):
     (["certify", "2", "2x2"], _bound_above_least_sample),
     (["sweep", "0", "10", "0"], _bound_not_exact),
     (["sweep", "174", "10", "55"], _corollary_bound_not_exact),
+    (["certify", "40", "20x5"], _counts_of_another_system),
+    (["sweep", "13", "10", "4"], _corollary_counts_of_no_twist),
     (["sweep", "11", "12", "3"], _bound_below_floor),
     (["certify", "13", "4x10"], _another_systems_certificate),
 ], ids=["derived-fields", "report-fields", "least-sample", "exact-h0",
-        "corollary-exact-h0", "floor", "other-system"])
+        "corollary-exact-h0", "report-counts", "corollary-report-counts",
+        "floor", "other-system"])
 def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
                                                 tamper):
     _assert_miss(tmp_path, capsys, argv, tamper)

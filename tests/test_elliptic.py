@@ -202,6 +202,25 @@ def test_theorem_upper_bound_refuses_without_hypothesis():
         theorem_upper_bound(plan)
 
 
+def test_plan_for_counts_finds_the_twist_a_report_sampled():
+    # (13; 4^10) at the twists theorem_upper_bound accepts, 0 to 3, and at
+    # k = 10 or 11 of (13; 4^11); mu 4 fails the chi hypothesis
+    def counts(plan):
+        r = plan.reduced
+        return linsys.monomial_count(r.d), linsys.conditions_count(r)
+
+    s = homogeneous_system(13, 10, 4)
+    for mu in range(4):
+        plan = reduce(s, 10, mu)
+        assert elliptic.plan_for_counts(s, *counts(plan)) == plan
+    for k in (10, 11):
+        plan = reduce(homogeneous_system(13, 11, 4), k, 1)
+        assert elliptic.plan_for_counts(plan.original, *counts(plan)) == plan
+    for bad in (counts(reduce(s, 10, 4)), (15, 11), (16, 10), (-3, 0)):
+        assert elliptic.plan_for_counts(s, *bad) is None
+    assert elliptic.plan_for_counts(homogeneous_system(13, 9, 4), 66, 54) is None
+
+
 def test_theorem_bound_never_below_chi():
     rng = random.Random(6)
     for _ in range(100):

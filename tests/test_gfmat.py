@@ -154,7 +154,21 @@ def test_rank_refuses_word_overflowing_prime():
 
 
 def _unblocked_rank(M, p):
-    return len(gfmat._eliminate(np.mod(M, p), p, 0, 0, M.shape[1]))
+    # row echelon form reducing every entry at every step, apart from
+    # gfmat's kernel; products of residues stay below 2^42
+    a = np.mod(M, p)
+    r = 0
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        a[r + 1:, c:] = (a[r + 1:, c:] - a[r + 1:, c, None] * a[r, c:]) % p
+        r += 1
+        if r == a.shape[0]:
+            break
+    return r
 
 
 def _low_rank(rng, rows, cols, r, p):
@@ -248,25 +262,114 @@ def test_blocked_rank_matches_rational_oracle():
         assert _unblocked_rank(M, DEFAULT_PRIME) == want
 
 
-@pytest.mark.parametrize("k", [1, 5, LEAF, 2 * LEAF + 7])
+def _leaves(rng, cols):
+    # cols cut into consecutive lists of 1 to LEAF columns, as _lu's leaves
+    segs = []
+    while cols:
+        n = int(rng.integers(1, LEAF + 1))
+        segs.append(cols[:n])
+        cols = cols[n:]
+    return segs
+
+
+@pytest.mark.parametrize("k", [1, 5, LEAF, 2 * LEAF + 7, 5 * LEAF])
 def test_trsm_matches_integer_oracle(k):
     # L's multipliers sit in scattered columns of a wider matrix, below row
-    # r0, as _lu leaves them; 2 LEAF + 7 rows recurse twice
+    # r0, as _lu leaves them, in leaves of random width; a second solve
+    # reuses the leaves' inverses
     for p in (7, DEFAULT_PRIME):
         rng = np.random.default_rng(k)
         r0 = 3
         a = rng.integers(0, p, (r0 + k + 4, k + 40))
         cols = sorted(rng.choice(k + 40, k, replace=False).tolist())
-        x = rng.integers(0, p, (k, 2 * LEAF + 1))
+        segs = _leaves(rng, cols)
         L = [[1 if i == j else int(a[r0 + i, cols[j]]) if i > j else 0
               for j in range(k)] for i in range(k)]
-        got = x.copy()
-        gfmat._trsm(a, p, r0, cols, got)
-        # L (L^-1 x) = x, in Python integers
-        for i in range(k):
-            for c in range(x.shape[1]):
-                assert sum(L[i][j] * int(got[j, c])
-                           for j in range(i + 1)) % p == x[i, c]
+        inv = {}
+        for width in (2 * LEAF + 1, 3):
+            x = rng.integers(0, p, (k, width))
+            got = x.copy()
+            gfmat._trsm(a, p, r0, segs, got, inv)
+            # L (L^-1 x) = x, in Python integers
+            for i in range(k):
+                for c in range(width):
+                    assert sum(L[i][j] * int(got[j, c])
+                               for j in range(i + 1)) % p == x[i, c]
+            assert len(inv) == len(segs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 17, LEAF])
+def test_unit_lower_inverse_matches_integer_oracle(k):
+    # only the strictly lower part of l counts
+    for p in (3, DEFAULT_PRIME):
+        rng = np.random.default_rng(k)
+        for l in (rng.integers(0, p, (k, k)), np.full((k, k), p - 1)):
+            got = gfmat._unit_lower_inverse(l, p).tolist()
+            L = [[1 if i == j else int(l[i, j]) if i > j else 0
+                  for j in range(k)] for i in range(k)]
+            # (I + N) got = I, in Python integers, and got is reduced
+            for i in range(k):
+                for j in range(k):
+                    assert sum(L[i][t] * got[t][j]
+                               for t in range(k)) % p == (i == j)
+                    assert 0 <= got[i][j] < p
+
+
+@pytest.mark.parametrize("p", [3, DEFAULT_PRIME])
+def test_eliminate_factors_a_leaf_exactly(p):
+    # the delayed reduction at its worst: a LEAF-wide block of p - 1, and
+    # residues near p in full- and low-rank blocks; the last column of a
+    # holds row numbers, so the row swaps can be read back
+    rng = np.random.default_rng(p)
+    n = 3 * LEAF + 5
+    low = (rng.integers(0, 3, (n, 9)) @ rng.integers(0, p, (9, LEAF))) % p
+    for block in (np.full((n, LEAF), p - 1), np.full((5, LEAF), p - 1),
+                  rng.integers(max(p - 2 ** 20, 0), p, (n, LEAF)),
+                  rng.integers(0, p, (LEAF - 7, LEAF)), low):
+        m = len(block)
+        a = np.hstack([block, np.arange(m)[:, None]])
+        segs = gfmat._eliminate(a, p, 0, 0, LEAF)
+        piv = [c for seg in segs for c in seg]
+        assert len(segs) <= 1 and piv == sorted(piv)
+        assert len(piv) == _unblocked_rank(block, p)
+        assert ((0 <= a[:, :LEAF]) & (a[:, :LEAF] < p)).all()
+        # L U = the block with its rows permuted, in Python integers
+        L = [[1 if i == j else int(a[i, piv[j]]) if i > j else 0
+              for j in range(len(piv))] for i in range(m)]
+        U = [[int(a[i, c]) if c >= piv[i] else 0 for c in range(LEAF)]
+             for i in range(len(piv))]
+        for i in range(m):
+            row = block[a[i, LEAF]]
+            for c in range(LEAF):
+                assert sum(L[i][j] * U[j][c]
+                           for j in range(len(piv))) % p == row[c]
+
+
+def test_rank_inverts_each_leaf_block_at_most_once(monkeypatch):
+    # full rank over 8 leaves: the solves above the leaves would invert the
+    # first leaf's block once at each of three levels
+    leaves, inverses = [], []
+    orig_eliminate, orig_inverse = gfmat._eliminate, gfmat._unit_lower_inverse
+
+    def eliminate(*args):
+        pivots = orig_eliminate(*args)
+        if pivots:
+            leaves.append(args[2:])
+        return pivots
+
+    def inverse(l, p):
+        inverses.append(len(l))
+        return orig_inverse(l, p)
+
+    monkeypatch.setattr(gfmat, "_eliminate", eliminate)
+    monkeypatch.setattr(gfmat, "_unit_lower_inverse", inverse)
+    rng = np.random.default_rng(6)
+    for shape in [(8 * LEAF, 8 * LEAF), (8 * LEAF + 40, 5 * LEAF + 3)]:
+        M = rng.integers(0, DEFAULT_PRIME, shape)
+        leaves.clear()
+        inverses.clear()
+        assert rank(GFMatrix(M, DEFAULT_PRIME)) == min(shape)
+        assert 0 < len(inverses) <= len(leaves)
 
 
 def test_mul_mod_exact_at_worst_case():
