@@ -13,7 +13,6 @@ nonspecial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,18 +108,18 @@ def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS
     """Upper bound on the original system's generic h0 via the reduction.
 
     Requires the plan's chi hypothesis.  The bound is the reduced system's
-    h0: exact when fixed-component arithmetic applies, otherwise the best
-    on-cubic sample value (itself an upper bound by semicontinuity).  The
-    certificate is nonspecial-certified when the bound is the floor
-    max(chi, 0), and inconclusive otherwise.
+    h0: exact when linsys.exact_h0 decides it, otherwise the best on-cubic
+    sample value (itself an upper bound by semicontinuity).  The
+    certificate records the twist (k, mu); it is nonspecial-certified when
+    the bound is the floor max(chi, 0), and inconclusive otherwise.
     """
-    _check_admissible(plan)
+    check_admissible(plan)
     bound, evidence = interp.least_h0(plan.reduced, trials, p, seed)
     return Certificate(DEGENERATION_CODIM, plan.original, p, seed, trials,
-                       bound, evidence)
+                       bound, evidence, (plan.k, plan.mu))
 
 
-def _check_admissible(plan: ReductionPlan) -> None:
+def check_admissible(plan: ReductionPlan) -> None:
     """Raise InapplicableError unless theorem_upper_bound applies to plan."""
     if not plan.hypothesis:
         raise InapplicableError("chi hypothesis fails; the bound does not apply")
@@ -128,26 +127,6 @@ def _check_admissible(plan: ReductionPlan) -> None:
         # the degeneration argument needs positive degree and multiplicities
         # (otherwise the restricted divisor on the cubic need not be general)
         raise InapplicableError("original degree and multiplicities must be positive")
-
-
-def plan_for_counts(s: FatPointSystem, monomials: int,
-                  conditions: int) -> ReductionPlan | None:
-    """A plan of s that theorem_upper_bound accepts and whose reduced
-    system has these monomial and condition counts, else None.  A stored
-    degeneration certificate keeps its reports but not its twist; the
-    monomial count gives the reduced degree, so the twist, and the
-    condition count the number of points specialized."""
-    d = (math.isqrt(8 * max(monomials, 0) + 1) - 3) // 2
-    for k in range(MIN_SPECIALIZED, s.npoints + 1):
-        try:
-            plan = reduce(s, k, (s.d - d) // 3)
-            _check_admissible(plan)
-        except ReductionError:
-            continue
-        if (linsys.monomial_count(plan.reduced.d),
-                linsys.conditions_count(plan.reduced)) == (monomials, conditions):
-            return plan
-    return None
 
 
 def best_bound(d: int, n: int, m: int, fits,

@@ -22,6 +22,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -46,7 +47,7 @@ DEGENERATION_CODIM = "degeneration-corollary"
 DIRECT = (DIRECT_GENERIC, DIRECT_ON_CUBIC)
 METHODS = DIRECT + (DEGENERATION_CODIM,)
 
-CERT_SCHEMA_VERSION = 3
+CERT_SCHEMA_VERSION = 4
 
 
 class ConfigError(Exception):
@@ -94,8 +95,10 @@ def is_special(h0: int, h1: Optional[int]) -> bool:
 @dataclass(frozen=True)
 class Certificate:
     """What a verdict rests on: the route, the run, the least h0 found and
-    the trials behind it (none when h0 is exact arithmetic).  chi, h0, h1
-    and the verdict are derived from these, here and nowhere else."""
+    the trials behind it (none when linsys.exact_h0 decided it), and on
+    the degeneration route the twist (k, mu) whose reduced system was
+    bounded.  chi, h0, h1 and the verdict are derived from these, here and
+    nowhere else."""
     method: str
     system: FatPointSystem
     prime: int
@@ -103,14 +106,15 @@ class Certificate:
     trials: int
     h0_bound: int
     evidence: tuple = ()   # ((prime, seed, RankReport), ...)
+    twist: Optional[tuple] = None   # (k, mu) on the degeneration route
 
-    @property
+    @cached_property
     def chi(self) -> int:
         return linsys.chi(self.system)
 
     @property
     def h0(self) -> Optional[int]:
-        """h0_bound where it pins the generic h0: exact arithmetic or a
+        """h0_bound where it pins the generic h0: linsys.exact_h0 or a
         full-rank last trial on a direct route; otherwise the floor
         max(chi, 0), since a degeneration's h0_bound bounds h0 from above
         and h0 >= max(chi, 0)."""
@@ -146,6 +150,8 @@ class Certificate:
             "verdict": self.verdict,
             "method": self.method,
             "system": self.system.to_dict(),
+            "twist": None if self.twist is None else {
+                "k": self.twist[0], "mu": self.twist[1]},
             "chi": self.chi,
             "prime": str(self.prime),
             "seed": str(self.seed),
@@ -178,6 +184,9 @@ def certificate_from_dict(d: dict) -> Certificate:
     to_dict() gives d back only if they are the ones this code derives."""
     if d["method"] not in METHODS:
         raise ValueError(f"unknown method {d['method']!r}")
+    t = d["twist"]
+    if (t is None) != (d["method"] in DIRECT):
+        raise ValueError("a twist goes with the degeneration route only")
     s = d["system"]
     return Certificate(
         method=d["method"],
@@ -189,6 +198,7 @@ def certificate_from_dict(d: dict) -> Certificate:
              RankReport(e["report"]["monomials"], e["report"]["conditions"],
                         e["report"]["rank"]))
             for e in d["evidence"]),
+        twist=None if t is None else (int(t["k"]), int(t["mu"])),
     )
 
 
@@ -473,8 +483,8 @@ def certify(s: FatPointSystem, trials: int = DEFAULT_TRIALS,
             p: int = DEFAULT_PRIME, seed: int = 0) -> Certificate:
     """Decide (non)speciality of the system, sampling where needed.
 
-    Exact route: when no vanishing conditions survive (d < 0, or every
-    multiplicity <= 0), h0 is fixed-component arithmetic.  Sampling route:
+    Exact route: when linsys.exact_h0 decides s (d < 0, no condition
+    left, or the cubic peel at the floor), with no evidence.  Sampling route:
     trials run in order and stop at the first full-rank one, which pins the
     generic h0; `trials` is the number requested and `evidence` lists the
     trials that ran.  The Certificate derives the verdict from these.

@@ -67,17 +67,42 @@ def conditions_count(s: FatPointSystem) -> int:
     return sum(m * (m + 1) // 2 for m in s.mults if m >= 1)
 
 
-def exact_h0(s: FatPointSystem) -> Optional[int]:
-    """h0 by fixed-component arithmetic, or None when sampling is needed.
+def cubic_bound(s: FatPointSystem) -> int:
+    """Upper bound on h0 of s with no matrix: peel a smooth cubic C.
 
-    0 for d < 0; the monomial count when no positive multiplicity is left
-    to impose conditions.
+    Negative multiplicities are clamped to 0 (fixed components), and every
+    point is put on C, which can only raise h0 (semicontinuity).  With C'
+    = 3H - sum E_i the strict transform of C, an elliptic curve,
+    0 -> O(F - C') -> O(F) -> O_C'(F) -> 0 gives h0(F) <= h0(F - C') +
+    h0(C', F|C'), where F|C' has degree e = 3d - sum m_i: h0 is e for
+    e > 0, at most 1 for e = 0 and 0 for e < 0.  F - C' is (d - 3; m_i - 1),
+    clamped at 0 again, and the peel repeats until d < 0 (h0 0) or no
+    multiplicity is positive (the monomial count).  The bound holds at every
+    configuration on a smooth cubic, over any field.
+    """
+    d, mults, bound = s.d, [max(m, 0) for m in s.mults], 0
+    while d >= 0:
+        if not any(mults):
+            return bound + monomial_count(d)
+        e = 3 * d - sum(mults)
+        bound += e if e > 0 else 1 if e == 0 else 0
+        d, mults = d - 3, [max(m - 1, 0) for m in mults]
+    return bound
+
+
+def exact_h0(s: FatPointSystem) -> Optional[int]:
+    """h0 of s with no matrix, or None when sampling is needed.
+
+    0 for d < 0.  Otherwise cubic_bound(s) when it equals the floor
+    max(monomials - conditions, 0), the chi of the clamped system, which h0
+    never goes below for d >= 0 (h2 = 0), so the two pin h0.  That covers
+    the monomial count when no positive multiplicity is left.
     """
     if s.d < 0:
         return 0
-    if conditions_count(s) == 0:
-        return monomial_count(s.d)
-    return None
+    bound = cubic_bound(s)
+    floor = max(monomial_count(s.d) - conditions_count(s), 0)
+    return bound if bound == floor else None
 
 
 def effective_part(s: FatPointSystem) -> FatPointSystem:

@@ -32,20 +32,16 @@ def record_key(command: str, system: dict, config: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _sampled(cert: Certificate) -> Optional[FatPointSystem]:
-    """The system cert's route samples, or None if there is none: the
-    system itself on a direct route.  A degeneration record keeps no twist:
-    with evidence, it is the reduced system of the plan that
-    elliptic.plan_for_counts finds for the first report, and with none,
-    that of elliptic.corollary_plan."""
+def _sampled(cert: Certificate) -> FatPointSystem:
+    """The system cert's route samples: the system itself on a direct
+    route, and on the degeneration route the reduced system of the
+    recorded twist, which must be one theorem_upper_bound accepts (else
+    elliptic.ReductionError)."""
     if cert.method in DIRECT:
         return cert.system
-    if cert.evidence:
-        r = cert.evidence[0][2]
-        plan = elliptic.plan_for_counts(cert.system, r.monomials, r.conditions)
-    else:
-        plan = elliptic.corollary_plan(cert.system)
-    return None if plan is None else plan.reduced
+    plan = elliptic.reduce(cert.system, *cert.twist)
+    elliptic.check_admissible(plan)
+    return plan.reduced
 
 
 def _checked(rec: dict) -> Optional[Certificate]:
@@ -66,9 +62,8 @@ def _checked(rec: dict) -> Optional[Certificate]:
                 rec["command"], d["system"], rec["config"]):
             return None
         sampled = _sampled(cert)
-        if sampled is None:
-            return None
-    except (LookupError, TypeError, ValueError, ArithmeticError):
+    except (LookupError, TypeError, ValueError, ArithmeticError,
+            elliptic.ReductionError):
         return None
     # equal to its effective part's, which interp.h0_at_sample reports
     counts = (linsys.monomial_count(sampled.d), linsys.conditions_count(sampled))

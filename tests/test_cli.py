@@ -1,9 +1,10 @@
 import json
 import os
+import re
 
 import pytest
 
-from fatpoints import cli, interp
+from fatpoints import cli, elliptic, interp
 from fatpoints.cli import EXIT_DECIDED, EXIT_UNDECIDED, main, parse_mults, parse_range
 from fatpoints.elliptic import corollary_nonspecial, reduce, theorem_upper_bound
 from fatpoints.interp import certify
@@ -263,10 +264,27 @@ def _counts_of_another_system(c):
              verdict="nonspecial-certified")
 
 
-def _corollary_counts_of_no_twist(c):
-    # (b) the corollary samples (4; 1^10) for (13; 4^10): 15 monomials and
-    # 10 conditions; no twist's reduced system has 11 conditions here
-    c["evidence"][0]["report"].update(conditions=11, full_rank=False)
+def _corollary_counts_of_another_twist(c):
+    # (b) the corollary records twist 3 for (13; 4^10), which reduces it to
+    # (4; 1^10); this report counts (7; 2^10), the reduced system of twist
+    # 2: 36 monomials and 30 conditions
+    c["evidence"] = [{"prime": c["prime"], "seed": "0",
+                      "report": {"monomials": 36, "conditions": 30,
+                                 "rank": 30, "h0_sample": 6,
+                                 "full_rank": True}}]
+    c.update(h0_bound=6, h0=None, h1=None, verdict="inconclusive")
+
+
+def _twist_past_the_bound(c):
+    # (b) (12; 4^10) has twist bound 9; at 10 the reduced system (-18;
+    # (-6)^10) still has h0 0, but its chi is below the original's, so
+    # the upper bound does not hold there
+    c["twist"]["mu"] = 10
+
+
+def _direct_route_with_a_twist(c):
+    # (a) only a degeneration certificate has a twist
+    c["twist"] = {"k": 10, "mu": 0}
 
 
 def _bound_below_floor(c):
@@ -309,10 +327,24 @@ def _assert_miss(tmp_path, capsys, argv, tamper):
     assert st.lookup_certificate(recs[0]["key"]).to_dict() == recs[1]["certificate"]
 
 
+def _schema_3(c):
+    # the certificate schema 3 wrote for the corollary on (13; 4^10): no
+    # twist, and the trial that sampled the reduced system (4; 1^10)
+    del c["twist"]
+    c.update(schema_version=3, evidence=[
+        {"prime": c["prime"], "seed": "12426054289685354689",
+         "report": {"monomials": 15, "conditions": 10, "rank": 10,
+                    "h0_sample": 5, "full_rank": True}}])
+
+
 def test_store_record_of_another_schema_is_a_miss(tmp_path, capsys):
     _, out = run(capsys, "sweep", "0", "10", "0", "--format", "json")
     assert json.loads(out)[0]["h0"] == 1
     _assert_miss(tmp_path, capsys, ["sweep", "0", "10", "0"], _schema_2)
+
+
+def test_store_record_of_schema_3_is_a_miss(tmp_path, capsys):
+    _assert_miss(tmp_path, capsys, ["sweep", "13", "10", "4"], _schema_3)
 
 
 @pytest.mark.parametrize("argv,tamper", [
@@ -322,12 +354,14 @@ def test_store_record_of_another_schema_is_a_miss(tmp_path, capsys):
     (["sweep", "0", "10", "0"], _bound_not_exact),
     (["sweep", "174", "10", "55"], _corollary_bound_not_exact),
     (["certify", "40", "20x5"], _counts_of_another_system),
-    (["sweep", "13", "10", "4"], _corollary_counts_of_no_twist),
+    (["sweep", "13", "10", "4"], _corollary_counts_of_another_twist),
+    (["sweep", "12", "10", "4"], _twist_past_the_bound),
+    (["certify", "13", "4x10"], _direct_route_with_a_twist),
     (["sweep", "11", "12", "3"], _bound_below_floor),
     (["certify", "13", "4x10"], _another_systems_certificate),
 ], ids=["derived-fields", "report-fields", "least-sample", "exact-h0",
         "corollary-exact-h0", "report-counts", "corollary-report-counts",
-        "floor", "other-system"])
+        "inadmissible-twist", "direct-twist", "floor", "other-system"])
 def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
                                                 tamper):
     _assert_miss(tmp_path, capsys, argv, tamper)
@@ -367,6 +401,27 @@ def test_sweep_skips_rows_whose_framed_matrix_is_too_large(capsys):
                         "--max-matrix-entries", limit)
         assert code == EXIT_DECIDED
         assert json.loads(out)[0]["verdict"] == verdict, limit
+
+
+def test_sweep_grid_needs_no_matrix(tmp_path, capsys, monkeypatch):
+    # the README grid: the cubic peel decides every row, 77 directly and
+    # 22 at the corollary's twist, so nothing is sampled
+    monkeypatch.setattr(interp, "h0_at_sample",
+                        lambda *a: pytest.fail("sampled"))
+    store = str(tmp_path / "certs.ndjson")
+    code, _ = run(capsys, "sweep", "10:20", "10:12", "2:4", "--store", store)
+    assert code == EXIT_DECIDED
+    certs = [r["certificate"] for r in _records(store)]
+    assert len(certs) == 99
+    assert all(c["evidence"] == [] and c["verdict"] == "nonspecial-certified"
+               for c in certs)
+    corollary = [c for c in certs if c["method"] == "degeneration-corollary"]
+    assert len(corollary) == 22
+    for c in corollary:
+        d, mults = c["system"]["d"], c["system"]["mults"]
+        n = len(mults)
+        assert c["twist"] == {"k": n, "mu": elliptic.corollary_twist(
+            d, n, mults[0])}
 
 
 def test_sweep_empty_range(capsys):
@@ -500,8 +555,9 @@ def test_non_prime_is_usage_error_on_every_call(capsys):
 
 
 def test_sampling_failure_is_an_error_not_a_traceback(capsys):
-    # GF(7) has too few cubic points for 20 distinct ones
-    assert main(["certify", "2", "1x20", "--placement", "cubic",
+    # GF(7) has too few cubic points for 20 distinct ones; the cubic peel
+    # bounds (3; 1^20) by 1, above its floor 0, so the points are sampled
+    assert main(["certify", "3", "1x20", "--placement", "cubic",
                  "--prime", "7"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -539,14 +595,29 @@ def test_certify_store_is_a_lookup_on_rerun(tmp_path, capsys, monkeypatch):
     assert len(_records(store)) == 1
 
 
+def _readme() -> str:
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as f:
+        return f.read()
+
+
 def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
-                               "README.md")).read()
-    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    # every line of the CLI block is decided, its store in tmp_path
+    block = _readme().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [line.split("#", 1)[0].split() for line in block.splitlines()
              if line.startswith("fatpoints ")]
     assert len(lines) == 7
     monkeypatch.chdir(tmp_path)
     for argv in lines:
         assert main(argv[1:]) == EXIT_DECIDED, argv
+        capsys.readouterr()
+
+
+def test_readme_inline_examples_are_not_usage_errors(tmp_path, capsys,
+                                                     monkeypatch):
+    examples = re.findall(r"`fatpoints ([^`]*)`", _readme())
+    assert examples
+    monkeypatch.chdir(tmp_path)
+    for example in examples:
+        assert main(example.split()) != cli.EXIT_USAGE, example
         capsys.readouterr()

@@ -154,28 +154,35 @@ def test_theorem_upper_bound_zero_twist():
     assert cert.verdict == NONSPECIAL and cert.h0_bound == 5
 
 
-@pytest.mark.parametrize("d,n,m,mu,h0,exact", [
-    (20, 14, 6, 10, 0, True), (4, 11, 1, 0, 4, False)])
-def test_theorem_upper_bound_at_the_floor_agrees_with_direct(d, n, m, mu, h0,
-                                                             exact):
-    # the corollary needs a positive integral twist bound, and neither
-    # system has one (53/5 and 0), but these twists still reach the floor
-    # max(chi, 0).  The reduced system of (20; 6^14) at mu 10 is exact,
-    # that of (4; 1^11) at mu 0 is sampled
-    s = homogeneous_system(d, n, m)
-    assert corollary_twist(d, n, m) is None and mu <= mu_bound(d, n, m)
-    plan = reduce(s, n, mu)
+# a twist of (6; 4, 2^3, 1^6) whose reduced system the cubic peel leaves
+# above the floor (5 > 3), though sampling on the cubic reaches it
+SAMPLED_AT_FLOOR = FatPointSystem(6, (4, 2, 2, 2, 1, 1, 1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("s,mu,h0,exact", [
+    (homogeneous_system(20, 14, 6), 10, 0, True),
+    (SAMPLED_AT_FLOOR, 0, 3, False)], ids=["exact-twist", "sampled-twist"])
+def test_theorem_upper_bound_at_the_floor_agrees_with_direct(s, mu, h0, exact):
+    # the corollary needs a homogeneous system with a positive integral
+    # twist bound, and neither system is one ((20; 6^14) has 53/5), but
+    # these twists still reach the floor max(chi, 0).  The reduced system
+    # of (20; 6^14) at mu 10 is exact, that of SAMPLED_AT_FLOOR is sampled
+    assert elliptic.corollary_plan(s) is None
+    plan = reduce(s, s.npoints, mu)
+    assert plan.hypothesis
     assert (linsys.exact_h0(plan.reduced) is not None) == exact
     cert = theorem_upper_bound(plan, seed=1)
     direct = certify(s, seed=1)
     assert cert.verdict == direct.verdict == NONSPECIAL
     assert cert.h0 == direct.h0 == h0
     assert bool(cert.evidence) != exact
+    assert cert.twist == (s.npoints, mu)
 
 
 def test_theorem_upper_bound_stops_at_first_full_rank_trial():
-    for (d, n, m, mu) in [(4, 10, 1, 0), (13, 10, 4, 1)]:
-        plan = reduce(homogeneous_system(d, n, m), n, mu)
+    for (s, mu) in [(SAMPLED_AT_FLOOR, 0), (homogeneous_system(13, 10, 4), 1)]:
+        plan = reduce(s, s.npoints, mu)
+        assert linsys.exact_h0(plan.reduced) is None
         cert = theorem_upper_bound(plan, trials=3, seed=0)
         assert cert.trials == 3 and len(cert.evidence) == 1
         (_, sub, rep), = cert.evidence
@@ -200,25 +207,6 @@ def test_theorem_upper_bound_refuses_without_hypothesis():
     plan = reduce(homogeneous_system(13, 10, 4), 10, 4)
     with pytest.raises(InapplicableError):
         theorem_upper_bound(plan)
-
-
-def test_plan_for_counts_finds_the_twist_a_report_sampled():
-    # (13; 4^10) at the twists theorem_upper_bound accepts, 0 to 3, and at
-    # k = 10 or 11 of (13; 4^11); mu 4 fails the chi hypothesis
-    def counts(plan):
-        r = plan.reduced
-        return linsys.monomial_count(r.d), linsys.conditions_count(r)
-
-    s = homogeneous_system(13, 10, 4)
-    for mu in range(4):
-        plan = reduce(s, 10, mu)
-        assert elliptic.plan_for_counts(s, *counts(plan)) == plan
-    for k in (10, 11):
-        plan = reduce(homogeneous_system(13, 11, 4), k, 1)
-        assert elliptic.plan_for_counts(plan.original, *counts(plan)) == plan
-    for bad in (counts(reduce(s, 10, 4)), (15, 11), (16, 10), (-3, 0)):
-        assert elliptic.plan_for_counts(s, *bad) is None
-    assert elliptic.plan_for_counts(homogeneous_system(13, 9, 4), 66, 54) is None
 
 
 def test_theorem_bound_never_below_chi():

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from fatpoints import linsys
+from fatpoints import interp, linsys
+from fatpoints.gfmat import DEFAULT_PRIME
 from fatpoints.linsys import (FatPointSystem, GENERIC, ON_CUBIC, chi,
                               conditions_count, cremona, cremona_standardize,
-                              effective_part, exact_h0, expected_dim,
-                              homogeneous_system, monomial_count)
+                              cubic_bound, effective_part, exact_h0,
+                              expected_dim, homogeneous_system, monomial_count)
 
 
 def rand_system(rng, allow_negative=False):
@@ -143,6 +144,101 @@ def test_exact_h0():
     assert exact_h0(homogeneous_system(3, 10, -2, tag=ON_CUBIC)) == 10
     assert exact_h0(FatPointSystem(4, (0, -1, 0))) == 15
     assert exact_h0(FatPointSystem(0, ())) == 1
-    # one surviving condition means sampling is needed
-    assert exact_h0(FatPointSystem(4, (0, -1, 1))) is None
+    # the cubic peel at the floor: quartics through one point, 15 - 1
+    assert exact_h0(FatPointSystem(4, (0, -1, 1))) == 14
+    assert exact_h0(homogeneous_system(4, 10, 1, tag=ON_CUBIC)) == 5
+    # the peel stays above the floor, so sampling is needed
+    assert exact_h0(homogeneous_system(6, 9, 2)) is None
+    assert exact_h0(FatPointSystem(12, (5, 5) + (4,) * 6)) is None
     assert exact_h0(homogeneous_system(13, 10, 4)) is None
+
+
+def test_cubic_bound_peels():
+    # (13; 4^10): e = -1, 0, 1, 2 on degrees 13, 10, 7, 4 (add 0, 1, 1, 2),
+    # then the 3 lines
+    assert cubic_bound(homogeneous_system(13, 10, 4)) == 7
+    # negative multiplicities are clamped; d < 0 adds nothing
+    assert cubic_bound(FatPointSystem(4, (-3, 1))) == 11 + 3
+    assert cubic_bound(homogeneous_system(2, 20, 1)) == 0
+    assert cubic_bound(homogeneous_system(-1, 3, 0)) == 0
+    assert cubic_bound(FatPointSystem(0, ())) == 1
+
+
+def _on_cubic_corpus(rng, count):
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        yield FatPointSystem(rng.randint(0, 12),
+                             tuple(rng.randint(-1, 5) for _ in range(n)),
+                             (ON_CUBIC,) * n)
+
+
+def test_cubic_bound_holds_at_every_on_cubic_sample():
+    # the restriction sequence holds for any points on any smooth cubic,
+    # over any field, so no sample may exceed the bound
+    rng = random.Random(11)
+    pinned = 0
+    for s in _on_cubic_corpus(rng, 150):
+        for p in (101, DEFAULT_PRIME):
+            rep = interp.h0_at_sample(s, interp.config_for_system(
+                s, p, rng.randrange(2 ** 32)))
+            assert rep.h0_sample <= cubic_bound(s), (s, p)
+            pinned += rep.h0_sample == cubic_bound(s)
+    assert pinned >= 100
+
+
+def test_cubic_bound_is_at_least_every_full_rank_generic_h0():
+    # a full-rank trial pins the generic h0, which moving the points onto
+    # a cubic can only raise
+    rng = random.Random(12)
+    full = 0
+    for _ in range(150):
+        s = rand_system(rng, allow_negative=True)
+        if s.d < 0:
+            continue
+        rep = interp.h0_at_sample(s, interp.config_for_system(
+            s, DEFAULT_PRIME, rng.randrange(2 ** 32)))
+        if rep.full_rank:
+            full += 1
+            assert rep.h0_sample <= cubic_bound(s), s
+            if exact_h0(s) is not None:
+                assert exact_h0(s) == rep.h0_sample, s
+    assert full >= 100
+
+
+def _cremona_special(s):
+    """Whether Cremona standardization proves the generic s special: it
+    ends at d >= 0 with a negative multiplicity (a fixed (-1)-curve) and no
+    condition left, so h0 is the monomial count, and h0 > 0 with
+    h1 = h0 - chi > 0."""
+    t, _ = cremona_standardize(s)
+    if t.d < 0 or min(t.mults) >= 0 or conditions_count(t):
+        return False
+    h0 = monomial_count(t.d)
+    return h0 > 0 and h0 - chi(s) > 0
+
+
+def test_exact_h0_certifies_no_special_system():
+    named = [homogeneous_system(40, 5, 20), homogeneous_system(4, 5, 2),
+             homogeneous_system(3, 10, 1, tag=ON_CUBIC),
+             homogeneous_system(2, 2, 2)]
+    proved = [s for s in (FatPointSystem(d, mults)
+                          for d in range(1, 13)
+                          for mults in ((a, b, c) + (1,) * k
+                                        for a in range(1, 8)
+                                        for b in range(1, a + 1)
+                                        for c in range(1, b + 1)
+                                        for k in range(0, 4)))
+              if _cremona_special(s)]
+    assert len(proved) >= 50
+    for s in named + proved:
+        # exact_h0 returns only the floor max(chi, 0), and h0 is above it
+        assert exact_h0(s) is None, s
+
+
+def test_twist_zero_decides_no_benchmark_or_paper_system():
+    # these keep the sampling route of certify, and so the workloads that
+    # time it: special-40 and direct-38 among them
+    for (d, n, m) in [(13, 10, 4), (28, 12, 8), (38, 10, 12), (57, 10, 18),
+                      (174, 10, 55), (40, 5, 20)]:
+        for tag in (GENERIC, ON_CUBIC):
+            assert exact_h0(homogeneous_system(d, n, m, tag)) is None
