@@ -22,6 +22,10 @@ EXIT_DECIDED = 0
 EXIT_USAGE = 1
 EXIT_UNDECIDED = 2
 
+# the package's own errors: a usage error in main, a row's verdict in sweep
+PACKAGE_ERRORS = (interp.ConfigError, interp.SamplingError, gfmat.GFMatError,
+                  elliptic.ReductionError)
+
 
 class UsageError(Exception):
     pass
@@ -185,21 +189,22 @@ def cmd_bound(args) -> int:
 SWEEP_FIELDS = ("d", "n", "m", "v", "mu", "integral", "verdict", "h0")
 
 
-def _sweep_row(d: int, n: int, m: int, verdict: str, cert) -> dict:
-    """One sweep row: mu is the twist bound (empty below 10 points),
-    integral whether the corollary applies, and h0 the certificate's
-    h0_bound, which is its h0 whenever that is pinned."""
-    return {"d": d, "n": n, "m": m,
-            "v": linsys.expected_dim(linsys.homogeneous_system(d, n, m)),
-            "mu": str(elliptic.mu_bound(d, n, m)) if n > 9 else "",
-            "integral": elliptic.corollary_twist(d, n, m) is not None,
+def _sweep_row(s: FatPointSystem, n: int, m: int, twist, verdict: str,
+               cert) -> dict:
+    """One sweep row of s = (d; m^n): mu is the twist bound (empty below 10
+    points), integral whether the corollary's twist is set, and h0 the
+    certificate's h0_bound, which is its h0 whenever that is pinned."""
+    return {"d": s.d, "n": n, "m": m, "v": linsys.expected_dim(s),
+            "mu": str(elliptic.mu_bound(s.d, n, m)) if n > 9 else "",
+            "integral": twist is not None,
             "verdict": verdict, "h0": None if cert is None else cert.h0_bound}
 
 
-def _sweep_item(s: FatPointSystem, n: int, m: int, args):
-    """(verdict, certificate or None) for the homogeneous system s = (d; m^n)."""
+def _sweep_item(s: FatPointSystem, n: int, m: int, twist, args):
+    """(verdict, certificate or None) for the homogeneous system s = (d; m^n):
+    by the corollary when its twist is not None, else directly."""
     try:
-        if elliptic.corollary_twist(s.d, n, m) is not None:
+        if twist is not None:
             cert = elliptic.corollary_nonspecial(s.d, n, m, trials=args.trials,
                                                  p=args.prime, seed=args.seed)
         elif _too_large(s, args):
@@ -207,8 +212,7 @@ def _sweep_item(s: FatPointSystem, n: int, m: int, args):
         else:
             cert = interp.certify(s, trials=args.trials, p=args.prime,
                                   seed=args.seed)
-    except (interp.ConfigError, interp.SamplingError, gfmat.GFMatError,
-            elliptic.ReductionError) as e:
+    except PACKAGE_ERRORS as e:
         # the package's own per-item failures are recorded, not fatal
         return f"error: {e}", None
     return cert.verdict, cert
@@ -224,9 +228,10 @@ def cmd_sweep(args) -> int:
     rows = []
     for d, n, m in items:
         s = linsys.homogeneous_system(d, n, m)
+        twist = elliptic.corollary_twist(d, n, m)
         verdict, cert = _stored(st, "sweep", s, args,
-                                lambda: _sweep_item(s, n, m, args))
-        rows.append(_sweep_row(d, n, m, verdict, cert))
+                                lambda: _sweep_item(s, n, m, twist, args))
+        rows.append(_sweep_row(s, n, m, twist, verdict, cert))
 
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True, separators=(",", ":")))
@@ -307,9 +312,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError, gfmat.GFMatError,
-            elliptic.ReductionError, interp.ConfigError,
-            interp.SamplingError) as e:
+    except (UsageError, ValueError, OSError) + PACKAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

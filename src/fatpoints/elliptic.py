@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import interp, linsys
 from .gfmat import DEFAULT_PRIME
-from .interp import DEGENERATION_CODIM, Certificate
+from .interp import Certificate
 from .linsys import GENERIC, ON_CUBIC, FatPointSystem
 
 MIN_SPECIALIZED = 10
@@ -115,8 +115,8 @@ def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS
     """
     check_admissible(plan)
     bound, evidence = interp.least_h0(plan.reduced, trials, p, seed)
-    return Certificate(DEGENERATION_CODIM, plan.original, p, seed, trials,
-                       bound, evidence, (plan.k, plan.mu))
+    return Certificate(plan.original, p, seed, trials, bound, evidence,
+                       (plan.k, plan.mu))
 
 
 def check_admissible(plan: ReductionPlan) -> None:
@@ -172,15 +172,6 @@ def corollary_twist(d: int, n: int, m: int) -> int | None:
     return int(mu) if mu.denominator == 1 and mu > 0 else None
 
 
-def corollary_plan(s: FatPointSystem) -> ReductionPlan | None:
-    """reduce(s, n, mu) at the corollary's twist mu when s = (d; m^n) with
-    all points generic, else None."""
-    if len(set(s.mults)) != 1 or any(t != GENERIC for t in s.tags):
-        return None
-    mu = corollary_twist(s.d, s.npoints, s.mults[0])
-    return None if mu is None else reduce(s, s.npoints, mu)
-
-
 def corollary_nonspecial(d: int, n: int, m: int,
                          trials: int = interp.DEFAULT_TRIALS,
                          p: int = DEFAULT_PRIME, seed: int = 0) -> Certificate:
@@ -192,8 +183,9 @@ def corollary_nonspecial(d: int, n: int, m: int,
     upper bound.  Since the two chis agree here, the floor case is exactly
     the reduced system being certified nonspecial.
     """
-    plan = corollary_plan(linsys.homogeneous_system(d, n, m))
-    if plan is None:
+    mu = corollary_twist(d, n, m)
+    if mu is None:
         raise InapplicableError("the corollary needs n >= 10, d >= 1, m >= 1 "
                                 "and a positive integral twist bound")
+    plan = reduce(linsys.homogeneous_system(d, n, m), n, mu)
     return theorem_upper_bound(plan, trials, p, seed)

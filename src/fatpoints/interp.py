@@ -40,12 +40,10 @@ SPECIAL_EXACT = "special-exact"
 SPECIAL_SUSPECTED = "special-suspected"
 INCONCLUSIVE = "inconclusive"
 
-# certification methods
+# certification methods, derived from the route (Certificate.method)
 DIRECT_GENERIC = "direct-generic"
 DIRECT_ON_CUBIC = "direct-on-cubic"
 DEGENERATION_CODIM = "degeneration-corollary"
-DIRECT = (DIRECT_GENERIC, DIRECT_ON_CUBIC)
-METHODS = DIRECT + (DEGENERATION_CODIM,)
 
 CERT_SCHEMA_VERSION = 4
 
@@ -94,12 +92,11 @@ def is_special(h0: int, h1: Optional[int]) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """What a verdict rests on: the route, the run, the least h0 found and
-    the trials behind it (none when linsys.exact_h0 decided it), and on
-    the degeneration route the twist (k, mu) whose reduced system was
-    bounded.  chi, h0, h1 and the verdict are derived from these, here and
-    nowhere else."""
-    method: str
+    """What a verdict rests on: the run, the least h0 found and the trials
+    behind it (none when linsys.exact_h0 decided it), and on the
+    degeneration route the twist (k, mu) whose reduced system was bounded;
+    a direct route has no twist.  The method, chi, h0, h1 and the verdict
+    are derived from these, here and nowhere else."""
     system: FatPointSystem
     prime: int
     seed: int
@@ -107,6 +104,12 @@ class Certificate:
     h0_bound: int
     evidence: tuple = ()   # ((prime, seed, RankReport), ...)
     twist: Optional[tuple] = None   # (k, mu) on the degeneration route
+
+    @property
+    def method(self) -> str:
+        if self.twist is not None:
+            return DEGENERATION_CODIM
+        return DIRECT_ON_CUBIC if ON_CUBIC in self.system.tags else DIRECT_GENERIC
 
     @cached_property
     def chi(self) -> int:
@@ -118,7 +121,7 @@ class Certificate:
         full-rank last trial on a direct route; otherwise the floor
         max(chi, 0), since a degeneration's h0_bound bounds h0 from above
         and h0 >= max(chi, 0)."""
-        if self.method in DIRECT:
+        if self.twist is None:
             pinned = not self.evidence or self.evidence[-1][2].full_rank
         else:
             pinned = self.h0_bound == max(self.chi, 0)
@@ -135,7 +138,7 @@ class Certificate:
         if self.h0 is not None:
             return SPECIAL_EXACT if is_special(self.h0, self.h1) else NONSPECIAL
         # sampling never pins a deficit: agreeing ones are only suspected
-        if (self.method in DIRECT and self.trials >= 3
+        if (self.twist is None and self.trials >= 3
                 and len({r.h0_sample for (_, _, r) in self.evidence}) == 1):
             return SPECIAL_SUSPECTED
         return INCONCLUSIVE
@@ -181,23 +184,19 @@ class Certificate:
 
 def certificate_from_dict(d: dict) -> Certificate:
     """The certificate of d's inputs; d's derived fields are not read, so
-    to_dict() gives d back only if they are the ones this code derives."""
-    if d["method"] not in METHODS:
-        raise ValueError(f"unknown method {d['method']!r}")
-    t = d["twist"]
-    if (t is None) != (d["method"] in DIRECT):
-        raise ValueError("a twist goes with the degeneration route only")
-    s = d["system"]
+    to_dict() gives d back only if they are the ones this code derives.
+    The method follows from the twist, and trial i's prime and seed from
+    the certificate's, as least_h0 writes them."""
+    s, t = d["system"], d["twist"]
+    p, seed = int(d["prime"]), int(d["seed"])
     return Certificate(
-        method=d["method"],
         system=FatPointSystem(s["d"], tuple(s["mults"]), tuple(s["tags"])),
-        prime=int(d["prime"]), seed=int(d["seed"]), trials=d["trials"],
-        h0_bound=d["h0_bound"],
+        prime=p, seed=seed, trials=d["trials"], h0_bound=d["h0_bound"],
         evidence=tuple(
-            (int(e["prime"]), int(e["seed"]),
+            (p, derive_seed(seed, i),
              RankReport(e["report"]["monomials"], e["report"]["conditions"],
                         e["report"]["rank"]))
-            for e in d["evidence"]),
+            for i, e in enumerate(d["evidence"])),
         twist=None if t is None else (int(t["k"]), int(t["mu"])),
     )
 
@@ -489,5 +488,4 @@ def certify(s: FatPointSystem, trials: int = DEFAULT_TRIALS,
     generic h0; `trials` is the number requested and `evidence` lists the
     trials that ran.  The Certificate derives the verdict from these.
     """
-    method = DIRECT_ON_CUBIC if ON_CUBIC in s.tags else DIRECT_GENERIC
-    return Certificate(method, s, p, seed, trials, *least_h0(s, trials, p, seed))
+    return Certificate(s, p, seed, trials, *least_h0(s, trials, p, seed))

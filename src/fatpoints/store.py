@@ -20,7 +20,7 @@ import time
 from typing import Optional
 
 from . import __version__, elliptic, linsys
-from .interp import DIRECT, Certificate, certificate_from_dict
+from .interp import Certificate, certificate_from_dict
 from .linsys import FatPointSystem
 
 STORE_SCHEMA_VERSION = 1
@@ -37,7 +37,7 @@ def _sampled(cert: Certificate) -> FatPointSystem:
     route, and on the degeneration route the reduced system of the
     recorded twist, which must be one theorem_upper_bound accepts (else
     elliptic.ReductionError)."""
-    if cert.method in DIRECT:
+    if cert.twist is None:
         return cert.system
     plan = elliptic.reduce(cert.system, *cert.twist)
     elliptic.check_admissible(plan)
@@ -48,7 +48,8 @@ def _checked(rec: dict) -> Optional[Certificate]:
     """The record's certificate if this code would sign it, else None.
 
     It must (a) parse and derive again to the same JSON object, which fixes
-    the schema, chi, h0, h1, the verdict and every report's derived fields;
+    the schema, the method, chi, h0, h1, the verdict, every report's
+    derived fields and the prime and seed of every trial;
     (b) have reports that count the monomials and conditions of the system
     its route samples (_sampled), and as h0_bound their least h0_sample,
     or with no evidence the linsys.exact_h0 of that system; (c) have

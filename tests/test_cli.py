@@ -1,11 +1,15 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import fatpoints
 from fatpoints import cli, elliptic, interp
-from fatpoints.cli import EXIT_DECIDED, EXIT_UNDECIDED, main, parse_mults, parse_range
+from fatpoints.cli import (EXIT_DECIDED, EXIT_UNDECIDED, EXIT_USAGE, main,
+                           parse_mults, parse_range)
 from fatpoints.elliptic import corollary_nonspecial, reduce, theorem_upper_bound
 from fatpoints.interp import certify
 from fatpoints.linsys import FatPointSystem, homogeneous_system
@@ -74,6 +78,22 @@ def test_certify_exit_codes(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["reduce", "5", "9", "2"]) == 1
     assert main(["certify", "7", "1x5", "--prime", "1000"]) == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["certify", "13", "4x10"], EXIT_DECIDED),
+    (["certify", "40", "20x5"], EXIT_UNDECIDED),
+    (["certify", "13", "4x10", "--prime", "4"], EXIT_USAGE),
+], ids=["decided", "undecided", "usage"])
+def test_process_exit_code(argv, code):
+    # the status a shell sees, from a fresh interpreter on this package
+    src = os.path.dirname(os.path.dirname(fatpoints.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "fatpoints.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ") == (code == EXIT_USAGE)
 
 
 def test_certify_refuses_prime_beyond_int64_products(capsys):
@@ -268,7 +288,7 @@ def _corollary_counts_of_another_twist(c):
     # (b) the corollary records twist 3 for (13; 4^10), which reduces it to
     # (4; 1^10); this report counts (7; 2^10), the reduced system of twist
     # 2: 36 monomials and 30 conditions
-    c["evidence"] = [{"prime": c["prime"], "seed": "0",
+    c["evidence"] = [{"prime": c["prime"], "seed": str(interp.derive_seed(0, 0)),
                       "report": {"monomials": 36, "conditions": 30,
                                  "rank": 30, "h0_sample": 6,
                                  "full_rank": True}}]
@@ -283,8 +303,20 @@ def _twist_past_the_bound(c):
 
 
 def _direct_route_with_a_twist(c):
-    # (a) only a degeneration certificate has a twist
+    # (a) only a degeneration certificate has a twist: with one, the method
+    # is degeneration-corollary, not the recorded direct-generic
     c["twist"] = {"k": 10, "mu": 0}
+
+
+def _relabelled_method(c):
+    # (a) the method follows from the twist and the tags: (4; 1^10) on the
+    # cubic, certified directly, is direct-on-cubic
+    c["method"] = "direct-generic"
+
+
+def _forged_provenance(c):
+    # (a) trial i ran at the certificate's prime and derive_seed(seed, i)
+    c["evidence"][-1].update(prime="101", seed="42")
 
 
 def _bound_below_floor(c):
@@ -359,9 +391,12 @@ def test_store_record_of_schema_3_is_a_miss(tmp_path, capsys):
     (["certify", "13", "4x10"], _direct_route_with_a_twist),
     (["sweep", "11", "12", "3"], _bound_below_floor),
     (["certify", "13", "4x10"], _another_systems_certificate),
+    (["certify", "4", "1x10", "--placement", "cubic"], _relabelled_method),
+    (["certify", "13", "4x10"], _forged_provenance),
 ], ids=["derived-fields", "report-fields", "least-sample", "exact-h0",
         "corollary-exact-h0", "report-counts", "corollary-report-counts",
-        "inadmissible-twist", "direct-twist", "floor", "other-system"])
+        "inadmissible-twist", "direct-twist", "floor", "other-system",
+        "method-label", "evidence-provenance"])
 def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
                                                 tamper):
     _assert_miss(tmp_path, capsys, argv, tamper)

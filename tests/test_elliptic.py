@@ -167,7 +167,8 @@ def test_theorem_upper_bound_at_the_floor_agrees_with_direct(s, mu, h0, exact):
     # twist bound, and neither system is one ((20; 6^14) has 53/5), but
     # these twists still reach the floor max(chi, 0).  The reduced system
     # of (20; 6^14) at mu 10 is exact, that of SAMPLED_AT_FLOOR is sampled
-    assert elliptic.corollary_plan(s) is None
+    assert (len(set(s.mults)) > 1
+            or elliptic.corollary_twist(s.d, s.npoints, s.mults[0]) is None)
     plan = reduce(s, s.npoints, mu)
     assert plan.hypothesis
     assert (linsys.exact_h0(plan.reduced) is not None) == exact

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from fatpoints import gfmat, interp, linsys
+from fatpoints import elliptic, gfmat, interp, linsys
 from fatpoints.gfmat import DEFAULT_PRIME
 from fatpoints.interp import (Certificate, ConfigError, NONSPECIAL,
                               SPECIAL_EXACT, SPECIAL_SUSPECTED, build_matrix,
@@ -605,11 +605,30 @@ def test_certify_determinism():
 
 
 def test_certificate_json_roundtrip():
-    c = certify(homogeneous_system(4, 10, 1, tag=ON_CUBIC), seed=5)
-    d = c.to_dict()
-    back = certificate_from_dict(d)
-    assert back == c
-    assert back.to_json() == c.to_json()
+    # the method is derived from the route: a twist, else the tags
+    twisted = elliptic.reduce(homogeneous_system(13, 11, 4), 10, 1)
+    for c, method in [
+            (certify(homogeneous_system(4, 10, 1, tag=ON_CUBIC), seed=5),
+             "direct-on-cubic"),
+            (certify(homogeneous_system(13, 10, 4), seed=5), "direct-generic"),
+            # (10; 3^10, 4): ten points on the cubic and one generic
+            (certify(twisted.reduced, seed=5), "direct-on-cubic"),
+            (elliptic.theorem_upper_bound(twisted, seed=5),
+             "degeneration-corollary")]:
+        d = c.to_dict()
+        assert d["method"] == c.method == method
+        back = certificate_from_dict(d)
+        assert back == c
+        assert back.to_json() == c.to_json()
+        # the method and each trial's prime and seed are derived, not read
+        for label in ("direct-generic", "direct-on-cubic",
+                      "degeneration-corollary"):
+            assert certificate_from_dict({**d, "method": label}) == c
+        for field, forged in [("prime", "101"), ("seed", "42")]:
+            f = {**d, "evidence": [{**e, field: forged}
+                                   for e in d["evidence"]]}
+            assert certificate_from_dict(f) == c
+            assert (f == d) == (not d["evidence"])
 
 
 def test_derive_seed_stable():
