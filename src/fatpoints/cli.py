@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 
-from . import elliptic, gfmat, interp, linsys
-from .gfmat import DEFAULT_PRIME
+from . import certificate, elliptic, field, interp, linsys
+from .field import DEFAULT_PRIME
 from .linsys import GENERIC, ON_CUBIC, FatPointSystem
 from .store import CertificateStore, record_key
 
@@ -23,8 +23,8 @@ EXIT_USAGE = 1
 EXIT_UNDECIDED = 2
 
 # the package's own errors: a usage error in main, a row's verdict in sweep
-PACKAGE_ERRORS = (interp.ConfigError, interp.SamplingError, gfmat.GFMatError,
-                  elliptic.ReductionError)
+PACKAGE_ERRORS = (certificate.ConfigError, certificate.SamplingError,
+                  field.GFMatError, elliptic.ReductionError)
 
 
 class UsageError(Exception):
@@ -48,6 +48,14 @@ def parse_mults(text: str):
     return tuple(out)
 
 
+def nonnegative_int(text: str) -> int:
+    """A flag's value that must be a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {n}")
+    return n
+
+
 def parse_range(text: str):
     """A single value 'v' or an inclusive range 'lo:hi'."""
     if ":" in text:
@@ -67,7 +75,7 @@ def _config_dict(args) -> dict:
 def _check_runconfig(args, max_degree: int) -> None:
     if args.trials < 1:
         raise UsageError(f"--trials {args.trials} must be at least 1")
-    gfmat.check_modulus(args.prime, "--prime")
+    field.check_modulus(args.prime, "--prime")
     if args.prime <= max(2 * max_degree, 3):
         raise UsageError(f"--prime {args.prime} too small for degree {max_degree}")
 
@@ -141,7 +149,7 @@ def cmd_reduce(args) -> int:
     exact = linsys.exact_h0(red)
     if exact is not None:
         h1 = exact - plan.chi_reduced
-        if interp.is_special(exact, h1):
+        if certificate.is_special(exact, h1):
             warn = f"reduced system is special (h0 = h1 = {exact})" if exact == h1 \
                 else f"reduced system is special (h0 = {exact}, h1 = {h1})"
     obj = {"d": args.d, "n": args.n, "m": args.m, "mu": mu,
@@ -163,15 +171,11 @@ def cmd_reduce(args) -> int:
     return EXIT_DECIDED
 
 
-def _too_large(s: FatPointSystem, args) -> bool:
-    """Whether the framed matrix of s has more than --max-matrix-entries."""
-    return interp.framed_cells(s) > args.max_matrix_entries
-
-
 def cmd_bound(args) -> int:
     _check_runconfig(args, max(args.d, 0))
     best, best_mu = elliptic.best_bound(
-        args.d, args.n, args.m, lambda r: not _too_large(r, args),
+        args.d, args.n, args.m,
+        lambda r: interp.framed_cells(r) <= args.max_matrix_entries,
         args.trials, args.prime, args.seed)
     s = linsys.homogeneous_system(args.d, args.n, args.m)
     if best is None:
@@ -207,11 +211,12 @@ def _sweep_item(s: FatPointSystem, n: int, m: int, twist, args):
         if twist is not None:
             cert = elliptic.corollary_nonspecial(s.d, n, m, trials=args.trials,
                                                  p=args.prime, seed=args.seed)
-        elif _too_large(s, args):
-            return "skipped-too-large", None
         else:
             cert = interp.certify(s, trials=args.trials, p=args.prime,
-                                  seed=args.seed)
+                                  seed=args.seed,
+                                  max_cells=args.max_matrix_entries)
+    except interp.MatrixTooLarge:
+        return "skipped-too-large", None
     except PACKAGE_ERRORS as e:
         # the package's own per-item failures are recorded, not fatal
         return f"error: {e}", None
@@ -249,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials": dict(type=int, default=interp.DEFAULT_TRIALS),
         "--store": dict(type=str, default=None,
                         help="newline-delimited JSON certificate store"),
-        "--max-matrix-entries": dict(type=int,
+        "--max-matrix-entries": dict(type=nonnegative_int,
                                      default=DEFAULT_MAX_MATRIX_ENTRIES),
     }
     run = ("--prime", "--seed", "--trials")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import interp, linsys
-from .gfmat import DEFAULT_PRIME
-from .interp import Certificate
+from .certificate import Certificate
+from .field import DEFAULT_PRIME
 from .linsys import GENERIC, ON_CUBIC, FatPointSystem
 
 MIN_SPECIALIZED = 10

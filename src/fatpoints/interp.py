@@ -14,46 +14,34 @@ points in characteristic zero (rank can only drop under specialization and
 reduction mod p), so a full-rank sample is a genuine nonspeciality
 certificate.  Rank deficits are never certified by sampling alone: repeated
 agreeing deficits only yield a "special-suspected" verdict.
+
+Only the functions that build or rank an array import numpy and gfmat, so
+a system that linsys.exact_h0 decides is certified without loading numpy.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
-from . import gfmat, linsys
-from .gfmat import DEFAULT_PRIME, GFMatrix
+from . import field, linsys
+# the certificate data lives in .certificate, which has no numpy; it is
+# re-exported here
+from .certificate import (CERT_SCHEMA_VERSION, DEGENERATION_CODIM,  # noqa: F401
+                          DIRECT_GENERIC, DIRECT_ON_CUBIC, INCONCLUSIVE,
+                          NONSPECIAL, SPECIAL_EXACT, SPECIAL_SUSPECTED,
+                          Certificate, ConfigError, RankReport, SamplingError,
+                          certificate_from_dict, derive_seed, is_special)
+from .field import DEFAULT_PRIME
 from .linsys import ON_CUBIC, FatPointSystem
 
 SAMPLE_RETRIES = 64
 DEFAULT_TRIALS = 3
 
-# certificate verdicts
-NONSPECIAL = "nonspecial-certified"
-SPECIAL_EXACT = "special-exact"
-SPECIAL_SUSPECTED = "special-suspected"
-INCONCLUSIVE = "inconclusive"
 
-# certification methods, derived from the route (Certificate.method)
-DIRECT_GENERIC = "direct-generic"
-DIRECT_ON_CUBIC = "direct-on-cubic"
-DEGENERATION_CODIM = "degeneration-corollary"
-
-CERT_SCHEMA_VERSION = 4
-
-
-class ConfigError(Exception):
-    pass
-
-
-class SamplingError(Exception):
-    pass
+class MatrixTooLarge(Exception):
+    """Sampling would eliminate more cells than the caller allows."""
 
 
 @dataclass(frozen=True)
@@ -70,151 +58,15 @@ class PointConfig:
     cubic: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class RankReport:
-    monomials: int
-    conditions: int
-    rank: int
-
-    @property
-    def h0_sample(self) -> int:
-        return self.monomials - self.rank
-
-    @property
-    def full_rank(self) -> bool:
-        return self.rank == min(self.conditions, self.monomials)
-
-
-def is_special(h0: int, h1: Optional[int]) -> bool:
-    """h0 > 0 and h1 > 0: nonempty, with dependent conditions."""
-    return h0 > 0 and h1 is not None and h1 > 0
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """What a verdict rests on: the run, the least h0 found and the trials
-    behind it (none when linsys.exact_h0 decided it), and on the
-    degeneration route the twist (k, mu) whose reduced system was bounded;
-    a direct route has no twist.  The method, chi, h0, h1 and the verdict
-    are derived from these, here and nowhere else."""
-    system: FatPointSystem
-    prime: int
-    seed: int
-    trials: int
-    h0_bound: int
-    evidence: tuple = ()   # ((prime, seed, RankReport), ...)
-    twist: Optional[tuple] = None   # (k, mu) on the degeneration route
-
-    @property
-    def method(self) -> str:
-        if self.twist is not None:
-            return DEGENERATION_CODIM
-        return DIRECT_ON_CUBIC if ON_CUBIC in self.system.tags else DIRECT_GENERIC
-
-    @cached_property
-    def chi(self) -> int:
-        return linsys.chi(self.system)
-
-    @property
-    def h0(self) -> Optional[int]:
-        """h0_bound where it pins the generic h0: linsys.exact_h0 or a
-        full-rank last trial on a direct route; otherwise the floor
-        max(chi, 0), since a degeneration's h0_bound bounds h0 from above
-        and h0 >= max(chi, 0)."""
-        if self.twist is None:
-            pinned = not self.evidence or self.evidence[-1][2].full_rank
-        else:
-            pinned = self.h0_bound == max(self.chi, 0)
-        return self.h0_bound if pinned else None
-
-    @property
-    def h1(self) -> Optional[int]:
-        """h0 - chi, valid since h2 = 0 for d >= -2; null below that."""
-        h0 = self.h0
-        return None if h0 is None or self.system.d < -2 else h0 - self.chi
-
-    @property
-    def verdict(self) -> str:
-        if self.h0 is not None:
-            return SPECIAL_EXACT if is_special(self.h0, self.h1) else NONSPECIAL
-        # sampling never pins a deficit: agreeing ones are only suspected
-        if (self.twist is None and self.trials >= 3
-                and len({r.h0_sample for (_, _, r) in self.evidence}) == 1):
-            return SPECIAL_SUSPECTED
-        return INCONCLUSIVE
-
-    @property
-    def decided(self) -> bool:
-        return self.verdict in (NONSPECIAL, SPECIAL_EXACT)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": CERT_SCHEMA_VERSION,
-            "verdict": self.verdict,
-            "method": self.method,
-            "system": self.system.to_dict(),
-            "twist": None if self.twist is None else {
-                "k": self.twist[0], "mu": self.twist[1]},
-            "chi": self.chi,
-            "prime": str(self.prime),
-            "seed": str(self.seed),
-            "trials": self.trials,
-            "h0_bound": self.h0_bound,
-            "h0": self.h0,
-            "h1": self.h1,
-            "evidence": [
-                {
-                    "prime": str(p),
-                    "seed": str(s),
-                    "report": {
-                        "monomials": r.monomials,
-                        "conditions": r.conditions,
-                        "rank": r.rank,
-                        "h0_sample": r.h0_sample,
-                        "full_rank": r.full_rank,
-                    },
-                }
-                for (p, s, r) in self.evidence
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def certificate_from_dict(d: dict) -> Certificate:
-    """The certificate of d's inputs; d's derived fields are not read, so
-    to_dict() gives d back only if they are the ones this code derives.
-    The method follows from the twist, and trial i's prime and seed from
-    the certificate's, as least_h0 writes them."""
-    s, t = d["system"], d["twist"]
-    p, seed = int(d["prime"]), int(d["seed"])
-    return Certificate(
-        system=FatPointSystem(s["d"], tuple(s["mults"]), tuple(s["tags"])),
-        prime=p, seed=seed, trials=d["trials"], h0_bound=d["h0_bound"],
-        evidence=tuple(
-            (p, derive_seed(seed, i),
-             RankReport(e["report"]["monomials"], e["report"]["conditions"],
-                        e["report"]["rank"]))
-            for i, e in enumerate(d["evidence"])),
-        twist=None if t is None else (int(t["k"]), int(t["mu"])),
-    )
-
-
-def derive_seed(seed: int, index: int) -> int:
-    """Stable 64-bit sub-seed for trial number `index`."""
-    h = hashlib.sha256(f"{seed}:{index}".encode()).digest()
-    return int.from_bytes(h[:8], "big")
-
-
 def monomial_basis(d: int):
     """Exponent triples (i, j, k), i+j+k = d, in lexicographic order."""
     return [tuple(e) for e in _exponents(d).T.tolist()]
 
 
-def _exponents(d: int) -> np.ndarray:
+def _exponents(d: int):
     """monomial_basis(d) as a (3, monomials) int64 array: row i holds the
     exponents of the i-th variable.  Empty for d < 0."""
+    import numpy as np
     t = np.repeat(np.arange(d + 1, dtype=np.int64),
                   np.arange(1, d + 2))                # t = d - i
     k = np.arange(len(t), dtype=np.int64) - t * (t + 1) // 2
@@ -229,7 +81,7 @@ def sample_config(tags, p: int, seed: int) -> PointConfig:
     x^3 + ax + b and taking a Tonelli-Shanks square root.  All points are
     pairwise distinct (resampled on collision, bounded retries).
     """
-    gfmat.check_modulus(p)
+    field.check_modulus(p)
     if p <= 3:
         raise ConfigError("prime must exceed 3")
     tags = tuple(tags)
@@ -253,9 +105,9 @@ def sample_config(tags, p: int, seed: int) -> PointConfig:
                 a, b = cubic
                 x = rng.randrange(p)
                 t = (x * x * x + a * x + b) % p
-                if t != 0 and gfmat.legendre(t, p) != 1:
+                if t != 0 and field.legendre(t, p) != 1:
                     continue
-                y = gfmat.sqrt_mod(t, p)
+                y = field.sqrt_mod(t, p)
                 if rng.randrange(2):
                     y = (-y) % p
                 pt = (x, y, 1)
@@ -279,9 +131,9 @@ def config_for_system(s: FatPointSystem, p: int, seed: int) -> PointConfig:
 def _charts(points, d: int, p: int) -> list:
     """(u, v, cu, cv) per point: the indices of the two affine variables in
     its chart, the last nonzero coordinate (z preferred), and its affine
-    coordinates there.  Refuses a modulus gfmat.check_modulus refuses,
+    coordinates there.  Refuses a modulus field.check_modulus refuses,
     p <= d and the zero point."""
-    gfmat.check_modulus(p, "prime")
+    field.check_modulus(p, "prime")
     if p <= d:
         raise ConfigError(f"prime {p} must exceed degree {d}")
     charts = []
@@ -311,6 +163,8 @@ def _write_rows(points, mults, d: int, p: int, out, keep=None) -> None:
     columns.  Every entry is reduced below p < 2^21, so each int64 product
     of two entries is exact.
     """
+    import numpy as np
+
     charts = _charts(points, d, p)
     exps = _exponents(d) if keep is None else _exponents(d)[:, keep]
     top = max(mults, default=0)
@@ -343,8 +197,7 @@ def _write_rows(points, mults, d: int, p: int, out, keep=None) -> None:
         del du, dv  # at most one point's tables are alive at a time
 
 
-def build_matrix(s: FatPointSystem, cfg: PointConfig,
-                 keep=None) -> GFMatrix:
+def build_matrix(s: FatPointSystem, cfg: PointConfig, keep=None):
     """Condition rows for every point with positive multiplicity.
 
     The columns are the monomials of monomial_basis(d), or only those at
@@ -354,6 +207,10 @@ def build_matrix(s: FatPointSystem, cfg: PointConfig,
     kernel, which factors the transpose of a tall matrix, can eliminate it
     in place.
     """
+    import numpy as np
+
+    from .gfmat import GFMatrix
+
     if s.tags != cfg.tags:
         raise ConfigError("system and configuration tags disagree")
     eff = linsys.effective_part(s)
@@ -383,6 +240,8 @@ def _frame_of(eff: FatPointSystem):
     e1, e2, e3: x^i y^j z^k vanishes to order m at e1 exactly when
     j + k >= m (likewise i + k >= m at e2 and i + j >= m at e3).
     """
+    import numpy as np
+
     top = sorted(range(len(eff.mults)), key=lambda i: -eff.mults[i])[:3]
     if len(top) < 3 or eff.mults[top[2]] < 1:
         return None
@@ -421,8 +280,11 @@ def framed_cells(s: FatPointSystem) -> int:
     points are not collinear: the other points' conditions times the kept
     monomials, or the whole matrix when s has no frame.  0 when
     linsys.exact_h0 decides s, which needs no matrix."""
-    if linsys.exact_h0(s) is not None:
-        return 0
+    return 0 if linsys.exact_h0(s) is not None else _sampled_cells(s)
+
+
+def _sampled_cells(s: FatPointSystem) -> int:
+    """framed_cells(s) for an s that linsys.exact_h0 leaves undecided."""
     eff = linsys.effective_part(s)
     top, keep = _frame_of(eff) or ((), range(linsys.monomial_count(eff.d)))
     return len(keep) * sum(m * (m + 1) // 2 for i, m in enumerate(eff.mults)
@@ -443,6 +305,8 @@ def h0_at_sample(s: FatPointSystem, cfg: PointConfig) -> RankReport:
     and only those are built and eliminated, in place.  The report counts
     the monomials and conditions of the whole (effective) system.
     """
+    from . import gfmat
+
     if s.tags != cfg.tags:
         raise ConfigError("system and configuration tags disagree")
     eff = linsys.effective_part(s)
@@ -455,19 +319,25 @@ def h0_at_sample(s: FatPointSystem, cfg: PointConfig) -> RankReport:
                       monomials - M.cols + r)
 
 
-def least_h0(s: FatPointSystem, trials: int, p: int, seed: int) -> tuple:
+def least_h0(s: FatPointSystem, trials: int, p: int, seed: int,
+             max_cells: Optional[int] = None) -> tuple:
     """(least h0 found, evidence) for s.
 
     The evidence is empty when linsys.exact_h0 decides s.  Otherwise it is
     ((p, sub-seed, RankReport), ...) of trials 0, 1, ... in order, and stops
     after the first full-rank trial: its h0_sample is the floor
     max(monomials - conditions, 0), so no later trial can lower the least.
+    Raises MatrixTooLarge instead of sampling when the framed matrix has
+    more than max_cells cells (framed_cells).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     h0 = linsys.exact_h0(s)
     if h0 is not None:
         return h0, ()
+    if max_cells is not None and _sampled_cells(s) > max_cells:
+        raise MatrixTooLarge(f"the framed matrix of {s} has more than "
+                             f"{max_cells} cells")
     evidence = []
     for t in range(trials):
         sub = derive_seed(seed, t)
@@ -479,7 +349,8 @@ def least_h0(s: FatPointSystem, trials: int, p: int, seed: int) -> tuple:
 
 
 def certify(s: FatPointSystem, trials: int = DEFAULT_TRIALS,
-            p: int = DEFAULT_PRIME, seed: int = 0) -> Certificate:
+            p: int = DEFAULT_PRIME, seed: int = 0,
+            max_cells: Optional[int] = None) -> Certificate:
     """Decide (non)speciality of the system, sampling where needed.
 
     Exact route: when linsys.exact_h0 decides s (d < 0, no condition
@@ -487,5 +358,7 @@ def certify(s: FatPointSystem, trials: int = DEFAULT_TRIALS,
     trials run in order and stop at the first full-rank one, which pins the
     generic h0; `trials` is the number requested and `evidence` lists the
     trials that ran.  The Certificate derives the verdict from these.
+    A framed matrix of more than max_cells cells raises MatrixTooLarge.
     """
-    return Certificate(s, p, seed, trials, *least_h0(s, trials, p, seed))
+    return Certificate(s, p, seed, trials,
+                       *least_h0(s, trials, p, seed, max_cells))

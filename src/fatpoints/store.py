@@ -20,7 +20,7 @@ import time
 from typing import Optional
 
 from . import __version__, elliptic, linsys
-from .interp import Certificate, certificate_from_dict
+from .certificate import Certificate, certificate_from_dict
 from .linsys import FatPointSystem
 
 STORE_SCHEMA_VERSION = 1

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import fatpoints
-from fatpoints import cli, elliptic, interp
+from fatpoints import cli, elliptic, interp, linsys
 from fatpoints.cli import (EXIT_DECIDED, EXIT_UNDECIDED, EXIT_USAGE, main,
                            parse_mults, parse_range)
 from fatpoints.elliptic import corollary_nonspecial, reduce, theorem_upper_bound
@@ -457,6 +457,38 @@ def test_sweep_grid_needs_no_matrix(tmp_path, capsys, monkeypatch):
         n = len(mults)
         assert c["twist"] == {"k": n, "mu": elliptic.corollary_twist(
             d, n, mults[0])}
+
+
+@pytest.mark.parametrize("system,limit,verdict", [
+    ("10 10 2", "4000000", "nonspecial-certified"),
+    ("13 13 4", "4000000", "nonspecial-certified"),
+    ("13 13 4", "7499", "skipped-too-large"),
+], ids=["peeled", "sampled", "too-large"])
+def test_direct_sweep_row_peels_the_cubic_once(capsys, monkeypatch, system,
+                                               limit, verdict):
+    # linsys.exact_h0 runs once per direct row, in interp.certify, which
+    # sizes the framed matrix only when the peel leaves the row undecided:
+    # (10; 2^10) is peeled, (13; 4^13) samples 100 x 75 = 7500 cells
+    calls = []
+    real = linsys.cubic_bound
+    monkeypatch.setattr(linsys, "cubic_bound",
+                        lambda s: calls.append(s) or real(s))
+    code, out = run(capsys, "sweep", *system.split(), "--format", "json",
+                    "--max-matrix-entries", limit)
+    assert code == EXIT_DECIDED
+    assert json.loads(out)[0]["verdict"] == verdict
+    d, n, m = map(int, system.split())
+    assert calls == [homogeneous_system(d, n, m)]
+
+
+@pytest.mark.parametrize("command", [["bound", "13", "10", "4"],
+                                     ["sweep", "10:20", "10:12", "2:4"]])
+def test_negative_max_matrix_entries_is_a_usage_error(capsys, command):
+    # refused before any twist or row runs; 0 is a valid limit
+    assert main([*command, "--max-matrix-entries", "-1"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "--max-matrix-entries: must be at least 0, not -1" in err
+    assert main([*command, "--max-matrix-entries", "0"]) == EXIT_DECIDED
 
 
 def test_sweep_empty_range(capsys):

@@ -1,0 +1,72 @@
+"""numpy loads with the first matrix, not with the package.
+
+Each check runs in a fresh interpreter on this package, as a shell or the
+benchmark's worker would, and reads whether numpy was imported by the end.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import fatpoints
+
+SRC = os.path.dirname(os.path.dirname(fatpoints.__file__))
+
+# runs the CLI in process, then reports its exit code and whether numpy
+# was imported, as the last line of stderr
+PROBE = """
+import json, sys
+from fatpoints import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, "numpy" in sys.modules]), file=sys.stderr)
+"""
+
+
+def fresh(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def cli_run(*argv):
+    """(exit code, numpy imported) of one CLI call in a fresh interpreter."""
+    return tuple(json.loads(fresh("-c", PROBE, *argv).stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("code", [
+    "import fatpoints",
+    "import fatpoints.cli as c; c.build_parser()",
+], ids=["package", "cli-parser"])
+def test_import_loads_no_numpy(code):
+    out = fresh("-c", f"import sys; {code}; print('numpy' in sys.modules)")
+    assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["expdim", "13", "4x10"], 0),
+    (["reduce", "28", "12", "8"], 0),
+    # the benchmark worker's warm-up, decided by the cubic peel
+    (["certify", "4", "1x10"], 0),
+    (["certify", "13", "4x10", "--prime", "4"], 1),
+], ids=["expdim", "reduce", "certify-peeled", "usage-error"])
+def test_runs_with_no_matrix_load_no_numpy(argv, code):
+    assert cli_run(*argv) == (code, False)
+
+
+def test_sweep_grid_loads_no_numpy_cold_or_resumed(tmp_path):
+    store = str(tmp_path / "certs.ndjson")
+    for _ in ("cold", "resumed"):
+        assert cli_run("sweep", "10:20", "10:12", "2:4",
+                       "--store", store) == (0, False)
+    with open(store) as f:
+        assert len(f.readlines()) == 99
+
+
+def test_sampled_certify_loads_numpy():
+    assert cli_run("certify", "13", "4x10") == (0, True)
