@@ -8,6 +8,7 @@ outcome is suspected/inconclusive, 1 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -89,20 +90,25 @@ def _emit(obj: dict, lines, fmt: str) -> None:
 
 
 def _store(args):
-    return CertificateStore(args.store) if args.store else None
+    """A context giving the --store's CertificateStore, closed on exit,
+    or None without --store."""
+    return CertificateStore(args.store) if args.store else contextlib.nullcontext()
 
 
-def _stored(st, command: str, s: FatPointSystem, args, compute):
+def _stored(st, command: str, s: FatPointSystem, config: dict, compute):
     """compute() -> (verdict, certificate or None), run only when the store
     serves no certificate for this invocation; its certificate is stored at
-    once."""
-    key = (command, s.to_dict(), _config_dict(args))
-    cert = st.lookup_certificate(record_key(*key)) if st is not None else None
+    once.  The invocation's key is hashed once, for both."""
+    if st is None:
+        return compute()
+    invocation = (command, s.to_dict(), config)
+    key = record_key(*invocation)
+    cert = st.lookup_certificate(*invocation, key=key)
     if cert is not None:
         return cert.verdict, cert
     verdict, cert = compute()
-    if st is not None and cert is not None:
-        st.put(*key, cert)
+    if cert is not None:
+        st.put(*invocation, cert, key=key)
     return verdict, cert
 
 
@@ -126,8 +132,9 @@ def cmd_certify(args) -> int:
     tag = ON_CUBIC if args.placement == "cubic" else GENERIC
     s = FatPointSystem(args.d, mults, (tag,) * len(mults))
     _check_runconfig(args, max(args.d, 0))
-    _, cert = _stored(_store(args), "certify", s, args, lambda: (
-        None, interp.certify(s, args.trials, args.prime, args.seed)))
+    with _store(args) as st:
+        _, cert = _stored(st, "certify", s, _config_dict(args), lambda: (
+            None, interp.certify(s, args.trials, args.prime, args.seed)))
     _emit(cert.to_dict(),
           [f"system   {s}  ({args.placement})",
            f"verdict  {cert.verdict}",
@@ -174,8 +181,7 @@ def cmd_reduce(args) -> int:
 def cmd_bound(args) -> int:
     _check_runconfig(args, max(args.d, 0))
     best, best_mu = elliptic.best_bound(
-        args.d, args.n, args.m,
-        lambda r: interp.framed_cells(r) <= args.max_matrix_entries,
+        args.d, args.n, args.m, args.max_matrix_entries,
         args.trials, args.prime, args.seed)
     s = linsys.homogeneous_system(args.d, args.n, args.m)
     if best is None:
@@ -209,7 +215,7 @@ def _sweep_item(s: FatPointSystem, n: int, m: int, twist, args):
     by the corollary when its twist is not None, else directly."""
     try:
         if twist is not None:
-            cert = elliptic.corollary_nonspecial(s.d, n, m, trials=args.trials,
+            cert = elliptic.corollary_nonspecial(s, twist, trials=args.trials,
                                                  p=args.prime, seed=args.seed)
         else:
             cert = interp.certify(s, trials=args.trials, p=args.prime,
@@ -229,14 +235,15 @@ def cmd_sweep(args) -> int:
     ds, ns, ms = parse_range(args.d_range), parse_range(args.n_range), parse_range(args.m_range)
     items = [(d, n, m) for d in ds for n in ns for m in ms]
     _check_runconfig(args, max((d for d, _, _ in items), default=0))
-    st = _store(args)
+    config = _config_dict(args)
     rows = []
-    for d, n, m in items:
-        s = linsys.homogeneous_system(d, n, m)
-        twist = elliptic.corollary_twist(d, n, m)
-        verdict, cert = _stored(st, "sweep", s, args,
-                                lambda: _sweep_item(s, n, m, twist, args))
-        rows.append(_sweep_row(s, n, m, twist, verdict, cert))
+    with _store(args) as st:
+        for d, n, m in items:
+            s = linsys.homogeneous_system(d, n, m)
+            twist = elliptic.corollary_twist(d, n, m)
+            verdict, cert = _stored(st, "sweep", s, config,
+                                    lambda: _sweep_item(s, n, m, twist, args))
+            rows.append(_sweep_row(s, n, m, twist, verdict, cert))
 
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True, separators=(",", ":")))

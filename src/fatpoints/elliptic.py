@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from . import interp, linsys
 from .certificate import Certificate
@@ -47,11 +48,12 @@ class ReductionPlan:
 def mu_bound(d: int, n: int, m: int) -> Fraction:
     """Largest admissible twist for the homogeneous system (d; m^n).
 
-    Exact rational 1 + (2mn - 6d)/(n - 9); needs n >= 10.
+    Exact rational 1 + (2mn - 6d)/(n - 9) = (n - 9 + 2mn - 6d)/(n - 9);
+    needs n >= 10.
     """
     if n <= 9:
         raise ReductionError("need at least 10 points")
-    return 1 + Fraction(2 * m * n - 6 * d, n - 9)
+    return Fraction(n - 9 + 2 * m * n - 6 * d, n - 9)
 
 
 def chi_gap(d: int, n: int, m: int, mu: int) -> int:
@@ -104,17 +106,19 @@ def chi_identity_check(plan: ReductionPlan) -> bool:
 
 
 def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS,
-                        p: int = DEFAULT_PRIME, seed: int = 0) -> Certificate:
+                        p: int = DEFAULT_PRIME, seed: int = 0,
+                        max_cells: Optional[int] = None) -> Certificate:
     """Upper bound on the original system's generic h0 via the reduction.
 
     Requires the plan's chi hypothesis.  The bound is the reduced system's
     h0: exact when linsys.exact_h0 decides it, otherwise the best on-cubic
     sample value (itself an upper bound by semicontinuity).  The
     certificate records the twist (k, mu); it is nonspecial-certified when
-    the bound is the floor max(chi, 0), and inconclusive otherwise.
+    the bound is the floor max(chi, 0), and inconclusive otherwise.  A
+    sample of more than max_cells cells raises interp.MatrixTooLarge.
     """
     check_admissible(plan)
-    bound, evidence = interp.least_h0(plan.reduced, trials, p, seed)
+    bound, evidence = interp.least_h0(plan.reduced, trials, p, seed, max_cells)
     return Certificate(plan.original, p, seed, trials, bound, evidence,
                        (plan.k, plan.mu))
 
@@ -129,7 +133,7 @@ def check_admissible(plan: ReductionPlan) -> None:
         raise InapplicableError("original degree and multiplicities must be positive")
 
 
-def best_bound(d: int, n: int, m: int, fits,
+def best_bound(d: int, n: int, m: int, max_cells: Optional[int] = None,
                trials: int = interp.DEFAULT_TRIALS, p: int = DEFAULT_PRIME,
                seed: int = 0):
     """(least h0 bound, its twist) of (d; m^n) over the integral twists,
@@ -139,8 +143,9 @@ def best_bound(d: int, n: int, m: int, fits,
     the chi hypothesis holds on all of them, since the chi gap is
     mu (n - 9)(mu_bound - mu) / 2.  Only mu = 0 is admissible unless
     d, m >= 1.  A twist is skipped when its chi already rules out an
-    improvement or when fits(reduced system) is false, and the scan stops
-    once the bound reaches the floor max(chi, 0).
+    improvement or when its reduced system needs a sample of more than
+    max_cells cells (interp.framed_cells; None is no limit), and the scan
+    stops once the bound reaches the floor max(chi, 0).
     """
     top = mu_bound(d, n, m)
     if top < 0:
@@ -153,9 +158,10 @@ def best_bound(d: int, n: int, m: int, fits,
         # any bound from this twist is at least max(chi_reduced, 0)
         if best is not None and max(plan.chi_reduced, 0) >= best:
             continue
-        if not fits(plan.reduced):
+        try:
+            b = theorem_upper_bound(plan, trials, p, seed, max_cells).h0_bound
+        except interp.MatrixTooLarge:
             continue
-        b = theorem_upper_bound(plan, trials, p, seed).h0_bound
         if best is None or b < best:
             best, best_mu = b, mu
         if best == floor:
@@ -168,14 +174,17 @@ def corollary_twist(d: int, n: int, m: int) -> int | None:
     mu a positive integer (so the two chis agree), n >= 10 and d, m >= 1."""
     if n < MIN_SPECIALIZED or d < 1 or m < 1:
         return None
-    mu = mu_bound(d, n, m)
-    return int(mu) if mu.denominator == 1 and mu > 0 else None
+    # mu_bound's numerator over its denominator, in integers
+    mu, rest = divmod(n - 9 + 2 * m * n - 6 * d, n - 9)
+    return mu if rest == 0 and mu > 0 else None
 
 
-def corollary_nonspecial(d: int, n: int, m: int,
+def corollary_nonspecial(s: FatPointSystem, mu: Optional[int],
                          trials: int = interp.DEFAULT_TRIALS,
                          p: int = DEFAULT_PRIME, seed: int = 0) -> Certificate:
-    """Nonspeciality of (d; m^n) as the floor case of the twist bound.
+    """Nonspeciality of s = (d; m^n) as the floor case of the twist bound,
+    given the row's mu = corollary_twist(d, n, m); None, where the corollary
+    does not apply, raises InapplicableError.
 
     At the corollary's twist `theorem_upper_bound` gives h0 <= b, and always
     h0 >= max(chi, 0); so b == max(chi, 0) pins h0 = b and the system is
@@ -183,9 +192,7 @@ def corollary_nonspecial(d: int, n: int, m: int,
     upper bound.  Since the two chis agree here, the floor case is exactly
     the reduced system being certified nonspecial.
     """
-    mu = corollary_twist(d, n, m)
     if mu is None:
         raise InapplicableError("the corollary needs n >= 10, d >= 1, m >= 1 "
                                 "and a positive integral twist bound")
-    plan = reduce(linsys.homogeneous_system(d, n, m), n, mu)
-    return theorem_upper_bound(plan, trials, p, seed)
+    return theorem_upper_bound(reduce(s, s.npoints, mu), trials, p, seed)

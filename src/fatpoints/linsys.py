@@ -78,15 +78,20 @@ def cubic_bound(s: FatPointSystem) -> int:
     e > 0, at most 1 for e = 0 and 0 for e < 0.  F - C' is (d - 3; m_i - 1),
     clamped at 0 again, and the peel repeats until d < 0 (h0 0) or no
     multiplicity is positive (the monomial count).  The bound holds at every
-    configuration on a smooth cubic, over any field.
+    configuration on a smooth cubic, over any field.  The peel runs on the
+    distinct positive multiplicities with their counts, as (m, count).
     """
-    d, mults, bound = s.d, [max(m, 0) for m in s.mults], 0
+    groups = {}
+    for m in s.mults:
+        if m > 0:
+            groups[m] = groups.get(m, 0) + 1
+    d, groups, bound = s.d, list(groups.items()), 0
     while d >= 0:
-        if not any(mults):
+        if not groups:
             return bound + monomial_count(d)
-        e = 3 * d - sum(mults)
+        e = 3 * d - sum(m * c for m, c in groups)
         bound += e if e > 0 else 1 if e == 0 else 0
-        d, mults = d - 3, [max(m - 1, 0) for m in mults]
+        d, groups = d - 3, [(m - 1, c) for m, c in groups if m > 1]
     return bound
 
 

@@ -3,11 +3,14 @@
 Records are keyed by a content hash of (command, input system, run config),
 so re-running an identical invocation is a lookup, not a recomputation.
 Timestamps are excluded from the hash.  A record is a hit only if its
-certificate is one this code would sign (_checked); any other record is a
-miss: the caller recomputes, the new record is appended, and the later
-line wins on load.  A last line without its newline was torn by a crash
-mid-write: loading drops it with a warning on stderr and the next append
-cuts it off.  A bad line before the last one is an error.
+certificate is one this code would sign for the invocation looked up
+(_checked); any other record is a miss: the caller recomputes, the new
+record is appended, and the later line wins on load.  A last line without
+its newline was torn by a crash mid-write: loading drops it with a warning
+on stderr and the first append cuts it off.  A bad line before the last
+one is an error.  The first append of a run opens one append handle,
+which close() (or leaving a `with` block) closes; each record is written
+and flushed before put returns.
 """
 
 from __future__ import annotations
@@ -44,8 +47,26 @@ def _sampled(cert: Certificate) -> FatPointSystem:
     return plan.reduced
 
 
-def _checked(rec: dict) -> Optional[Certificate]:
-    """The record's certificate if this code would sign it, else None.
+def _same(a, b) -> bool:
+    """a == b with each pair of leaves of one type, so that the two encode
+    to the same JSON: 1, 1.0 and true are equal in Python but not here."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    if type(a) is list:
+        types = [*map(type, a)]
+        if a != b or types != [*map(type, b)]:
+            return False
+        return (dict not in types and list not in types) or all(map(_same, a, b))
+    return a == b
+
+
+def _checked(rec: dict, command: str, system: dict,
+             config: dict) -> Optional[Certificate]:
+    """The record's certificate if this code would sign it for the
+    invocation (command, system, config), whose record_key the record is
+    found under; else None.
 
     It must (a) parse and derive again to the same JSON object, which fixes
     the schema, the method, chi, h0, h1, the verdict, every report's
@@ -53,14 +74,18 @@ def _checked(rec: dict) -> Optional[Certificate]:
     (b) have reports that count the monomials and conditions of the system
     its route samples (_sampled), and as h0_bound their least h0_sample,
     or with no evidence the linsys.exact_h0 of that system; (c) have
-    h0_bound >= max(chi, 0) when d >= -2; and (d) be for the system the
-    record's key hashes.
+    h0_bound >= max(chi, 0) when d >= -2; and (d) have the invocation's
+    command and config, and a certificate for its system.  (d) compares
+    JSON values (_same), so the record's own command, system and config
+    hash to the key it is found under.
     """
     try:
         d = rec["certificate"]
+        if not (rec["command"] == command and _same(d["system"], system)
+                and _same(rec["config"], config)):
+            return None
         cert = certificate_from_dict(d)
-        if cert.to_dict() != d or rec["key"] != record_key(
-                rec["command"], d["system"], rec["config"]):
+        if cert.to_dict() != d:
             return None
         sampled = _sampled(cert)
     except (LookupError, TypeError, ValueError, ArithmeticError,
@@ -79,11 +104,15 @@ def _checked(rec: dict) -> Optional[Certificate]:
 
 
 class CertificateStore:
+    """The store at path, loaded; use it in a `with` block (or close() it)
+    so that the append handle its first put opens is closed."""
+
     def __init__(self, path: str):
         self.path = path
         self._by_key = {}
-        # byte offset of a torn last line, cut off before the next append
+        # byte offset of a torn last line, cut off before the first append
         self._torn_at = None
+        self._out = None  # the append handle, from the first append on
         if path and os.path.exists(path):
             with open(path, "rb") as f:
                 data = f.read()
@@ -103,20 +132,39 @@ class CertificateStore:
                     raise ValueError(f"store {path} line {n} is corrupt: {e}") from None
                 self._by_key[rec["key"]] = rec
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        if self._out is not None:
+            self._out.close()
+            self._out = None
+
     def __len__(self):
         return len(self._by_key)
 
-    def lookup_certificate(self, key: str) -> Optional[Certificate]:
+    def lookup_certificate(self, command: str, system: dict, config: dict,
+                           key: Optional[str] = None) -> Optional[Certificate]:
+        """The stored certificate for this invocation, if one passes
+        _checked; key is its record_key when the caller has it."""
+        if key is None:
+            key = record_key(command, system, config)
         rec = self._by_key.get(key)
-        return None if rec is None else _checked(rec)
+        return None if rec is None else _checked(rec, command, system, config)
 
-    def put(self, command: str, system: dict, config: dict,
-            cert: Certificate) -> dict:
+    def put(self, command: str, system: dict, config: dict, cert: Certificate,
+            key: Optional[str] = None) -> dict:
         """Append a record unless an identical invocation is already stored
-        with a certificate that passes _checked."""
-        key = record_key(command, system, config)
+        with a certificate that passes _checked; key is as for
+        lookup_certificate."""
+        if key is None:
+            key = record_key(command, system, config)
         existing = self._by_key.get(key)
-        if existing is not None and _checked(existing) is not None:
+        if existing is not None and _checked(existing, command, system,
+                                             config) is not None:
             return existing
         rec = {
             "schema_version": STORE_SCHEMA_VERSION,
@@ -130,10 +178,17 @@ class CertificateStore:
         }
         self._by_key[key] = rec
         if self.path:
+            self._append(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        return rec
+
+    def _append(self, line: str) -> None:
+        """Write line and flush it, so a later reader, or a rerun after a
+        kill, sees it; the first call cuts a torn tail and opens the file."""
+        if self._out is None:
             os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
             if self._torn_at is not None:
                 os.truncate(self.path, self._torn_at)
                 self._torn_at = None
-            with open(self.path, "a") as f:
-                f.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-        return rec
+            self._out = open(self.path, "a")
+        self._out.write(line)
+        self._out.flush()

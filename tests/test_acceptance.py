@@ -21,6 +21,12 @@ from fatpoints.linsys import (FatPointSystem, ON_CUBIC, chi, cremona,
 CASES = [(13, 10, 4), (28, 12, 8), (38, 10, 12), (57, 10, 18), (174, 10, 55)]
 
 
+def corollary(d, n, m, **kw):
+    """corollary_nonspecial on the sweep row (d; m^n) and its twist."""
+    return corollary_nonspecial(homogeneous_system(d, n, m),
+                                elliptic.corollary_twist(d, n, m), **kw)
+
+
 def report(name, ok):
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}")
     assert ok
@@ -74,8 +80,8 @@ def test_criterion_4_ten_cubic_points_on_quartics():
 def test_criterion_5_corollary_pipeline():
     ok = True
     for (d, n, m) in CASES[:4]:
-        ok = ok and corollary_nonspecial(d, n, m, seed=0).verdict == NONSPECIAL
-    declined = corollary_nonspecial(174, 10, 55, seed=0)
+        ok = ok and corollary(d, n, m, seed=0).verdict == NONSPECIAL
+    declined = corollary(174, 10, 55, seed=0)
     ok = ok and declined.verdict == INCONCLUSIVE
     red = certify(homogeneous_system(3, 10, -2, tag=ON_CUBIC), seed=0)
     ok = ok and red.verdict == SPECIAL_EXACT and red.h0 == 10 and red.h1 == 10
@@ -99,8 +105,8 @@ def test_criterion_6_direct_cross_check():
           and c2.verdict == NONSPECIAL and c2.h0 == 1
           and (M1.rows, M1.cols) == (100, 105)
           and (M2.rows, M2.cols) == (1710, 1711)
-          and corollary_nonspecial(13, 10, 4, seed=0).h0 == c1.h0
-          and corollary_nonspecial(57, 10, 18, seed=0).h0 == c2.h0
+          and corollary(13, 10, 4, seed=0).h0 == c1.h0
+          and corollary(57, 10, 18, seed=0).h0 == c2.h0
           and elapsed < 60.0)
     report(f"6 direct generic checks agree with reduction route "
            f"({elapsed:.1f} s < 60 s)", ok)
@@ -166,7 +172,7 @@ def test_criterion_8_deterministic_certificates():
     def run_suite():
         out = []
         for (d, n, m) in CASES:
-            out.append(corollary_nonspecial(d, n, m, seed=1).to_json())
+            out.append(corollary(d, n, m, seed=1).to_json())
         out.append(certify(homogeneous_system(13, 10, 4), seed=1).to_json())
         out.append(certify(homogeneous_system(4, 10, 1, tag=ON_CUBIC),
                            seed=1).to_json())

@@ -7,13 +7,18 @@ import sys
 import pytest
 
 import fatpoints
-from fatpoints import cli, elliptic, interp, linsys
+from fatpoints import cli, elliptic, interp, linsys, store as store_mod
 from fatpoints.cli import (EXIT_DECIDED, EXIT_UNDECIDED, EXIT_USAGE, main,
                            parse_mults, parse_range)
 from fatpoints.elliptic import corollary_nonspecial, reduce, theorem_upper_bound
 from fatpoints.interp import certify
 from fatpoints.linsys import FatPointSystem, homogeneous_system
 from fatpoints.store import CertificateStore, record_key
+
+
+def _invocation(rec):
+    """(command, system, config) of a store record, to look it up by."""
+    return rec["command"], rec["system"], rec["config"]
 
 
 def run(capsys, *argv):
@@ -163,6 +168,18 @@ def test_bound_scans_down_to_the_zero_twist(capsys):
     assert (rec["h0_bound"], rec["mu"]) == (1, 0)
 
 
+def test_bound_peels_each_scanned_twist_once(capsys, monkeypatch):
+    # (13; 4^10) reaches its floor at the top twist 3, the only one scanned;
+    # its reduced system (4; 1^10) is peeled once, in least_h0
+    calls = []
+    real = linsys.cubic_bound
+    monkeypatch.setattr(linsys, "cubic_bound",
+                        lambda s: calls.append(s) or real(s))
+    code, out = run(capsys, "bound", "13", "10", "4", "--format", "json")
+    assert code == EXIT_DECIDED and json.loads(out)["mu"] == 3
+    assert calls == [reduce(homogeneous_system(13, 10, 4), 10, 3).reduced]
+
+
 def test_sweep_csv_and_resume(tmp_path, capsys):
     store = str(tmp_path / "certs.ndjson")
     args = ["sweep", "13", "10", "4:5", "--format", "csv", "--store", store,
@@ -208,9 +225,18 @@ def test_sweep_resumes_after_interrupt(tmp_path, capsys, monkeypatch):
         return real(*a)
 
     monkeypatch.setattr(cli, "_sweep_item", interrupt_fifth)
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(store_mod, "open", recording_open, raising=False)
     with pytest.raises(KeyboardInterrupt):
         main(argv + ["--store", store])
     assert _records(store) == want_recs[:4]
+    # the interrupted command still closed the store's append handle
+    assert len(handles) == 1 and handles[0].closed
     with open(store) as f:
         kept = f.read()
 
@@ -330,6 +356,12 @@ def _another_systems_certificate(c):
     c.update(certify(FatPointSystem(2, (2, 2))).to_dict())
 
 
+def _system_of_another_json_type(c):
+    # (d) 13.0 == 13 in Python, but in JSON the record's system is not the
+    # invocation's, so the record's own fields hash to another key
+    c["system"]["d"] = 13.0
+
+
 def _assert_miss(tmp_path, capsys, argv, tamper):
     """A stored record with tamper(certificate) applied is a miss: the
     invocation is recomputed, its record appended and served after that."""
@@ -342,7 +374,7 @@ def _assert_miss(tmp_path, capsys, argv, tamper):
     tamper(rec["certificate"])
     with open(store, "w") as f:
         f.write(json.dumps(rec) + "\n")
-    assert CertificateStore(store).lookup_certificate(rec["key"]) is None
+    assert CertificateStore(store).lookup_certificate(*_invocation(rec)) is None
 
     # the bad record is recomputed and the current one appended after it
     assert run(capsys, *argv, "--store", store) == (want_code, want)
@@ -356,7 +388,7 @@ def _assert_miss(tmp_path, capsys, argv, tamper):
     assert os.path.getsize(store) == size
     st = CertificateStore(store)
     assert len(st) == 1
-    assert st.lookup_certificate(recs[0]["key"]).to_dict() == recs[1]["certificate"]
+    assert st.lookup_certificate(*_invocation(recs[0])).to_dict() == recs[1]["certificate"]
 
 
 def _schema_3(c):
@@ -393,10 +425,11 @@ def test_store_record_of_schema_3_is_a_miss(tmp_path, capsys):
     (["certify", "13", "4x10"], _another_systems_certificate),
     (["certify", "4", "1x10", "--placement", "cubic"], _relabelled_method),
     (["certify", "13", "4x10"], _forged_provenance),
+    (["certify", "13", "4x10"], _system_of_another_json_type),
 ], ids=["derived-fields", "report-fields", "least-sample", "exact-h0",
         "corollary-exact-h0", "report-counts", "corollary-report-counts",
         "inadmissible-twist", "direct-twist", "floor", "other-system",
-        "method-label", "evidence-provenance"])
+        "method-label", "evidence-provenance", "system-json-type"])
 def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
                                                 tamper):
     _assert_miss(tmp_path, capsys, argv, tamper)
@@ -410,7 +443,8 @@ def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
      "special-exact"),
     (lambda: certify(homogeneous_system(2, 2, 2)), "special-suspected"),
     (lambda: certify(homogeneous_system(2, 2, 2), trials=2), "inconclusive"),
-    (lambda: corollary_nonspecial(174, 10, 55), "inconclusive"),
+    (lambda: corollary_nonspecial(homogeneous_system(174, 10, 55), 57),
+     "inconclusive"),
     (lambda: theorem_upper_bound(reduce(homogeneous_system(13, 10, 4), 10, 1)),
      "inconclusive"),
 ], ids=["exact-nonspecial", "sampled-nonspecial", "special-exact",
@@ -420,8 +454,9 @@ def test_store_serves_every_verdict_kind(tmp_path, make, verdict):
     cert = make()
     assert cert.verdict == verdict
     path = str(tmp_path / "store.ndjson")
-    rec = CertificateStore(path).put("certify", cert.system.to_dict(), {}, cert)
-    back = CertificateStore(path).lookup_certificate(rec["key"])
+    with CertificateStore(path) as st:
+        rec = st.put("certify", cert.system.to_dict(), {}, cert)
+    back = CertificateStore(path).lookup_certificate(*_invocation(rec))
     assert back == cert and back.to_json() == cert.to_json()
 
 
@@ -504,20 +539,65 @@ def test_cli_output_deterministic(capsys):
     assert out1 == out2
 
 
+def test_store_put_is_seen_by_another_reader_at_once(tmp_path):
+    # each record is flushed before put returns, with the handle still open
+    path = str(tmp_path / "store.ndjson")
+    system = homogeneous_system(13, 10, 4).to_dict()
+    cert = certify(homogeneous_system(13, 10, 4))
+    with CertificateStore(path) as st:
+        for i in range(3):
+            config = {"seed": str(i)}
+            st.put("certify", system, config, cert)
+            reader = CertificateStore(path)
+            assert len(reader) == i + 1
+            assert reader.lookup_certificate("certify", system, config) == cert
+
+
+def test_sweep_opens_its_store_once_and_hashes_each_key_once(
+        tmp_path, capsys, monkeypatch):
+    appends, keys = [], []
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        if "a" in mode:
+            appends.append(path)
+        return open(path, mode, *args, **kwargs)
+
+    def counting_key(*invocation):
+        keys.append(invocation)
+        return record_key(*invocation)
+
+    # the store's module-level open shadows the builtin one
+    monkeypatch.setattr(store_mod, "open", counting_open, raising=False)
+    monkeypatch.setattr(store_mod, "record_key", counting_key)
+    monkeypatch.setattr(cli, "record_key", counting_key)
+    store = str(tmp_path / "certs.ndjson")
+    argv = ["sweep", "10:12", "10", "4", "--store", store]
+    code, cold = run(capsys, *argv)
+    assert code == EXIT_DECIDED and len(_records(store)) == 3
+    assert appends == [store] and len(keys) == 3
+
+    # a fully served resume opens nothing for append
+    appends.clear()
+    keys.clear()
+    assert run(capsys, *argv) == (EXIT_DECIDED, cold)
+    assert appends == [] and len(keys) == 3
+
+
 def test_store_roundtrip(tmp_path):
     path = str(tmp_path / "store.ndjson")
-    st = CertificateStore(path)
     cert = certify(homogeneous_system(4, 10, 1, tag="on-cubic"), seed=1)
     system = {"d": 4, "mults": [1] * 10, "tags": ["on-cubic"] * 10}
     config = {"prime": "2147483629", "seed": "1", "trials": 3}
-    rec = st.put("certify", system, config, cert)
+    with CertificateStore(path) as st:
+        rec = st.put("certify", system, config, cert)
 
     st2 = CertificateStore(path)
     assert len(st2) == 1
     key = record_key("certify", system, config)
     with open(path) as f:
         assert json.loads(f.read()) == rec
-    assert st2.lookup_certificate(key) == cert
+    assert rec["key"] == key
+    assert st2.lookup_certificate("certify", system, config) == cert
 
     # identical put is a no-op
     rec2 = st2.put("certify", system, config, cert)
@@ -529,7 +609,8 @@ def test_store_roundtrip(tmp_path):
 def _one_record_store(path):
     cert = certify(homogeneous_system(4, 10, 1, tag="on-cubic"), seed=1)
     system = {"d": 4, "mults": [1] * 10, "tags": ["on-cubic"] * 10}
-    CertificateStore(path).put("certify", system, {"seed": "1"}, cert)
+    with CertificateStore(path) as st:
+        st.put("certify", system, {"seed": "1"}, cert)
     return system, cert
 
 
@@ -542,11 +623,11 @@ def test_store_drops_torn_last_line(tmp_path, capsys):
         f.write(whole[:40])  # a second record cut off mid-write
     capsys.readouterr()
 
-    st = CertificateStore(path)
-    assert len(st) == 1
-    assert "torn last line" in capsys.readouterr().err
-    # the next append replaces the torn tail, so the file loads cleanly
-    st.put("certify", system, {"seed": "2"}, cert)
+    with CertificateStore(path) as st:
+        assert len(st) == 1
+        assert "torn last line" in capsys.readouterr().err
+        # the next append replaces the torn tail, so the file loads cleanly
+        st.put("certify", system, {"seed": "2"}, cert)
     assert len(CertificateStore(path)) == 2
     assert capsys.readouterr().err == ""
     with open(path) as f:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,10 +16,30 @@ CASES = [(13, 10, 4), (28, 12, 8), (38, 10, 12), (57, 10, 18), (174, 10, 55)]
 MUS = [3, 9, 13, 19, 57]
 
 
+def corollary(d, n, m, **kw):
+    """corollary_nonspecial on the sweep row (d; m^n) and its twist."""
+    return corollary_nonspecial(homogeneous_system(d, n, m),
+                                corollary_twist(d, n, m), **kw)
+
+
 def test_mu_bound_values():
     for (d, n, m), mu in zip(CASES, MUS):
         b = mu_bound(d, n, m)
         assert b == mu and b.denominator == 1
+
+
+def test_mu_bound_and_twist_match_their_first_definitions():
+    # mu_bound was 1 + Fraction(2mn - 6d, n - 9), and corollary_twist read
+    # it as int(mu) when it was a positive integer and d, m >= 1
+    for d in range(-5, 81):
+        for n in range(10, 21):
+            for m in range(-2, 46):
+                old = 1 + Fraction(2 * m * n - 6 * d, n - 9)
+                b = mu_bound(d, n, m)
+                assert b == old and str(b) == str(old), (d, n, m)
+                twist = int(old) if (old.denominator == 1 and old > 0
+                                     and d >= 1 and m >= 1) else None
+                assert corollary_twist(d, n, m) == twist, (d, n, m)
 
 
 def test_mu_bound_needs_ten_points():
@@ -241,7 +262,7 @@ def test_best_bound_is_the_least_bound_over_admissible_twists():
     for (d, n, m) in [(13, 10, 4), (10, 11, 3), (9, 13, 2), (21, 12, 6),
                       (0, 10, 0), (-3, 10, 1), (2, 10, 2)]:
         top = mu_bound(d, n, m)
-        best, mu = best_bound(d, n, m, lambda r: True, trials=1, seed=4)
+        best, mu = best_bound(d, n, m, trials=1, seed=4)
         if top < 0:
             assert (best, mu) == (None, None)
             continue
@@ -253,10 +274,20 @@ def test_best_bound_is_the_least_bound_over_admissible_twists():
             except InapplicableError:
                 assert t > 0 and (d < 1 or m < 1)
         assert best == min(bounds.values()) and bounds[mu] == best
-    assert best_bound(13, 10, 4, lambda r: False) == (None, None)
-    # only the exact twists fit: (1; 1^10) twists to an empty system
-    assert best_bound(1, 10, 1, lambda r: linsys.exact_h0(r) is not None) \
-        == (0, 15)
+    # in 0 cells only the twists the peel decides fit: (1; 1^10) twists to
+    # an empty system
+    assert best_bound(1, 10, 1, 0) == (0, 15)
+
+
+def test_best_bound_skips_twists_too_large_to_sample(monkeypatch):
+    # (4; 1^13): twist 1 is peeled to the bound 3, and twist 0 would sample
+    # 120 cells, more than the limit, so it is skipped with no sample
+    monkeypatch.setattr(interp, "h0_at_sample",
+                        lambda *a: pytest.fail("sampled"))
+    assert best_bound(4, 13, 1, 119, trials=1) == (3, 1)
+    # when the peel decides no twist, none fits in 0 cells
+    monkeypatch.setattr(linsys, "exact_h0", lambda s: None)
+    assert best_bound(13, 10, 4, 0) == (None, None)
 
 
 def test_best_bound_stops_at_the_floor(monkeypatch):
@@ -266,18 +297,18 @@ def test_best_bound_stops_at_the_floor(monkeypatch):
     real = elliptic.reduce
     monkeypatch.setattr(elliptic, "reduce",
                         lambda s, k, mu: calls.append(mu) or real(s, k, mu))
-    assert best_bound(13, 10, 4, lambda r: True, trials=1) == (5, 3)
+    assert best_bound(13, 10, 4, trials=1) == (5, 3)
     assert calls == [3]
 
 
 def test_corollary_certifies_first_four_cases():
     for (d, n, m) in CASES[:4]:
-        cert = corollary_nonspecial(d, n, m, seed=0)
+        cert = corollary(d, n, m, seed=0)
         assert cert.verdict == NONSPECIAL
 
 
 def test_corollary_declines_obstructed_case():
-    cert = corollary_nonspecial(174, 10, 55, seed=0)
+    cert = corollary(174, 10, 55, seed=0)
     assert cert.verdict == INCONCLUSIVE
     assert cert.h0_bound == 10
 
@@ -285,7 +316,7 @@ def test_corollary_declines_obstructed_case():
 def test_corollary_inapplicable_for_fractional_mu():
     assert mu_bound(13, 13, 4).denominator != 1
     with pytest.raises(InapplicableError):
-        corollary_nonspecial(13, 13, 4)
+        corollary(13, 13, 4)
 
 
 def test_corollary_inapplicable_without_positive_degree_and_multiplicity():
@@ -296,7 +327,7 @@ def test_corollary_inapplicable_without_positive_degree_and_multiplicity():
         assert mu_bound(d, n, m).denominator == 1 and mu_bound(d, n, m) > 0
         assert corollary_twist(d, n, m) is None
         with pytest.raises(InapplicableError):
-            corollary_nonspecial(d, n, m)
+            corollary(d, n, m)
     assert [corollary_twist(*c) for c in CASES] == MUS
 
 
@@ -311,7 +342,7 @@ def test_corollary_is_floor_case_of_the_bound():
         mu = corollary_twist(d, n, m)
         if mu is None:
             continue
-        cert = corollary_nonspecial(d, n, m, trials=1, seed=2)
+        cert = corollary(d, n, m, trials=1, seed=2)
         red = certify(reduce(homogeneous_system(d, n, m), n, mu).reduced,
                       trials=1, seed=2)
         assert (cert.verdict == NONSPECIAL) == (red.verdict == NONSPECIAL)
@@ -326,7 +357,7 @@ def test_corollary_agrees_with_direct_certification():
     # cross-validation on cases small enough to run both routes; (1; 1^10)
     # twists by 15 to an empty system, so its bound is exact
     for (d, n, m) in [(13, 10, 4), (28, 12, 8), (1, 10, 1)]:
-        via_reduction = corollary_nonspecial(d, n, m, seed=3)
+        via_reduction = corollary(d, n, m, seed=3)
         direct = certify(homogeneous_system(d, n, m), seed=3)
         assert via_reduction.verdict == direct.verdict == NONSPECIAL
         assert via_reduction.h0 == direct.h0

@@ -164,6 +164,27 @@ def test_cubic_bound_peels():
     assert cubic_bound(FatPointSystem(0, ())) == 1
 
 
+def _cubic_bound_per_point(s):
+    """cubic_bound as it was first written: one multiplicity list per point."""
+    d, mults, bound = s.d, [max(m, 0) for m in s.mults], 0
+    while d >= 0:
+        if not any(mults):
+            return bound + monomial_count(d)
+        e = 3 * d - sum(mults)
+        bound += e if e > 0 else 1 if e == 0 else 0
+        d, mults = d - 3, [max(m - 1, 0) for m in mults]
+    return bound
+
+
+def test_cubic_bound_matches_the_per_point_peel():
+    rng = random.Random(19)
+    for _ in range(500):
+        n = rng.randint(0, 14)
+        s = FatPointSystem(rng.randint(-4, 40),
+                           tuple(rng.randint(-3, 12) for _ in range(n)))
+        assert cubic_bound(s) == _cubic_bound_per_point(s), s
+
+
 def _on_cubic_corpus(rng, count):
     for _ in range(count):
         n = rng.randint(1, 12)
