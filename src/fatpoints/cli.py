@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -254,7 +255,9 @@ def cmd_sweep(args) -> int:
     return EXIT_DECIDED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: it holds no per-call state."""
     flags = {
         "--prime": dict(type=int, default=DEFAULT_PRIME),
         "--seed": dict(type=int, default=0),

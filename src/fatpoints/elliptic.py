@@ -41,8 +41,16 @@ class ReductionPlan:
     reduced: FatPointSystem
     chi_original: int
     chi_reduced: int
-    chi_S: int           # chi deficit carried by the ruled component
-    hypothesis: bool     # chi_reduced >= chi_original
+
+    @property
+    def chi_S(self) -> int:
+        """The chi deficit carried by the ruled component."""
+        return self.chi_original - self.chi_reduced
+
+    @property
+    def hypothesis(self) -> bool:
+        """The chi hypothesis: the twist does not lower chi."""
+        return self.chi_reduced >= self.chi_original
 
 
 def mu_bound(d: int, n: int, m: int) -> Fraction:
@@ -54,18 +62,6 @@ def mu_bound(d: int, n: int, m: int) -> Fraction:
     if n <= 9:
         raise ReductionError("need at least 10 points")
     return Fraction(n - 9 + 2 * m * n - 6 * d, n - 9)
-
-
-def chi_gap(d: int, n: int, m: int, mu: int) -> int:
-    """chi(twisted system on the cubic) - chi(original), closed form.
-
-    Equals mu*(n - 9 - 6d + 2mn - mu*(n-9))/2; always an integer.
-    """
-    if n <= 9:
-        raise ReductionError("need at least 10 points")
-    t = mu * (n - 9 - 6 * d + 2 * m * n - mu * (n - 9))
-    assert t % 2 == 0
-    return t // 2
 
 
 def reduce(s: FatPointSystem, k: int, mu: int) -> ReductionPlan:
@@ -84,25 +80,9 @@ def reduce(s: FatPointSystem, k: int, mu: int) -> ReductionPlan:
     new_mults = tuple(m - mu if i < k else m for i, m in enumerate(s.mults))
     new_tags = (ON_CUBIC,) * k + (GENERIC,) * (s.npoints - k)
     reduced = FatPointSystem(s.d - 3 * mu, new_mults, new_tags)
-    chi_o = linsys.chi(s)
-    chi_r = linsys.chi(reduced)
     return ReductionPlan(original=s, k=k, mu=mu, reduced=reduced,
-                         chi_original=chi_o, chi_reduced=chi_r,
-                         chi_S=chi_o - chi_r,
-                         hypothesis=chi_r >= chi_o)
-
-
-def chi_identity_check(plan: ReductionPlan) -> bool:
-    """Consistency of the chi bookkeeping on the degenerate fiber.
-
-    The two components' characteristics must sum back to the original, and
-    whenever the hypothesis holds the ruled component's chi is <= 0.
-    """
-    if plan.chi_S != plan.chi_original - plan.chi_reduced:
-        return False
-    if plan.hypothesis and plan.chi_S > 0:
-        return False
-    return True
+                         chi_original=linsys.chi(s),
+                         chi_reduced=linsys.chi(reduced))
 
 
 def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS,

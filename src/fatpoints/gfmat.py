@@ -25,10 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# the field helpers live in .field, which has no numpy; they are
-# re-exported here
-from .field import (DEFAULT_PRIME, MAX_PRIME, GFMatError,  # noqa: F401
-                    check_modulus, is_prime, legendre, sqrt_mod)
+from .field import DEFAULT_PRIME, check_modulus
 
 # At most MAX_INNER terms per float64 product of residues below MAX_PRIME:
 # MAX_INNER * (p - 1)^2 < 2^11 * 2^42 = 2^53.

@@ -26,13 +26,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import field, linsys
-# the certificate data lives in .certificate, which has no numpy; it is
-# re-exported here
-from .certificate import (CERT_SCHEMA_VERSION, DEGENERATION_CODIM,  # noqa: F401
-                          DIRECT_GENERIC, DIRECT_ON_CUBIC, INCONCLUSIVE,
-                          NONSPECIAL, SPECIAL_EXACT, SPECIAL_SUSPECTED,
-                          Certificate, ConfigError, RankReport, SamplingError,
-                          certificate_from_dict, derive_seed, is_special)
+from .certificate import (Certificate, ConfigError, RankReport, SamplingError,
+                          derive_seed)
 from .field import DEFAULT_PRIME
 from .linsys import ON_CUBIC, FatPointSystem
 
@@ -49,12 +44,11 @@ class PointConfig:
     """A concrete point set over GF(p): projective triples plus placement tags.
 
     cubic is the (a, b) of y^2 = x^3 + ax + b when any point is constrained
-    to the curve, else None.  Deterministic in (p, seed).
+    to the curve, else None.
     """
     p: int
     points: tuple          # ((x, y, z), ...) fully reduced mod p
     tags: tuple
-    seed: int
     cubic: Optional[tuple] = None
 
 
@@ -119,8 +113,7 @@ def sample_config(tags, p: int, seed: int) -> PointConfig:
                 break
         else:
             raise SamplingError("retry budget exhausted while sampling points")
-    return PointConfig(p=p, points=tuple(points), tags=tags, seed=seed,
-                       cubic=cubic)
+    return PointConfig(p=p, points=tuple(points), tags=tags, cubic=cubic)
 
 
 def config_for_system(s: FatPointSystem, p: int, seed: int) -> PointConfig:
@@ -278,13 +271,7 @@ def _frame(eff: FatPointSystem, cfg: PointConfig):
 def framed_cells(s: FatPointSystem) -> int:
     """Cells of the matrix h0_at_sample eliminates for s when the frame's
     points are not collinear: the other points' conditions times the kept
-    monomials, or the whole matrix when s has no frame.  0 when
-    linsys.exact_h0 decides s, which needs no matrix."""
-    return 0 if linsys.exact_h0(s) is not None else _sampled_cells(s)
-
-
-def _sampled_cells(s: FatPointSystem) -> int:
-    """framed_cells(s) for an s that linsys.exact_h0 leaves undecided."""
+    monomials, or the whole matrix when s has no frame."""
     eff = linsys.effective_part(s)
     top, keep = _frame_of(eff) or ((), range(linsys.monomial_count(eff.d)))
     return len(keep) * sum(m * (m + 1) // 2 for i, m in enumerate(eff.mults)
@@ -335,7 +322,7 @@ def least_h0(s: FatPointSystem, trials: int, p: int, seed: int,
     h0 = linsys.exact_h0(s)
     if h0 is not None:
         return h0, ()
-    if max_cells is not None and _sampled_cells(s) > max_cells:
+    if max_cells is not None and framed_cells(s) > max_cells:
         raise MatrixTooLarge(f"the framed matrix of {s} has more than "
                              f"{max_cells} cells")
     evidence = []

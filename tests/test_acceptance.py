@@ -8,12 +8,12 @@ import time
 import pytest
 
 from fatpoints import cli, elliptic, gfmat, interp, linsys
-from fatpoints.elliptic import (chi_gap, chi_identity_check,
-                                corollary_nonspecial, mu_bound, reduce,
+from fatpoints.certificate import INCONCLUSIVE, NONSPECIAL, SPECIAL_EXACT
+from fatpoints.elliptic import (corollary_nonspecial, mu_bound, reduce,
                                 theorem_upper_bound)
-from fatpoints.gfmat import DEFAULT_PRIME, GFMatrix
-from fatpoints.interp import (INCONCLUSIVE, NONSPECIAL, SPECIAL_EXACT,
-                              build_matrix, certify, config_for_system,
+from fatpoints.field import DEFAULT_PRIME
+from fatpoints.gfmat import GFMatrix
+from fatpoints.interp import (build_matrix, certify, config_for_system,
                               h0_at_sample)
 from fatpoints.linsys import (FatPointSystem, ON_CUBIC, chi, cremona,
                               homogeneous_system)
@@ -124,20 +124,23 @@ def test_criterion_6_optional_direct_largest_case():
 def test_criterion_7_property_suites():
     rng = random.Random(2026)
 
-    for _ in range(100):  # chi-gap formula vs direct chi difference
+    for _ in range(100):  # chi-gap closed form vs direct chi difference
         d, n, m = rng.randint(0, 50), rng.randint(10, 20), rng.randint(0, 10)
         mu = rng.randint(0, m + 3)
         plan = reduce(homogeneous_system(d, n, m), n, mu)
-        assert chi_gap(d, n, m, mu) == plan.chi_reduced - plan.chi_original
+        gap = mu * (n - 9 - 6 * d + 2 * m * n - mu * (n - 9))
+        assert gap % 2 == 0
+        assert gap // 2 == plan.chi_reduced - plan.chi_original
 
     for _ in range(100):  # chi identity and hypothesis sign
         d, n = rng.randint(0, 40), rng.randint(10, 16)
         mults = tuple(rng.randint(0, 8) for _ in range(n))
         plan = reduce(FatPointSystem(d, mults), rng.randint(10, n),
                       rng.randint(0, 10))
-        assert chi_identity_check(plan)
-        if plan.hypothesis:
-            assert plan.chi_S <= 0
+        assert plan.chi_original == chi(plan.original)
+        assert plan.chi_reduced == chi(plan.reduced)
+        assert plan.chi_S == plan.chi_original - plan.chi_reduced
+        assert plan.hypothesis == (plan.chi_S <= 0)
 
     for _ in range(100):  # cremona preserves chi
         s = FatPointSystem(rng.randint(-2, 20),

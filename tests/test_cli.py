@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import fatpoints
-from fatpoints import cli, elliptic, interp, linsys, store as store_mod
+from fatpoints import (certificate, cli, elliptic, interp, linsys,
+                       store as store_mod)
 from fatpoints.cli import (EXIT_DECIDED, EXIT_UNDECIDED, EXIT_USAGE, main,
                            parse_mults, parse_range)
 from fatpoints.elliptic import corollary_nonspecial, reduce, theorem_upper_bound
@@ -83,6 +84,16 @@ def test_certify_exit_codes(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["reduce", "5", "9", "2"]) == 1
     assert main(["certify", "7", "1x5", "--prime", "1000"]) == 1
+
+
+def test_main_builds_the_parser_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "expdim", "13", "4x10", "--format", "json")[0] == 0
+    # the second call sees its own defaults, not the first call's flags
+    code, out = run(capsys, "expdim", "13", "4x10")
+    assert code == 0 and out.startswith("system ")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -258,7 +269,8 @@ def test_sweep_propagates_an_unexpected_exception(capsys, monkeypatch):
             raise e
         return certify
 
-    monkeypatch.setattr(interp, "certify", raising(interp.SamplingError("no")))
+    monkeypatch.setattr(interp, "certify",
+                        raising(certificate.SamplingError("no")))
     code, out = run(capsys, "sweep", "10", "10", "2", "--format", "json")
     assert code == EXIT_DECIDED and json.loads(out)[0]["verdict"] == "error: no"
 
@@ -314,7 +326,8 @@ def _corollary_counts_of_another_twist(c):
     # (b) the corollary records twist 3 for (13; 4^10), which reduces it to
     # (4; 1^10); this report counts (7; 2^10), the reduced system of twist
     # 2: 36 monomials and 30 conditions
-    c["evidence"] = [{"prime": c["prime"], "seed": str(interp.derive_seed(0, 0)),
+    c["evidence"] = [{"prime": c["prime"],
+                      "seed": str(certificate.derive_seed(0, 0)),
                       "report": {"monomials": 36, "conditions": 30,
                                  "rank": 30, "h0_sample": 6,
                                  "full_rank": True}}]
@@ -380,7 +393,8 @@ def _assert_miss(tmp_path, capsys, argv, tamper):
     assert run(capsys, *argv, "--store", store) == (want_code, want)
     recs = _records(store)
     assert len(recs) == 2 and recs[0]["key"] == recs[1]["key"]
-    assert recs[1]["certificate"]["schema_version"] == interp.CERT_SCHEMA_VERSION
+    assert (recs[1]["certificate"]["schema_version"]
+            == certificate.CERT_SCHEMA_VERSION)
 
     # resuming on that store hits the later line and appends nothing
     size = os.path.getsize(store)

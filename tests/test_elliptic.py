@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from fatpoints import elliptic, interp, linsys
+from fatpoints.certificate import INCONCLUSIVE, NONSPECIAL, derive_seed
 from fatpoints.elliptic import (InapplicableError, ReductionError,
-                                best_bound, chi_gap, chi_identity_check,
-                                corollary_nonspecial, corollary_twist,
-                                mu_bound, reduce, theorem_upper_bound)
-from fatpoints.interp import INCONCLUSIVE, NONSPECIAL, SPECIAL_EXACT, certify
+                                best_bound, corollary_nonspecial,
+                                corollary_twist, mu_bound, reduce,
+                                theorem_upper_bound)
+from fatpoints.interp import certify
 from fatpoints.linsys import (FatPointSystem, GENERIC, ON_CUBIC, chi,
                               homogeneous_system)
 
@@ -55,22 +56,36 @@ def test_mu_bound_integrality_iff_divisibility():
         assert (b.denominator == 1) == ((2 * m * n - 6 * d) % (n - 9) == 0)
 
 
+def chi_gap(d, n, m, mu):
+    """The reference closed form of chi(reduced) - chi(original) for
+    (d; m^n) with all n points on the cubic and twist mu."""
+    t = mu * (n - 9 - 6 * d + 2 * m * n - mu * (n - 9))
+    assert t % 2 == 0
+    return t // 2
+
+
+def plan_gap(d, n, m, mu):
+    plan = reduce(homogeneous_system(d, n, m), n, mu)
+    return plan.chi_reduced - plan.chi_original
+
+
 def test_chi_gap_zero_twist():
     rng = random.Random(1)
     for _ in range(50):
         d, n, m = rng.randint(0, 40), rng.randint(10, 20), rng.randint(0, 9)
-        assert chi_gap(d, n, m, 0) == 0
+        assert plan_gap(d, n, m, 0) == chi_gap(d, n, m, 0) == 0
 
 
 def test_chi_gap_boundary_case():
-    assert chi_gap(13, 10, 4, 3) == 0
+    assert plan_gap(13, 10, 4, 3) == chi_gap(13, 10, 4, 3) == 0
 
 
 def test_chi_gap_against_direct_chi():
     # oracle: direct chi difference of the reduced and original systems
     red = homogeneous_system(10, 10, 3, tag=ON_CUBIC)
     orig = homogeneous_system(13, 10, 4)
-    assert chi_gap(13, 10, 4, 1) == chi(red) - chi(orig)
+    assert plan_gap(13, 10, 4, 1) == chi_gap(13, 10, 4, 1) \
+        == chi(red) - chi(orig)
 
 
 def test_chi_gap_formula_matches_reduction():
@@ -80,8 +95,7 @@ def test_chi_gap_formula_matches_reduction():
         n = rng.randint(10, 20)
         m = rng.randint(0, 10)
         mu = rng.randint(0, m + 3)
-        plan = reduce(homogeneous_system(d, n, m), n, mu)
-        assert chi_gap(d, n, m, mu) == plan.chi_reduced - plan.chi_original
+        assert plan_gap(d, n, m, mu) == chi_gap(d, n, m, mu)
 
 
 def test_chi_gap_parabola_roots_and_hypothesis():
@@ -134,13 +148,24 @@ def test_reduce_preconditions():
         reduce(homogeneous_system(4, 10, 1, tag=ON_CUBIC), 10, 1)
 
 
+def check_chi_identity(plan):
+    """The plan's chis are those of its two systems, the ruled component
+    carries their difference, and the hypothesis is that it carries none
+    of positive chi."""
+    assert plan.chi_original == chi(plan.original)
+    assert plan.chi_reduced == chi(plan.reduced)
+    assert plan.chi_S == plan.chi_original - plan.chi_reduced
+    assert plan.hypothesis == (plan.chi_S <= 0)
+
+
 def test_chi_identity_check():
     for (d, n, m), mu in zip(CASES, MUS):
         plan = reduce(homogeneous_system(d, n, m), n, mu)
-        assert chi_identity_check(plan)
+        check_chi_identity(plan)
+        assert plan.hypothesis
     plan = reduce(homogeneous_system(13, 10, 4), 10, 4)
+    check_chi_identity(plan)
     assert not plan.hypothesis
-    assert chi_identity_check(plan)
 
 
 def test_chi_identity_random_plans():
@@ -151,11 +176,7 @@ def test_chi_identity_random_plans():
         mults = tuple(rng.randint(0, 8) for _ in range(n))
         k = rng.randint(10, n)
         mu = rng.randint(0, 10)
-        plan = reduce(FatPointSystem(d, mults), k, mu)
-        assert chi_identity_check(plan)
-        assert plan.chi_S == plan.chi_original - plan.chi_reduced
-        if plan.hypothesis:
-            assert plan.chi_S <= 0
+        check_chi_identity(reduce(FatPointSystem(d, mults), k, mu))
 
 
 def test_theorem_upper_bound_paper_cases():
@@ -208,9 +229,9 @@ def test_theorem_upper_bound_stops_at_first_full_rank_trial():
         cert = theorem_upper_bound(plan, trials=3, seed=0)
         assert cert.trials == 3 and len(cert.evidence) == 1
         (_, sub, rep), = cert.evidence
-        assert rep.full_rank and sub == interp.derive_seed(0, 0)
+        assert rep.full_rank and sub == derive_seed(0, 0)
         every = [interp.h0_at_sample(plan.reduced, interp.config_for_system(
-                     plan.reduced, cert.prime, interp.derive_seed(0, t)))
+                     plan.reduced, cert.prime, derive_seed(0, t)))
                  for t in range(3)]
         assert cert.h0_bound == min(r.h0_sample for r in every)
 

@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from fatpoints import gfmat
-from fatpoints.gfmat import (DEFAULT_PRIME, LEAF, MAX_INNER, MAX_PRIME,
-                             GFMatrix, is_prime, legendre, rank,
-                             rational_rank, sqrt_mod)
+from fatpoints import field, gfmat
+from fatpoints.field import (DEFAULT_PRIME, MAX_PRIME, is_prime, legendre,
+                             sqrt_mod)
+from fatpoints.gfmat import LEAF, MAX_INNER, GFMatrix, rank, rational_rank
 
 PRIMES = [101, 32003, DEFAULT_PRIME]
 
@@ -22,14 +22,14 @@ def test_is_prime():
 def test_repeated_modulus_check_hits_the_is_prime_cache():
     is_prime.cache_clear()
     for _ in range(3):
-        gfmat.check_modulus(1000003)
+        field.check_modulus(1000003)
         GFMatrix([[1, 2]], 1000003)
     info = is_prime.cache_info()
     assert (info.misses, info.hits) == (1, 5)
-    with pytest.raises(gfmat.GFMatError):
-        gfmat.check_modulus(1000001)
-    with pytest.raises(gfmat.GFMatError):
-        gfmat.check_modulus(1000001)  # a cached False still refuses
+    with pytest.raises(field.GFMatError):
+        field.check_modulus(1000001)
+    with pytest.raises(field.GFMatError):
+        field.check_modulus(1000001)  # a cached False still refuses
     assert is_prime.cache_info().hits == 6
 
 
@@ -124,14 +124,14 @@ def test_sqrt_mod():
                 r = sqrt_mod(a, p)
                 assert r * r % p == a % p
             else:
-                with pytest.raises(gfmat.GFMatError):
+                with pytest.raises(field.GFMatError):
                     sqrt_mod(a, p)
 
 
 def test_bad_modulus_rejected():
-    with pytest.raises(gfmat.GFMatError):
+    with pytest.raises(field.GFMatError):
         GFMatrix([[1]], 100)
-    with pytest.raises(gfmat.GFMatError):
+    with pytest.raises(field.GFMatError):
         GFMatrix([[1]], 2)
 
 
@@ -143,11 +143,11 @@ def test_rank_refuses_word_overflowing_prime():
     rng = np.random.default_rng(1)
     M = rng.integers(0, big, (6, 6))
     M[5] = (M[0] + M[1]) % big
-    with pytest.raises(gfmat.GFMatError, match="2\\^21"):
+    with pytest.raises(field.GFMatError, match="2\\^21"):
         rank(GFMatrix(M, big))
     # 2097169 is the least prime above 2^21, and the default the largest
     # below it
-    with pytest.raises(gfmat.GFMatError, match="2\\^21"):
+    with pytest.raises(field.GFMatError, match="2\\^21"):
         GFMatrix(M, 2097169)
     assert MAX_PRIME == 2 ** 21 and DEFAULT_PRIME < MAX_PRIME
     assert not any(is_prime(q) for q in range(DEFAULT_PRIME + 1, 2097169))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fatpoints import interp, linsys
-from fatpoints.gfmat import DEFAULT_PRIME
+from fatpoints.field import DEFAULT_PRIME
 from fatpoints.linsys import (FatPointSystem, GENERIC, ON_CUBIC, chi,
                               conditions_count, cremona, cremona_standardize,
                               cubic_bound, effective_part, exact_h0,
