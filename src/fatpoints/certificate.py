@@ -7,7 +7,6 @@ sampling route that fills in the evidence is interp.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -171,5 +170,6 @@ def certificate_from_dict(d: dict) -> Certificate:
 
 def derive_seed(seed: int, index: int) -> int:
     """Stable 64-bit sub-seed for trial number `index`."""
+    import hashlib  # loaded by the first trial, not by every CLI start
     h = hashlib.sha256(f"{seed}:{index}".encode()).digest()
     return int.from_bytes(h[:8], "big")

@@ -16,7 +16,7 @@ import sys
 from . import certificate, elliptic, field, interp, linsys
 from .field import DEFAULT_PRIME
 from .linsys import GENERIC, ON_CUBIC, FatPointSystem
-from .store import CertificateStore, record_key
+from .store import CertificateStore
 
 DEFAULT_MAX_MATRIX_ENTRIES = 4_000_000
 
@@ -96,21 +96,12 @@ def _store(args):
     return CertificateStore(args.store) if args.store else contextlib.nullcontext()
 
 
-def _stored(st, command: str, s: FatPointSystem, config: dict, compute):
-    """compute() -> (verdict, certificate or None), run only when the store
-    serves no certificate for this invocation; its certificate is stored at
-    once.  The invocation's key is hashed once, for both."""
+def _certified(st, command: str, s: FatPointSystem, config: dict, compute):
+    """compute()'s certificate, or with a store the one it serves for this
+    invocation (CertificateStore.certificate)."""
     if st is None:
         return compute()
-    invocation = (command, s.to_dict(), config)
-    key = record_key(*invocation)
-    cert = st.lookup_certificate(*invocation, key=key)
-    if cert is not None:
-        return cert.verdict, cert
-    verdict, cert = compute()
-    if cert is not None:
-        st.put(*invocation, cert, key=key)
-    return verdict, cert
+    return st.certificate(command, s.to_dict(), config, compute)
 
 
 def cmd_expdim(args) -> int:
@@ -134,8 +125,8 @@ def cmd_certify(args) -> int:
     s = FatPointSystem(args.d, mults, (tag,) * len(mults))
     _check_runconfig(args, max(args.d, 0))
     with _store(args) as st:
-        _, cert = _stored(st, "certify", s, _config_dict(args), lambda: (
-            None, interp.certify(s, args.trials, args.prime, args.seed)))
+        cert = _certified(st, "certify", s, _config_dict(args), lambda:
+                          interp.certify(s, args.trials, args.prime, args.seed))
     _emit(cert.to_dict(),
           [f"system   {s}  ({args.placement})",
            f"verdict  {cert.verdict}",
@@ -149,7 +140,7 @@ def cmd_certify(args) -> int:
 def cmd_reduce(args) -> int:
     s = linsys.homogeneous_system(args.d, args.n, args.m)
     bound = elliptic.mu_bound(args.d, args.n, args.m)
-    mu = args.mu if args.mu is not None else max(int(bound), 0) if bound > 0 else 0
+    mu = args.mu if args.mu is not None else max(int(bound), 0)
     plan = elliptic.reduce(s, args.n, mu)
     integral = bound.denominator == 1
     red = plan.reduced
@@ -211,23 +202,14 @@ def _sweep_row(s: FatPointSystem, n: int, m: int, twist, verdict: str,
             "verdict": verdict, "h0": None if cert is None else cert.h0_bound}
 
 
-def _sweep_item(s: FatPointSystem, n: int, m: int, twist, args):
-    """(verdict, certificate or None) for the homogeneous system s = (d; m^n):
-    by the corollary when its twist is not None, else directly."""
-    try:
-        if twist is not None:
-            cert = elliptic.corollary_nonspecial(s, twist, trials=args.trials,
-                                                 p=args.prime, seed=args.seed)
-        else:
-            cert = interp.certify(s, trials=args.trials, p=args.prime,
-                                  seed=args.seed,
-                                  max_cells=args.max_matrix_entries)
-    except interp.MatrixTooLarge:
-        return "skipped-too-large", None
-    except PACKAGE_ERRORS as e:
-        # the package's own per-item failures are recorded, not fatal
-        return f"error: {e}", None
-    return cert.verdict, cert
+def _sweep_item(s: FatPointSystem, twist, args):
+    """The certificate of the homogeneous system s: by the corollary when
+    its twist is not None, else directly."""
+    if twist is not None:
+        return elliptic.corollary_nonspecial(s, twist, trials=args.trials,
+                                             p=args.prime, seed=args.seed)
+    return interp.certify(s, trials=args.trials, p=args.prime, seed=args.seed,
+                          max_cells=args.max_matrix_entries)
 
 
 def cmd_sweep(args) -> int:
@@ -242,8 +224,15 @@ def cmd_sweep(args) -> int:
         for d, n, m in items:
             s = linsys.homogeneous_system(d, n, m)
             twist = elliptic.corollary_twist(d, n, m)
-            verdict, cert = _stored(st, "sweep", s, config,
-                                    lambda: _sweep_item(s, n, m, twist, args))
+            try:
+                cert = _certified(st, "sweep", s, config,
+                                  lambda: _sweep_item(s, twist, args))
+                verdict = cert.verdict
+            except interp.MatrixTooLarge:
+                cert, verdict = None, "skipped-too-large"
+            except PACKAGE_ERRORS as e:
+                # the package's own per-row failures are recorded, not fatal
+                cert, verdict = None, f"error: {e}"
             rows.append(_sweep_row(s, n, m, twist, verdict, cert))
 
     if args.format == "json":

@@ -1,11 +1,13 @@
 """Append-only certificate store: one JSON record per line.
 
-Records are keyed by a content hash of (command, input system, run config),
-so re-running an identical invocation is a lookup, not a recomputation.
-Timestamps are excluded from the hash.  A record is a hit only if its
-certificate is one this code would sign for the invocation looked up
-(_checked); any other record is a miss: the caller recomputes, the new
-record is appended, and the later line wins on load.  A last line without
+An invocation (command, input system, run config) has one canonical
+encoding, its sorted compact JSON (invocation).  A record is keyed by the
+sha256 of that encoding, so re-running an identical invocation is a
+lookup, not a recomputation; timestamps are not part of it.
+CertificateStore.certificate is the one look-up-or-compute: it serves the
+stored certificate if it is one this code would sign for the invocation
+(_checked), and otherwise computes one and appends its record at once; of
+two lines with one key, the later wins on load.  A last line without
 its newline was torn by a crash mid-write: loading drops it with a warning
 on stderr and the first append cuts it off.  A bad line before the last
 one is an error.  The first append of a run opens one append handle,
@@ -15,12 +17,11 @@ and flushed before put returns.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__, elliptic, linsys
 from .certificate import Certificate, certificate_from_dict
@@ -29,10 +30,17 @@ from .linsys import FatPointSystem
 STORE_SCHEMA_VERSION = 1
 
 
-def record_key(command: str, system: dict, config: dict) -> str:
-    payload = json.dumps({"command": command, "system": system, "config": config},
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+def invocation(command: str, system: dict, config: dict) -> str:
+    """The canonical encoding of an invocation: sorted, compact JSON, which
+    tells 1, 1.0 and true apart."""
+    return json.dumps({"command": command, "system": system, "config": config},
+                      sort_keys=True, separators=(",", ":"))
+
+
+def record_key(encoded: str) -> str:
+    """The key of the records of an encoded invocation."""
+    import hashlib  # loaded by the first hash, not by every CLI start
+    return hashlib.sha256(encoded.encode()).hexdigest()
 
 
 def _sampled(cert: Certificate) -> FatPointSystem:
@@ -47,26 +55,10 @@ def _sampled(cert: Certificate) -> FatPointSystem:
     return plan.reduced
 
 
-def _same(a, b) -> bool:
-    """a == b with each pair of leaves of one type, so that the two encode
-    to the same JSON: 1, 1.0 and true are equal in Python but not here."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is dict:
-        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
-    if type(a) is list:
-        types = [*map(type, a)]
-        if a != b or types != [*map(type, b)]:
-            return False
-        return (dict not in types and list not in types) or all(map(_same, a, b))
-    return a == b
-
-
-def _checked(rec: dict, command: str, system: dict,
-             config: dict) -> Optional[Certificate]:
+def _checked(rec: dict, encoded: str) -> Optional[Certificate]:
     """The record's certificate if this code would sign it for the
-    invocation (command, system, config), whose record_key the record is
-    found under; else None.
+    invocation encoded, under whose record_key the record is found; else
+    None.
 
     It must (a) parse and derive again to the same JSON object, which fixes
     the schema, the method, chi, h0, h1, the verdict, every report's
@@ -74,15 +66,13 @@ def _checked(rec: dict, command: str, system: dict,
     (b) have reports that count the monomials and conditions of the system
     its route samples (_sampled), and as h0_bound their least h0_sample,
     or with no evidence the linsys.exact_h0 of that system; (c) have
-    h0_bound >= max(chi, 0) when d >= -2; and (d) have the invocation's
-    command and config, and a certificate for its system.  (d) compares
-    JSON values (_same), so the record's own command, system and config
-    hash to the key it is found under.
+    h0_bound >= max(chi, 0) when d >= -2; and (d) have a command, a
+    certificate system and a config of its own that encode to the
+    invocation, so they hash to the key the record is found under.
     """
     try:
         d = rec["certificate"]
-        if not (rec["command"] == command and _same(d["system"], system)
-                and _same(rec["config"], config)):
+        if invocation(rec["command"], d["system"], rec["config"]) != encoded:
             return None
         cert = certificate_from_dict(d)
         if cert.to_dict() != d:
@@ -113,7 +103,7 @@ class CertificateStore:
         # byte offset of a torn last line, cut off before the first append
         self._torn_at = None
         self._out = None  # the append handle, from the first append on
-        if path and os.path.exists(path):
+        if os.path.exists(path):
             with open(path, "rb") as f:
                 data = f.read()
             body, _, torn = data.rpartition(b"\n")
@@ -146,26 +136,31 @@ class CertificateStore:
     def __len__(self):
         return len(self._by_key)
 
-    def lookup_certificate(self, command: str, system: dict, config: dict,
-                           key: Optional[str] = None) -> Optional[Certificate]:
-        """The stored certificate for this invocation, if one passes
-        _checked; key is its record_key when the caller has it."""
-        if key is None:
-            key = record_key(command, system, config)
-        rec = self._by_key.get(key)
-        return None if rec is None else _checked(rec, command, system, config)
+    def certificate(self, command: str, system: dict, config: dict,
+                    compute: Callable[[], Certificate]) -> Certificate:
+        """The certificate of this invocation: the stored one if it passes
+        _checked, else compute()'s, whose record is appended at once (an
+        error that compute raises stores nothing).  The invocation is
+        encoded and its key hashed once, for both."""
+        encoded = invocation(command, system, config)
+        key = record_key(encoded)
+        cert = self.lookup_certificate(key, encoded)
+        if cert is None:
+            cert = compute()
+            self.put(key, command, system, config, cert)
+        return cert
 
-    def put(self, command: str, system: dict, config: dict, cert: Certificate,
-            key: Optional[str] = None) -> dict:
-        """Append a record unless an identical invocation is already stored
-        with a certificate that passes _checked; key is as for
-        lookup_certificate."""
-        if key is None:
-            key = record_key(command, system, config)
-        existing = self._by_key.get(key)
-        if existing is not None and _checked(existing, command, system,
-                                             config) is not None:
-            return existing
+    def lookup_certificate(self, key: str, encoded: str) -> Optional[Certificate]:
+        """The certificate of the record under key, if it passes _checked
+        for the invocation encoded."""
+        rec = self._by_key.get(key)
+        return None if rec is None else _checked(rec, encoded)
+
+    def put(self, key: str, command: str, system: dict, config: dict,
+            cert: Certificate) -> None:
+        """Append the record of cert under key and flush it, so a later
+        reader, or a rerun after a kill, sees it; the first put cuts a torn
+        tail and opens the file."""
         rec = {
             "schema_version": STORE_SCHEMA_VERSION,
             "key": key,
@@ -177,18 +172,11 @@ class CertificateStore:
             "tool_version": __version__,
         }
         self._by_key[key] = rec
-        if self.path:
-            self._append(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-        return rec
-
-    def _append(self, line: str) -> None:
-        """Write line and flush it, so a later reader, or a rerun after a
-        kill, sees it; the first call cuts a torn tail and opens the file."""
         if self._out is None:
             os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
             if self._torn_at is not None:
                 os.truncate(self.path, self._torn_at)
                 self._torn_at = None
             self._out = open(self.path, "a")
-        self._out.write(line)
+        self._out.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
         self._out.flush()

@@ -14,12 +14,18 @@ from fatpoints.cli import (EXIT_DECIDED, EXIT_UNDECIDED, EXIT_USAGE, main,
 from fatpoints.elliptic import corollary_nonspecial, reduce, theorem_upper_bound
 from fatpoints.interp import certify
 from fatpoints.linsys import FatPointSystem, homogeneous_system
-from fatpoints.store import CertificateStore, record_key
+from fatpoints.store import CertificateStore, invocation, record_key
 
 
-def _invocation(rec):
-    """(command, system, config) of a store record, to look it up by."""
-    return rec["command"], rec["system"], rec["config"]
+def _lookup(st, rec):
+    """What the store st serves for the invocation of its record rec, or
+    None on a miss."""
+    encoded = invocation(rec["command"], rec["system"], rec["config"])
+    return st.lookup_certificate(record_key(encoded), encoded)
+
+
+def _recomputed():
+    pytest.fail("recomputed")
 
 
 def run(capsys, *argv):
@@ -375,19 +381,21 @@ def _system_of_another_json_type(c):
     c["system"]["d"] = 13.0
 
 
-def _assert_miss(tmp_path, capsys, argv, tamper):
-    """A stored record with tamper(certificate) applied is a miss: the
-    invocation is recomputed, its record appended and served after that."""
+def _assert_miss(tmp_path, capsys, argv, tamper, part="certificate"):
+    """A stored record with tamper applied to its part (the whole record
+    when part is None) is a miss: the invocation is recomputed, its record
+    appended and served after that."""
     argv = argv + ["--format", "json"]
     want_code, want = run(capsys, *argv)
     store = str(tmp_path / "certs.ndjson")
     run(capsys, *argv, "--store", store)
     with open(store) as f:
         rec = json.loads(f.read())
-    tamper(rec["certificate"])
+    untampered = json.loads(json.dumps(rec))
+    tamper(rec if part is None else rec[part])
     with open(store, "w") as f:
         f.write(json.dumps(rec) + "\n")
-    assert CertificateStore(store).lookup_certificate(*_invocation(rec)) is None
+    assert _lookup(CertificateStore(store), untampered) is None
 
     # the bad record is recomputed and the current one appended after it
     assert run(capsys, *argv, "--store", store) == (want_code, want)
@@ -402,7 +410,7 @@ def _assert_miss(tmp_path, capsys, argv, tamper):
     assert os.path.getsize(store) == size
     st = CertificateStore(store)
     assert len(st) == 1
-    assert st.lookup_certificate(*_invocation(recs[0])).to_dict() == recs[1]["certificate"]
+    assert _lookup(st, recs[1]).to_dict() == recs[1]["certificate"]
 
 
 def _schema_3(c):
@@ -449,6 +457,20 @@ def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
     _assert_miss(tmp_path, capsys, argv, tamper)
 
 
+@pytest.mark.parametrize("argv,part,tamper", [
+    (["certify", "13", "4x10"], "config", lambda c: c.update(trials=3.0)),
+    (["certify", "13", "4x10", "--trials", "1"], "config",
+     lambda c: c.update(trials=True)),
+    (["certify", "13", "4x10"], None, lambda rec: rec.update(command="sweep")),
+], ids=["trials-float", "trials-bool", "other-command"])
+def test_store_record_of_another_invocation_is_a_miss(tmp_path, capsys, argv,
+                                                      part, tamper):
+    # (d) 3.0 == 3 and True == 1 in Python, but the record's own config
+    # then encodes to another invocation than the one it is filed under,
+    # as does a command of another subcommand
+    _assert_miss(tmp_path, capsys, argv, tamper, part)
+
+
 @pytest.mark.parametrize("make,verdict", [
     (lambda: certify(homogeneous_system(0, 10, -1, tag="on-cubic")),
      "nonspecial-certified"),
@@ -469,8 +491,10 @@ def test_store_serves_every_verdict_kind(tmp_path, make, verdict):
     assert cert.verdict == verdict
     path = str(tmp_path / "store.ndjson")
     with CertificateStore(path) as st:
-        rec = st.put("certify", cert.system.to_dict(), {}, cert)
-    back = CertificateStore(path).lookup_certificate(*_invocation(rec))
+        assert st.certificate("certify", cert.system.to_dict(), {},
+                              lambda: cert) is cert
+    back = CertificateStore(path).certificate(
+        "certify", cert.system.to_dict(), {}, _recomputed)
     assert back == cert and back.to_json() == cert.to_json()
 
 
@@ -485,6 +509,43 @@ def test_sweep_skips_rows_whose_framed_matrix_is_too_large(capsys):
                         "--max-matrix-entries", limit)
         assert code == EXIT_DECIDED
         assert json.loads(out)[0]["verdict"] == verdict, limit
+
+
+def test_sweep_stores_no_skipped_row(tmp_path, capsys):
+    # a skipped row has no certificate: nothing is appended, and a resumed
+    # run skips it again; once it fits, only that row is computed
+    store = str(tmp_path / "certs.ndjson")
+    argv = ["sweep", "13", "13", "4", "--format", "json", "--store", store]
+    code, cold = run(capsys, *argv, "--max-matrix-entries", "7499")
+    assert code == EXIT_DECIDED
+    assert json.loads(cold)[0]["verdict"] == "skipped-too-large"
+    assert run(capsys, *argv, "--max-matrix-entries", "7499") == (code, cold)
+    assert not os.path.exists(store)
+    code, out = run(capsys, *argv, "--max-matrix-entries", "7500")
+    assert json.loads(out)[0]["verdict"] == "nonspecial-certified"
+    assert [r["certificate"]["h0_bound"] for r in _records(store)] == \
+        [json.loads(out)[0]["h0"]]
+
+
+def test_sweep_stores_no_error_row(tmp_path, capsys, monkeypatch):
+    # a row whose sampling fails is reported and not stored, so a rerun
+    # computes it again
+    def no_points(*a):
+        raise certificate.SamplingError("no points")
+
+    store = str(tmp_path / "certs.ndjson")
+    argv = ["sweep", "12:13", "13", "4", "--format", "json", "--store", store]
+    with monkeypatch.context() as mp:
+        mp.setattr(interp, "config_for_system", no_points)
+        code, out = run(capsys, *argv)
+    assert code == EXIT_DECIDED
+    rows = json.loads(out)
+    assert [(r["verdict"], r["h0"]) for r in rows] == \
+        [("nonspecial-certified", 0), ("error: no points", None)]
+    assert len(_records(store)) == 1
+    code, out = run(capsys, *argv)
+    assert json.loads(out)[1]["verdict"] == "nonspecial-certified"
+    assert len(_records(store)) == 2
 
 
 def test_sweep_grid_needs_no_matrix(tmp_path, capsys, monkeypatch):
@@ -561,10 +622,11 @@ def test_store_put_is_seen_by_another_reader_at_once(tmp_path):
     with CertificateStore(path) as st:
         for i in range(3):
             config = {"seed": str(i)}
-            st.put("certify", system, config, cert)
+            st.certificate("certify", system, config, lambda: cert)
             reader = CertificateStore(path)
             assert len(reader) == i + 1
-            assert reader.lookup_certificate("certify", system, config) == cert
+            assert reader.certificate("certify", system, config,
+                                      _recomputed) == cert
 
 
 def test_sweep_opens_its_store_once_and_hashes_each_key_once(
@@ -576,14 +638,13 @@ def test_sweep_opens_its_store_once_and_hashes_each_key_once(
             appends.append(path)
         return open(path, mode, *args, **kwargs)
 
-    def counting_key(*invocation):
-        keys.append(invocation)
-        return record_key(*invocation)
+    def counting_key(encoded):
+        keys.append(encoded)
+        return record_key(encoded)
 
     # the store's module-level open shadows the builtin one
     monkeypatch.setattr(store_mod, "open", counting_open, raising=False)
     monkeypatch.setattr(store_mod, "record_key", counting_key)
-    monkeypatch.setattr(cli, "record_key", counting_key)
     store = str(tmp_path / "certs.ndjson")
     argv = ["sweep", "10:12", "10", "4", "--store", store]
     code, cold = run(capsys, *argv)
@@ -603,28 +664,24 @@ def test_store_roundtrip(tmp_path):
     system = {"d": 4, "mults": [1] * 10, "tags": ["on-cubic"] * 10}
     config = {"prime": "2147483629", "seed": "1", "trials": 3}
     with CertificateStore(path) as st:
-        rec = st.put("certify", system, config, cert)
+        assert st.certificate("certify", system, config, lambda: cert) is cert
+    (rec,) = _records(path)
+    assert rec["key"] == record_key(invocation("certify", system, config))
+    assert (rec["command"], rec["system"], rec["config"],
+            rec["certificate"]) == ("certify", system, config, cert.to_dict())
 
-    st2 = CertificateStore(path)
-    assert len(st2) == 1
-    key = record_key("certify", system, config)
-    with open(path) as f:
-        assert json.loads(f.read()) == rec
-    assert rec["key"] == key
-    assert st2.lookup_certificate("certify", system, config) == cert
-
-    # identical put is a no-op
-    rec2 = st2.put("certify", system, config, cert)
-    assert rec2 == rec
-    st3 = CertificateStore(path)
-    assert len(st3) == 1
+    # served from the file, with nothing computed or appended
+    with CertificateStore(path) as st2:
+        assert len(st2) == 1
+        assert st2.certificate("certify", system, config, _recomputed) == cert
+    assert _records(path) == [rec]
 
 
 def _one_record_store(path):
     cert = certify(homogeneous_system(4, 10, 1, tag="on-cubic"), seed=1)
     system = {"d": 4, "mults": [1] * 10, "tags": ["on-cubic"] * 10}
     with CertificateStore(path) as st:
-        st.put("certify", system, {"seed": "1"}, cert)
+        st.certificate("certify", system, {"seed": "1"}, lambda: cert)
     return system, cert
 
 
@@ -641,7 +698,7 @@ def test_store_drops_torn_last_line(tmp_path, capsys):
         assert len(st) == 1
         assert "torn last line" in capsys.readouterr().err
         # the next append replaces the torn tail, so the file loads cleanly
-        st.put("certify", system, {"seed": "2"}, cert)
+        st.certificate("certify", system, {"seed": "2"}, lambda: cert)
     assert len(CertificateStore(path)) == 2
     assert capsys.readouterr().err == ""
     with open(path) as f:

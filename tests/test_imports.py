@@ -1,7 +1,9 @@
-"""numpy loads with the first matrix, not with the package.
+"""numpy loads with the first matrix and hashlib with the first hash, not
+with the package.
 
 Each check runs in a fresh interpreter on this package, as a shell or the
-benchmark's worker would, and reads whether numpy was imported by the end.
+benchmark's worker would, and reads whether numpy and hashlib were
+imported by the end.
 """
 
 import json
@@ -16,12 +18,13 @@ import fatpoints
 SRC = os.path.dirname(os.path.dirname(fatpoints.__file__))
 
 # runs the CLI in process, then reports its exit code and whether numpy
-# was imported, as the last line of stderr
+# and hashlib were imported, as the last line of stderr
 PROBE = """
 import json, sys
 from fatpoints import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, "numpy" in sys.modules]), file=sys.stderr)
+print(json.dumps([code, "numpy" in sys.modules, "hashlib" in sys.modules]),
+      file=sys.stderr)
 """
 
 
@@ -35,7 +38,8 @@ def fresh(*args):
 
 
 def cli_run(*argv):
-    """(exit code, numpy imported) of one CLI call in a fresh interpreter."""
+    """(exit code, numpy imported, hashlib imported) of one CLI call in a
+    fresh interpreter."""
     return tuple(json.loads(fresh("-c", PROBE, *argv).stderr.splitlines()[-1]))
 
 
@@ -44,8 +48,9 @@ def cli_run(*argv):
     "import fatpoints.cli as c; c.build_parser()",
 ], ids=["package", "cli-parser"])
 def test_import_loads_no_numpy(code):
-    out = fresh("-c", f"import sys; {code}; print('numpy' in sys.modules)")
-    assert out.stdout == "False\n"
+    out = fresh("-c", f"import sys; {code}; "
+                      "print('numpy' in sys.modules, 'hashlib' in sys.modules)")
+    assert out.stdout == "False False\n"
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -56,17 +61,20 @@ def test_import_loads_no_numpy(code):
     (["certify", "13", "4x10", "--prime", "4"], 1),
 ], ids=["expdim", "reduce", "certify-peeled", "usage-error"])
 def test_runs_with_no_matrix_load_no_numpy(argv, code):
-    assert cli_run(*argv) == (code, False)
+    # none of them hashes a store key or a trial seed: no hashlib either
+    assert cli_run(*argv) == (code, False, False)
 
 
 def test_sweep_grid_loads_no_numpy_cold_or_resumed(tmp_path):
+    # the store hashes each row's key, so hashlib loads
     store = str(tmp_path / "certs.ndjson")
     for _ in ("cold", "resumed"):
         assert cli_run("sweep", "10:20", "10:12", "2:4",
-                       "--store", store) == (0, False)
+                       "--store", store) == (0, False, True)
     with open(store) as f:
         assert len(f.readlines()) == 99
 
 
 def test_sampled_certify_loads_numpy():
-    assert cli_run("certify", "13", "4x10") == (0, True)
+    # and hashlib, for derive_seed's trial seeds
+    assert cli_run("certify", "13", "4x10") == (0, True, True)
