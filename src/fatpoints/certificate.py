@@ -28,6 +28,14 @@ DEGENERATION_CODIM = "degeneration-corollary"
 
 CERT_SCHEMA_VERSION = 4
 
+# sorted, compact JSON, which tells 1, 1.0 and true apart
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(obj) -> str:
+    """The one encoding of certificates, store records and invocations."""
+    return _ENCODER.encode(obj)
+
 
 class ConfigError(Exception):
     pass
@@ -63,7 +71,7 @@ class Certificate:
     behind it (none when linsys.exact_h0 decided it), and on the
     degeneration route the twist (k, mu) whose reduced system was bounded;
     a direct route has no twist.  The method, chi, h0, h1 and the verdict
-    are derived from these, here and nowhere else."""
+    are derived from these, here and nowhere else, and once: it is frozen."""
     system: FatPointSystem
     prime: int
     seed: int
@@ -82,7 +90,7 @@ class Certificate:
     def chi(self) -> int:
         return linsys.chi(self.system)
 
-    @property
+    @cached_property
     def h0(self) -> Optional[int]:
         """h0_bound where it pins the generic h0: linsys.exact_h0 or a
         full-rank last trial on a direct route; otherwise the floor
@@ -94,13 +102,13 @@ class Certificate:
             pinned = self.h0_bound == max(self.chi, 0)
         return self.h0_bound if pinned else None
 
-    @property
+    @cached_property
     def h1(self) -> Optional[int]:
         """h0 - chi, valid since h2 = 0 for d >= -2; null below that."""
         h0 = self.h0
         return None if h0 is None or self.system.d < -2 else h0 - self.chi
 
-    @property
+    @cached_property
     def verdict(self) -> str:
         if self.h0 is not None:
             return SPECIAL_EXACT if is_special(self.h0, self.h1) else NONSPECIAL
@@ -146,7 +154,7 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
 
 def certificate_from_dict(d: dict) -> Certificate:

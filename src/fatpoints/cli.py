@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 
 from . import certificate, elliptic, field, interp, linsys
@@ -84,7 +83,7 @@ def _check_runconfig(args, max_degree: int) -> None:
 
 def _emit(obj: dict, lines, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        print(certificate.canonical_json(obj))
     else:
         for line in lines:
             print(line)
@@ -92,7 +91,9 @@ def _emit(obj: dict, lines, fmt: str) -> None:
 
 def _store(args):
     """A context giving the --store's CertificateStore, closed on exit,
-    or None without --store."""
+    or None without --store; an empty path is a usage error."""
+    if args.store == "":
+        raise UsageError("--store needs a path, not an empty string")
     return CertificateStore(args.store) if args.store else contextlib.nullcontext()
 
 
@@ -236,7 +237,7 @@ def cmd_sweep(args) -> int:
             rows.append(_sweep_row(s, n, m, twist, verdict, cert))
 
     if args.format == "json":
-        print(json.dumps(rows, sort_keys=True, separators=(",", ":")))
+        print(certificate.canonical_json(rows))
     else:
         print(",".join(SWEEP_FIELDS))
         for r in rows:

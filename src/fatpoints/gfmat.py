@@ -7,13 +7,13 @@ of Dumas, Giorgi and Pernet's FFLAS/FFPACK).  The columns split in half;
 the left half is factored first, its row swaps moving whole rows.  A unit
 lower triangular solve turns the pivot rows' right block into
 X = L11^-1 A12, the rows below take the Schur update A22 -= L21 X (mod p),
-and A22 is factored in turn.
+and A22, reduced, is factored in turn unless it is zero (the rank is known).
 Blocks at most LEAF columns wide, small matrices included, go through one
 unblocked kernel: first-nonzero pivoting on int64 residues (any nonzero
 pivot is exact over a field), which stores the multipliers of L below each
 pivot, reducing mod p only the pivot column and row and, once at the end,
-the block (at most LEAF updates below p^2 each fit int64).  The solve
-splits between leaves and inverts each leaf's block of L once, by doubling.
+the block (at most LEAF updates below p^2 each fit int64).  A leaf returns
+its pivots with its block of L inverted by doubling, for the solve.
 The products are plain float64 BLAS products of reduced residues: with
 p < 2^21 and at most MAX_INNER = 2048 terms, every partial sum is an
 integer below 2^53 and so exact, and an entry is reduced mod p once per up
@@ -79,37 +79,40 @@ def rank(M: GFMatrix, overwrite: bool = False) -> int:
     a = np.ascontiguousarray(a) if overwrite else np.array(a, order="C")
     if 0 in a.shape:
         return 0
-    return sum(map(len, _lu(a, M.p, 0, 0, a.shape[1], {})))
+    return sum(len(cols) for cols, _ in _lu(a, M.p, 0, 0, a.shape[1]))
 
 
-def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int, inv: dict) -> list:
+def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
     """Rank-revealing LU of the block a[r0:, c0:c1], in place.
 
-    Returns the pivot columns in increasing order, one list per leaf that
-    found any; their number is the block's rank.  Row swaps move whole
-    rows of a, and the i-th pivot row ends at r0 + i.  The pivot rows then
-    hold U, and below each pivot its column holds the multipliers of the
-    unit lower triangular L.  The left half of the columns is factored
-    first; its pivot rows' right block A12 becomes X = L11^-1 A12 (_trsm,
-    with `inv`), the rows below take A22 -= L21 X, and A22 is factored.
+    Returns one pair (pivot columns, L^-1) per leaf that found any pivot
+    (_eliminate), in increasing column order; the pivots number the block's
+    rank.  Row swaps move whole rows of a, and the i-th pivot row ends at
+    r0 + i.  The pivot rows then hold U, and below each pivot its column
+    holds the multipliers of the unit lower triangular L.  The left half of
+    the columns is factored first; its pivot rows' right block A12 becomes
+    X = L11^-1 A12 (_trsm), the rows below take A22 -= L21 X, and A22 is
+    factored unless it is zero.
     """
     if c1 - c0 <= LEAF:
         return _eliminate(a, p, r0, c0, c1)
     h = (c0 + c1) // 2
-    left = _lu(a, p, r0, c0, h, inv)
-    cols = [c for seg in left for c in seg]
+    left = _lu(a, p, r0, c0, h)
+    cols = [c for seg, _ in left for c in seg]
     r1 = r0 + len(cols)
     if left:
         x = a[r0:r1, h:c1]
-        _trsm(a, p, r0, left, x, inv)
+        _trsm(a, p, r0, left, x)
         _submul(a[r1:, h:c1], a[r1:], cols, x, p)
-    if r1 == a.shape[0]:
+    if not a[r1:, h:c1].any():
         return left
-    return left + _lu(a, p, r1, h, c1, inv)
+    return left + _lu(a, p, r1, h, c1)
 
 
 def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
-    """Unblocked form of _lu on a[r0:, c0:c1].
+    """Unblocked form of _lu on a[r0:, c0:c1]: [] if it finds no pivot,
+    else [(pivots, L^-1)], L^-1 the inverse of the leaf's block of L, which
+    no later step of _lu changes.
 
     First-nonzero pivoting: any nonzero pivot is exact over a field.  The
     block is worked on as a contiguous transposed copy, so that every
@@ -144,26 +147,24 @@ def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
             t[c + 1:, r:] -= row[:, None] * mult
     t %= p
     a[r0:, c0:c1] = t.T
-    return [pivots] if pivots else []
+    if not pivots:
+        return []
+    return [(pivots, _unit_lower_inverse(a[r0:r0 + r, pivots], p))]
 
 
-def _trsm(a: np.ndarray, p: int, r0: int, segs: list, x: np.ndarray,
-          inv: dict) -> None:
+def _trsm(a: np.ndarray, p: int, r0: int, segs: list, x: np.ndarray) -> None:
     """x <- L^-1 x in place, L the unit lower triangular matrix with
-    L[i, j] = a[r0 + i, cols[j]] for i > j, cols the per-leaf lists segs of
-    _lu joined.  Later steps of _lu change no row of a finished leaf's
-    block of L, so `inv` keeps its inverse, by first row, for the call."""
+    L[i, j] = a[r0 + i, cols[j]] for i > j, cols the pivots of the leaves
+    segs of _lu joined, each leaf's block of L inverted by its own L^-1."""
     if len(segs) == 1:
-        if r0 not in inv:
-            inv[r0] = _unit_lower_inverse(a[r0:r0 + len(x)][:, segs[0]], p)
-        x[...] = _mul_mod(inv[r0], x, p)
+        x[...] = _mul_mod(segs[0][1], x, p)
         return
     s = len(segs) // 2
-    cols = [c for seg in segs[:s] for c in seg]
+    cols = [c for seg, _ in segs[:s] for c in seg]
     h = len(cols)
-    _trsm(a, p, r0, segs[:s], x[:h], inv)
+    _trsm(a, p, r0, segs[:s], x[:h])
     _submul(x[h:], a[r0 + h:r0 + len(x)], cols, x[:h], p)
-    _trsm(a, p, r0 + h, segs[s:], x[h:], inv)
+    _trsm(a, p, r0 + h, segs[s:], x[h:])
 
 
 def _unit_lower_inverse(l: np.ndarray, p: int) -> np.ndarray:

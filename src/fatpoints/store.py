@@ -1,9 +1,9 @@
 """Append-only certificate store: one JSON record per line.
 
 An invocation (command, input system, run config) has one canonical
-encoding, its sorted compact JSON (invocation).  A record is keyed by the
-sha256 of that encoding, so re-running an identical invocation is a
-lookup, not a recomputation; timestamps are not part of it.
+encoding (invocation, by certificate.canonical_json).  A record is keyed
+by the sha256 of that encoding, so re-running an identical invocation is
+a lookup, not a recomputation; timestamps are not part of it.
 CertificateStore.certificate is the one look-up-or-compute: it serves the
 stored certificate if it is one this code would sign for the invocation
 (_checked), and otherwise computes one and appends its record at once; of
@@ -24,17 +24,15 @@ import time
 from typing import Callable, Optional
 
 from . import __version__, elliptic, linsys
-from .certificate import Certificate, certificate_from_dict
+from .certificate import Certificate, canonical_json, certificate_from_dict
 from .linsys import FatPointSystem
 
 STORE_SCHEMA_VERSION = 1
 
 
 def invocation(command: str, system: dict, config: dict) -> str:
-    """The canonical encoding of an invocation: sorted, compact JSON, which
-    tells 1, 1.0 and true apart."""
-    return json.dumps({"command": command, "system": system, "config": config},
-                      sort_keys=True, separators=(",", ":"))
+    """The canonical encoding of an invocation."""
+    return canonical_json({"command": command, "system": system, "config": config})
 
 
 def record_key(encoded: str) -> str:
@@ -133,9 +131,6 @@ class CertificateStore:
             self._out.close()
             self._out = None
 
-    def __len__(self):
-        return len(self._by_key)
-
     def certificate(self, command: str, system: dict, config: dict,
                     compute: Callable[[], Certificate]) -> Certificate:
         """The certificate of this invocation: the stored one if it passes
@@ -178,5 +173,5 @@ class CertificateStore:
                 os.truncate(self.path, self._torn_at)
                 self._torn_at = None
             self._out = open(self.path, "a")
-        self._out.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        self._out.write(canonical_json(rec) + "\n")
         self._out.flush()

@@ -55,6 +55,19 @@ def test_store_that_is_a_directory_is_an_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["certify", "4", "1x10"],
+                                  ["sweep", "10", "10", "1"]],
+                         ids=["certify", "sweep"])
+def test_empty_store_path_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                           argv):
+    # an empty path would silently be no store, and the run not resumable
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--store", ""]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
 def test_parse_range():
     assert parse_range("5") == [5]
     assert parse_range("3:6") == [3, 4, 5, 6]
@@ -407,9 +420,8 @@ def _assert_miss(tmp_path, capsys, argv, tamper, part="certificate"):
     # resuming on that store hits the later line and appends nothing
     size = os.path.getsize(store)
     assert run(capsys, *argv, "--store", store) == (want_code, want)
-    assert os.path.getsize(store) == size
+    assert os.path.getsize(store) == size and len(_records(store)) == 2
     st = CertificateStore(store)
-    assert len(st) == 1
     assert _lookup(st, recs[1]).to_dict() == recs[1]["certificate"]
 
 
@@ -623,8 +635,8 @@ def test_store_put_is_seen_by_another_reader_at_once(tmp_path):
         for i in range(3):
             config = {"seed": str(i)}
             st.certificate("certify", system, config, lambda: cert)
+            assert len(_records(path)) == i + 1
             reader = CertificateStore(path)
-            assert len(reader) == i + 1
             assert reader.certificate("certify", system, config,
                                       _recomputed) == cert
 
@@ -672,9 +684,32 @@ def test_store_roundtrip(tmp_path):
 
     # served from the file, with nothing computed or appended
     with CertificateStore(path) as st2:
-        assert len(st2) == 1
         assert st2.certificate("certify", system, config, _recomputed) == cert
     assert _records(path) == [rec]
+
+
+def test_canonical_json_is_the_one_encoding(tmp_path, capsys):
+    # the bytes of sorted, compact json.dumps on a stored record, its
+    # certificate and its invocation; certify prints the stored certificate
+    path = str(tmp_path / "store.ndjson")
+    code, out = run(capsys, "certify", "13", "4x10", "--format", "json",
+                    "--store", path)
+    assert code == EXIT_DECIDED
+    with open(path) as f:
+        line = f.read()
+    rec = json.loads(line)
+    assert line == certificate.canonical_json(rec) + "\n"
+    assert out == certificate.canonical_json(rec["certificate"]) + "\n"
+    cert = certificate.certificate_from_dict(rec["certificate"])
+    assert cert.evidence and cert.to_json() + "\n" == out
+    inv = {k: rec[k] for k in ("command", "system", "config")}
+    assert invocation(**inv) == certificate.canonical_json(inv)
+    for obj in (rec, cert.to_dict(), inv):
+        assert certificate.canonical_json(obj) == json.dumps(
+            obj, sort_keys=True, separators=(",", ":"))
+    # rule (d) needs 1, 1.0 and true to encode apart
+    assert [certificate.canonical_json({"trials": v}) for v in (1, 1.0, True)] \
+        == ['{"trials":1}', '{"trials":1.0}', '{"trials":true}']
 
 
 def _one_record_store(path):
@@ -695,11 +730,13 @@ def test_store_drops_torn_last_line(tmp_path, capsys):
     capsys.readouterr()
 
     with CertificateStore(path) as st:
-        assert len(st) == 1
         assert "torn last line" in capsys.readouterr().err
-        # the next append replaces the torn tail, so the file loads cleanly
+        # the whole record is served, and the next append replaces the torn
+        # tail, so the file loads cleanly
+        assert st.certificate("certify", system, {"seed": "1"},
+                              _recomputed) == cert
         st.certificate("certify", system, {"seed": "2"}, lambda: cert)
-    assert len(CertificateStore(path)) == 2
+    assert len(_records(path)) == 2
     assert capsys.readouterr().err == ""
     with open(path) as f:
         lines = f.read().splitlines(keepends=True)
@@ -711,7 +748,7 @@ def test_store_drops_torn_last_line(tmp_path, capsys):
     code, _ = run(capsys, "certify", "4", "1x10", "--placement", "cubic",
                   "--store", path)
     assert code == EXIT_DECIDED
-    assert len(CertificateStore(path)) == 3
+    assert len(_records(path)) == 3
 
 
 def test_store_rejects_corruption_before_last_line(tmp_path, capsys):

@@ -262,40 +262,40 @@ def test_blocked_rank_matches_rational_oracle():
         assert _unblocked_rank(M, DEFAULT_PRIME) == want
 
 
-def _leaves(rng, cols):
-    # cols cut into consecutive lists of 1 to LEAF columns, as _lu's leaves
+def _leaves(rng, a, r0, cols, p):
+    # cols cut into consecutive leaves of 1 to LEAF pivots, each with the
+    # inverse of its block of L, as _lu returns them
     segs = []
     while cols:
-        n = int(rng.integers(1, LEAF + 1))
-        segs.append(cols[:n])
-        cols = cols[n:]
+        n = min(int(rng.integers(1, LEAF + 1)), len(cols))
+        segs.append((cols[:n],
+                     gfmat._unit_lower_inverse(a[r0:r0 + n, cols[:n]], p)))
+        r0, cols = r0 + n, cols[n:]
     return segs
 
 
 @pytest.mark.parametrize("k", [1, 5, LEAF, 2 * LEAF + 7, 5 * LEAF])
 def test_trsm_matches_integer_oracle(k):
     # L's multipliers sit in scattered columns of a wider matrix, below row
-    # r0, as _lu leaves them, in leaves of random width; a second solve
-    # reuses the leaves' inverses
+    # r0, as _lu leaves them, in leaves of random width; both solves use
+    # the leaves' inverses
     for p in (7, DEFAULT_PRIME):
         rng = np.random.default_rng(k)
         r0 = 3
         a = rng.integers(0, p, (r0 + k + 4, k + 40))
         cols = sorted(rng.choice(k + 40, k, replace=False).tolist())
-        segs = _leaves(rng, cols)
+        segs = _leaves(rng, a, r0, cols, p)
         L = [[1 if i == j else int(a[r0 + i, cols[j]]) if i > j else 0
               for j in range(k)] for i in range(k)]
-        inv = {}
         for width in (2 * LEAF + 1, 3):
             x = rng.integers(0, p, (k, width))
             got = x.copy()
-            gfmat._trsm(a, p, r0, segs, got, inv)
+            gfmat._trsm(a, p, r0, segs, got)
             # L (L^-1 x) = x, in Python integers
             for i in range(k):
                 for c in range(width):
                     assert sum(L[i][j] * int(got[j, c])
                                for j in range(i + 1)) % p == x[i, c]
-            assert len(inv) == len(segs)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 17, LEAF])
@@ -328,34 +328,39 @@ def test_eliminate_factors_a_leaf_exactly(p):
                   rng.integers(0, p, (LEAF - 7, LEAF)), low):
         m = len(block)
         a = np.hstack([block, np.arange(m)[:, None]])
-        segs = gfmat._eliminate(a, p, 0, 0, LEAF)
-        piv = [c for seg in segs for c in seg]
-        assert len(segs) <= 1 and piv == sorted(piv)
-        assert len(piv) == _unblocked_rank(block, p)
+        (piv, inv), = gfmat._eliminate(a, p, 0, 0, LEAF)
+        k = len(piv)
+        assert piv == sorted(piv) and k == _unblocked_rank(block, p)
         assert ((0 <= a[:, :LEAF]) & (a[:, :LEAF] < p)).all()
-        # L U = the block with its rows permuted, in Python integers
+        # L U = the block with its rows permuted, and inv L = I on the
+        # leaf's block of L, in Python integers
         L = [[1 if i == j else int(a[i, piv[j]]) if i > j else 0
-              for j in range(len(piv))] for i in range(m)]
+              for j in range(k)] for i in range(m)]
         U = [[int(a[i, c]) if c >= piv[i] else 0 for c in range(LEAF)]
-             for i in range(len(piv))]
+             for i in range(k)]
         for i in range(m):
             row = block[a[i, LEAF]]
             for c in range(LEAF):
-                assert sum(L[i][j] * U[j][c]
-                           for j in range(len(piv))) % p == row[c]
+                assert sum(L[i][j] * U[j][c] for j in range(k)) % p == row[c]
+        for i in range(k):
+            for j in range(k):
+                assert sum(int(inv[i, t]) * L[t][j]
+                           for t in range(k)) % p == (i == j)
+    # a leaf that finds no pivot returns nothing and inverts nothing
+    a = np.zeros((5, LEAF), dtype=np.int64)
+    assert gfmat._eliminate(a, p, 0, 0, LEAF) == []
 
 
-def test_rank_inverts_each_leaf_block_at_most_once(monkeypatch):
-    # full rank over 8 leaves: the solves above the leaves would invert the
-    # first leaf's block once at each of three levels
+def _count_leaves(monkeypatch):
+    # (first column, found any pivot) of each leaf eliminated, and the size
+    # of each block of L inverted
     leaves, inverses = [], []
     orig_eliminate, orig_inverse = gfmat._eliminate, gfmat._unit_lower_inverse
 
-    def eliminate(*args):
-        pivots = orig_eliminate(*args)
-        if pivots:
-            leaves.append(args[2:])
-        return pivots
+    def eliminate(a, p, r0, c0, c1):
+        segs = orig_eliminate(a, p, r0, c0, c1)
+        leaves.append((c0, bool(segs)))
+        return segs
 
     def inverse(l, p):
         inverses.append(len(l))
@@ -363,13 +368,39 @@ def test_rank_inverts_each_leaf_block_at_most_once(monkeypatch):
 
     monkeypatch.setattr(gfmat, "_eliminate", eliminate)
     monkeypatch.setattr(gfmat, "_unit_lower_inverse", inverse)
+    return leaves, inverses
+
+
+def test_rank_inverts_each_leaf_block_at_most_once(monkeypatch):
+    # full rank over 8 leaves: the solves above the leaves would invert the
+    # first leaf's block once at each of three levels
+    leaves, inverses = _count_leaves(monkeypatch)
     rng = np.random.default_rng(6)
     for shape in [(8 * LEAF, 8 * LEAF), (8 * LEAF + 40, 5 * LEAF + 3)]:
         M = rng.integers(0, DEFAULT_PRIME, shape)
         leaves.clear()
         inverses.clear()
         assert rank(GFMatrix(M, DEFAULT_PRIME)) == min(shape)
-        assert 0 < len(inverses) <= len(leaves)
+        assert 0 < len(inverses) <= sum(found for _, found in leaves)
+
+
+@pytest.mark.parametrize("case", ["zero-rows", "low-rank"])
+def test_rank_stops_once_the_rows_left_are_zero(monkeypatch, case):
+    # rank 2 LEAF over 8 leaves of columns, all of it in the first two: a
+    # full-rank block with zero rows shuffled in, or more rows than the
+    # rank, as in the special-40 matrix; no leaf right of the first two is
+    # eliminated, and each of those two inverts its block of L once
+    p = DEFAULT_PRIME
+    rng = np.random.default_rng(9)
+    if case == "zero-rows":
+        M = np.zeros((4 * LEAF, 8 * LEAF), dtype=np.int64)
+        M[:2 * LEAF] = rng.integers(0, p, (2 * LEAF, 8 * LEAF))
+        M = M[rng.permutation(4 * LEAF)]
+    else:
+        M = _low_rank(rng, 3 * LEAF, 8 * LEAF, 2 * LEAF, p)
+    leaves, inverses = _count_leaves(monkeypatch)
+    assert rank(GFMatrix(M, p)) == _unblocked_rank(M, p) == 2 * LEAF
+    assert leaves == [(0, True), (LEAF, True)] and inverses == [LEAF, LEAF]
 
 
 def test_mul_mod_exact_at_worst_case():
