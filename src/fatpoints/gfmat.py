@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over GF(p), plus an integer rank oracle.
+"""Exact dense linear algebra over GF(p).
 
 Everything here is deterministic.  Rank over GF(p), p an odd prime below
 MAX_PRIME = 2^21, is computed by one recursive rank-revealing LU, in place
@@ -9,16 +9,21 @@ lower triangular solve turns the pivot rows' right block into
 X = L11^-1 A12, the rows below take the Schur update A22 -= L21 X (mod p),
 and A22, reduced, is factored in turn unless it is zero (the rank is known).
 Blocks at most LEAF columns wide, small matrices included, go through one
-unblocked kernel: first-nonzero pivoting on int64 residues (any nonzero
-pivot is exact over a field), which stores the multipliers of L below each
-pivot, reducing mod p only the pivot column and row and, once at the end,
-the block (at most LEAF updates below p^2 each fit int64).  A leaf returns
-its pivots with its block of L inverted by doubling, for the solve.
-The products are plain float64 BLAS products of reduced residues: with
-p < 2^21 and at most MAX_INNER = 2048 terms, every partial sum is an
-integer below 2^53 and so exact, and an entry is reduced mod p once per up
-to MAX_INNER terms (the word-size bound of FFLAS).  The rational oracle
-uses fraction-free Bareiss elimination with Python big integers.
+unblocked kernel: first-nonzero pivoting on an int64 copy of the block
+(any nonzero pivot is exact over a field), which stores the multipliers of
+L below each pivot, reducing mod p only the pivot column and row and, once
+at the end, the block (at most LEAF updates below p^2 keep every entry an
+exact float64 integer).  A leaf returns its pivots with its block of L
+inverted by doubling, for the solve.
+
+Matrices hold their residues as float64 integers, so the products are
+plain float64 BLAS products with no conversion: with p < 2^21 and at most
+MAX_INNER = 2048 terms, every partial sum is an integer below 2^53 and so
+exact, and an entry is reduced mod p once per up to MAX_INNER terms (the
+word-size bound of FFLAS).  Every reduction of unreduced float64 data is
+floor_mod, x - p floor(x / p), which is exact for integers x with
+|x| + p <= 2^53; a Schur update leaves |x| <= MAX_INNER (p - 1)^2 + p,
+and MAX_INNER (p - 1)^2 + p < 2^53 for every p below MAX_PRIME.
 """
 
 from __future__ import annotations
@@ -32,19 +37,20 @@ from .field import DEFAULT_PRIME, check_modulus
 MAX_INNER = 1 << 11
 
 # Recursive elimination (see above): blocks at most LEAF columns wide go
-# through the unblocked kernel, and products run in tiles whose operand
+# through the unblocked kernel, and products run in row tiles whose operand
 # and product temporaries hold about CHUNK_CELLS entries each.
 LEAF = 32  # at most MAX_INNER
 CHUNK_CELLS = 1 << 18
 
 
 class GFMatrix:
-    """Dense matrix over GF(p), entries fully reduced int64, in either
-    memory order."""
+    """Dense matrix over GF(p), entries fully reduced float64 integers, in
+    either memory order."""
 
     def __init__(self, data, p: int = DEFAULT_PRIME, reduced: bool = False):
-        """`reduced` says data is a 2-D int64 array with entries in [0, p);
-        it is then adopted as it is, without a copy."""
+        """`reduced` says data is a 2-D float64 array of integers in [0, p);
+        it is then adopted as it is, without a copy.  Other data is read as
+        int64 integers and reduced."""
         check_modulus(p)
         self.p = p
         if reduced:
@@ -54,7 +60,7 @@ class GFMatrix:
         if arr.ndim != 2:
             n = arr.shape[0] if arr.ndim else 1
             arr = arr.reshape(n, arr.size // n if n else 0)
-        self.data = np.mod(arr, p)
+        self.data = np.mod(arr, p).astype(np.float64)
 
     @property
     def rows(self) -> int:
@@ -66,6 +72,23 @@ class GFMatrix:
 
     def __repr__(self):
         return f"GFMatrix({self.rows}x{self.cols} mod {self.p})"
+
+
+def floor_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for a float64 array of integers with
+    |x| + p <= 2^53; returns x, its entries now in [0, p).
+
+    x / p is rounded correctly, and a non-integer x / p lies at least 1/p
+    from the integers, more than half a unit in the last place of any
+    quotient below 2^53 / p, so floor(x / p) is the exact floor quotient;
+    p times it is an integer of at most |x| + p <= 2^53, so the product
+    and the difference are exact too.  The one temporary is the size of x.
+    """
+    q = np.divide(x, p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
 
 
 def rank(M: GFMatrix, overwrite: bool = False) -> int:
@@ -115,21 +138,27 @@ def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
     no later step of _lu changes.
 
     First-nonzero pivoting: any nonzero pivot is exact over a field.  The
-    block is worked on as a contiguous transposed copy, so that every
-    column operation runs over contiguous memory.  Only pivot columns and
-    rows are reduced mod p before use, the rest once at the end: at most
-    c1 - c0 < 2^21 updates, each below p^2 < 2^42, keep entries below 2^63.
+    block is worked on as a contiguous transposed int64 copy, so that every
+    column operation runs over contiguous memory and reduces a short
+    vector with one int64 `%`.  Only the pivot column and row are reduced
+    before use: the rows below take the pivot row times the pivot's
+    inverse, reduced, times their entries in the pivot column, which are
+    then scaled into the multipliers of L and left below p^2.  So at most
+    c1 - c0 <= LEAF <= MAX_INNER updates, each below p^2, leave every entry
+    x with |x| + p <= 2^53: the block converts to float64 exactly, and
+    floor_mod reduces it once at the end.
     """
-    t = np.ascontiguousarray(a[r0:, c0:c1].T)
-    nrows = t.shape[1]
+    t = a[r0:, c0:c1].T.astype(np.int64, order="C")
+    w, nrows = t.shape
     pivots = []
     r = 0
-    for c in range(c1 - c0):
-        t[c, r:] %= p
-        nz = t[c, r:].nonzero()[0]
-        if nz.size == 0:
-            continue
-        if nz[0]:
+    for c in range(w):
+        col = t[c, r:]
+        col %= p
+        if not col[0]:
+            nz = col.nonzero()[0]
+            if nz.size == 0:
+                continue
             i, j = r, r + nz[0]
             a[[r0 + i, r0 + j]] = a[[r0 + j, r0 + i]]
             t[:, [i, j]] = t[:, [j, i]]
@@ -137,19 +166,28 @@ def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
         r += 1
         if r == nrows:
             break
-        if nz.size > 1:
-            # store the multipliers, then update the columns to their right
-            mult = t[c, r:]
-            mult *= pow(int(t[c, r - 1]), -1, p)
-            mult %= p
+        # the update of the columns to the right, then the multipliers
+        # col[1:] / pivot, left below p^2
+        inv = pow(col.item(0), -1, p)
+        if c + 1 < w:
             row = t[c + 1:, r - 1]
             row %= p
-            t[c + 1:, r:] -= row[:, None] * mult
-    t %= p
-    a[r0:, c0:c1] = t.T
+            rest = t[c + 1:, r:]
+            rest -= (row * inv % p)[:, None] * col[1:]
+        col[1:] *= inv
+    a[r0:, c0:c1] = floor_mod(t.astype(np.float64), p).T
     if not pivots:
         return []
-    return [(pivots, _unit_lower_inverse(a[r0:r0 + r, pivots], p))]
+    return [(pivots, _unit_lower_inverse(a[r0:r0 + r, _run(pivots)], p))]
+
+
+def _run(cols: list):
+    """The slice of the sorted distinct columns cols when they are one
+    contiguous run, so that they index a view, not a gathered copy; else
+    cols."""
+    if cols[-1] - cols[0] == len(cols) - 1:
+        return slice(cols[0], cols[-1] + 1)
+    return cols
 
 
 def _trsm(a: np.ndarray, p: int, r0: int, segs: list, x: np.ndarray) -> None:
@@ -171,42 +209,40 @@ def _unit_lower_inverse(l: np.ndarray, p: int) -> np.ndarray:
     """Inverse mod p of I + N, N the strictly lower part of the square l,
     by doubling: N^k = 0, so it is (I - N)(I + N^2)(I + N^4)... up to N^k."""
     n = np.tril(l, -1)
-    inv = (np.eye(len(l), dtype=np.int64) - n) % p
+    inv = floor_mod(np.eye(len(l)) - n, p)
     for _ in range(1, (len(l) - 1).bit_length()):
         n = _mul_mod(n, n, p)
-        inv = (inv + _mul_mod(inv, n, p)) % p
+        # inv + inv @ n is below (len(l) + 1) p^2, exact in float64
+        inv += inv @ n
+        floor_mod(inv, p)
     return inv
 
 
 def _submul(c: np.ndarray, a: np.ndarray, cols: list, b: np.ndarray,
             p: int) -> None:
-    """c -= a[:, cols] @ b (mod p) in place, for reduced int64 operands.
+    """c -= a[:, cols] @ b (mod p) in place, for reduced float64 operands
+    and sorted distinct cols.
 
     The inner dimension runs MAX_INNER at a time, so every product is exact
-    (see _mul_mod), and c is updated tile by tile, which bounds the
-    temporaries.
+    (see _mul_mod), and c is updated tile by tile of rows, which bounds the
+    temporaries; a contiguous run of cols is multiplied as a view.
     """
     m, n = c.shape
     for k0 in range(0, len(cols), MAX_INNER):
-        sel = cols[k0:k0 + MAX_INNER]
-        # operands and product hold about CHUNK_CELLS entries; the rows of b
-        # may grow to an eighth of c, so that a large c converts its rows
-        # of a for fewer column tiles
-        k = len(sel)
-        tn = min(n, max(1, max(CHUNK_CELLS, c.size // 8) // k))
-        tm = max(1, CHUNK_CELLS // max(k, tn))
-        for j in range(0, n, tn):
-            xs = b[k0:k0 + MAX_INNER, j:j + tn].astype(np.float64)
-            for i in range(0, m, tm):
-                s = c[i:i + tm, j:j + tn]
-                # the product is below 2^53, so s minus it is exact in float64
-                np.subtract(s, a[i:i + tm, sel].astype(np.float64) @ xs,
-                            out=s, casting="unsafe")
-                s %= p
+        sel = _run(cols[k0:k0 + MAX_INNER])
+        xs = b[k0:k0 + MAX_INNER]
+        tm = max(1, CHUNK_CELLS // max(len(xs), n))
+        for i in range(0, m, tm):
+            s = c[i:i + tm]
+            # s - prod is an integer of magnitude at most
+            # MAX_INNER (p - 1)^2, exact in float64; it is formed and
+            # reduced in the contiguous product, not in the strided tile
+            prod = a[i:i + tm, sel] @ xs
+            s[...] = floor_mod(np.subtract(s, prod, out=prod), p)
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for reduced int64 a and b, exact in float64 BLAS.
+    """(a @ b) mod p for reduced float64 a and b, exact in float64 BLAS.
 
     Each term is a product of two residues below 2^21, and there are at
     most MAX_INNER = 2^11 of them, so every partial sum is an integer below
@@ -214,34 +250,4 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """
     if a.shape[1] > MAX_INNER:
         raise ValueError(f"inner dimension {a.shape[1]} exceeds {MAX_INNER}")
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
-
-
-def rational_rank(M) -> int:
-    """Exact rank over the rationals of an integer matrix.
-
-    Fraction-free Bareiss elimination on Python big integers; intended for
-    modest sizes (the cross-validation oracle), not performance.
-    """
-    a = [[int(x) for x in row] for row in M]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
-        return 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-    return r
+    return floor_mod(a @ b, p)

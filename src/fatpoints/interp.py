@@ -5,10 +5,12 @@ order < m to vanish there, i.e. m(m+1)/2 linear conditions on the monomial
 coefficients.  The tables these rows come from (monomial exponents,
 falling factorials, the powers of every point's affine coordinates) are
 built once per matrix, and each point's rows are written straight into the
-matrix's one int64 buffer.  A sampled configuration is first moved to a
-projective frame: three of its points go to the coordinate points, where
-their conditions only kill monomials, so just the other points' rows on
-the kept monomials are eliminated (h0_at_sample).  Full rank of the
+matrix's one float64 buffer, row i of every point before row i + 1 of any
+(so that leading blocks are as general as the points).  A sampled
+configuration is first moved to a projective frame: three of its points go
+to the coordinate points, where their conditions only kill monomials, so
+just the other points' rows on the kept monomials are eliminated
+(h0_at_sample).  Full rank of the
 conditions at one sampled configuration certifies full rank at generic
 points in characteristic zero (rank can only drop under specialization and
 reduction mod p), so a full-rank sample is a genuine nonspeciality
@@ -52,14 +54,10 @@ class PointConfig:
     cubic: Optional[tuple] = None
 
 
-def monomial_basis(d: int):
-    """Exponent triples (i, j, k), i+j+k = d, in lexicographic order."""
-    return [tuple(e) for e in _exponents(d).T.tolist()]
-
-
 def _exponents(d: int):
-    """monomial_basis(d) as a (3, monomials) int64 array: row i holds the
-    exponents of the i-th variable.  Empty for d < 0."""
+    """The exponent triples (i, j, k), i+j+k = d, in lexicographic order,
+    as a (3, monomials) int64 array: row i holds the exponents of the i-th
+    variable.  Empty for d < 0."""
     import numpy as np
     t = np.repeat(np.arange(d + 1, dtype=np.int64),
                   np.arange(1, d + 2))                # t = d - i
@@ -142,59 +140,72 @@ def _charts(points, d: int, p: int) -> list:
 
 
 def _write_rows(points, mults, d: int, p: int, out, keep=None) -> None:
-    """Condition rows of every point, in order, into consecutive rows of out.
+    """Condition rows of the points into the float64 rows of out,
+    interleaved: row i of every point, in point order, comes before row
+    i + 1 of any point.  A point's rows are its conditions in the order
+    (alpha, beta) = (0, 0), (0, 1) ... (0, m-1), (1, 0) ... (m-1, 0): the
+    (alpha, beta) row holds the alpha-th derivative in the first affine
+    variable and the beta-th in the second.
 
-    The columns are the monomials of monomial_basis(d), or only those at
-    the indices `keep` when given.  Checks the prime and the points first
-    (see _charts), also when there are no points.  Everything that
-    does not depend on the point is built once: the exponent array, the
-    falling factorials fall[a, n] = n!/(n-a)! mod p (zero where a > n) for
-    a below the largest multiplicity, and the power ladder c^0..c^d of
-    every affine coordinate, one numpy step per power (0^0 = 1).  A point's
+    The columns are the monomials of _exponents(d), or only those at the
+    indices `keep` when given.  Checks the prime and the points first (see
+    _charts), also when there are no points.  Everything that does not
+    depend on the point is built once: the exponent array, the falling
+    factorials fall[a, n] = n!/(n-a)! mod p (zero where a > n) for a below
+    the largest multiplicity, and the power ladder c^0..c^d of every
+    affine coordinate, one numpy step per power (0^0 = 1).  A point's
     derivative table for one affine variable is then D[a, n] = fall[a, n] *
     c^(n-a), the a-th derivative of t^n at c, gathered to the monomial
-    columns.  Every entry is reduced below p < 2^21, so each int64 product
-    of two entries is exact.
+    columns.  Every entry is reduced below p < 2^21, so each float64
+    product of two entries is an exact integer below 2^42, which
+    gfmat.floor_mod reduces.
     """
     import numpy as np
+
+    from .gfmat import floor_mod
 
     charts = _charts(points, d, p)
     exps = _exponents(d) if keep is None else _exponents(d)[:, keep]
     top = max(mults, default=0)
-    n = np.arange(d + 1, dtype=np.int64)
-    fall = np.ones((top, d + 1), dtype=np.int64)
+    n = np.arange(d + 1, dtype=np.float64)
+    fall = np.ones((top, d + 1))
     for a in range(1, top):
         # the factor 0 at n = a-1 keeps every later row zero for n < a
         np.multiply(fall[a - 1], np.maximum(n - (a - 1), 0), out=fall[a])
-        fall[a] %= p
-    shift = np.maximum(n - np.arange(top, dtype=np.int64)[:, None], 0)
+        floor_mod(fall[a], p)
+    shift = np.maximum(np.arange(d + 1) - np.arange(top)[:, None], 0)
     coords = np.array([c for (_, _, cu, cv) in charts for c in (cu, cv)],
-                      dtype=np.int64)
-    pw = np.ones((d + 1, len(coords)), dtype=np.int64)
+                      dtype=np.float64)
+    pw = np.ones((d + 1, len(coords)))
     for i in range(1, d + 1):
         np.multiply(pw[i - 1], coords, out=pw[i])
-        pw[i] %= p
+        floor_mod(pw[i], p)
 
-    r = 0
+    sizes = np.array([m * (m + 1) // 2 for m in mults], dtype=np.int64)
     for q, ((u, v, _, _), m) in enumerate(zip(charts, mults)):
+        # dest[i]: the row of out that row i of this point goes to, after
+        # the rows below i of every point and row i of the points before
+        i = np.arange(sizes[q])[:, None]
+        dest = np.minimum(i, sizes).sum(1) + (i < sizes[:q]).sum(1)
         # du[alpha, col]: alpha-th derivative of the first affine factor,
         # per monomial; dv likewise for the second
         f, sh = fall[:m], shift[:m]
-        du = (f * pw[sh, 2 * q] % p).take(exps[u], axis=1)
-        dv = (f * pw[sh, 2 * q + 1] % p).take(exps[v], axis=1)
+        du = floor_mod(f * pw[sh, 2 * q], p).take(exps[u], axis=1)
+        dv = floor_mod(f * pw[sh, 2 * q + 1], p).take(exps[v], axis=1)
+        r = 0
         for alpha in range(m):
-            block = out[r:r + m - alpha]
-            np.multiply(du[alpha], dv[:m - alpha], out=block)
-            block %= p
+            out[dest[r:r + m - alpha]] = floor_mod(du[alpha] * dv[:m - alpha],
+                                                   p)
             r += m - alpha
         del du, dv  # at most one point's tables are alive at a time
 
 
 def build_matrix(s: FatPointSystem, cfg: PointConfig, keep=None):
-    """Condition rows for every point with positive multiplicity.
+    """Condition rows for every point with positive multiplicity, in the
+    interleaved order of _write_rows.
 
-    The columns are the monomials of monomial_basis(d), or only those at
-    the index array `keep` when given.  The rows go straight into one int64
+    The columns are the monomials of _exponents(d), or only those at the
+    index array `keep` when given.  The rows go straight into one float64
     buffer, from tables built once per matrix.  A tall matrix (more
     conditions than monomials) is laid out transposed, so that the rank
     kernel, which factors the transpose of a tall matrix, can eliminate it
@@ -211,9 +222,9 @@ def build_matrix(s: FatPointSystem, cfg: PointConfig, keep=None):
     conds = [i for i, m in enumerate(eff.mults) if m >= 1]
     nrows = sum(eff.mults[i] * (eff.mults[i] + 1) // 2 for i in conds)
     if nrows > ncols:
-        data = np.empty((ncols, nrows), dtype=np.int64).T
+        data = np.empty((ncols, nrows)).T
     else:
-        data = np.empty((nrows, ncols), dtype=np.int64)
+        data = np.empty((nrows, ncols))
     _write_rows([cfg.points[i] for i in conds], [eff.mults[i] for i in conds],
                 eff.d, cfg.p, data, keep)
     return GFMatrix(data, cfg.p, reduced=True)
@@ -228,7 +239,7 @@ def _frame_of(eff: FatPointSystem):
     """(top, keep) of the frame of eff, or None when it has none.
 
     top is the indices of the three points of largest multiplicity (stable
-    order), all positive; keep is the indices in monomial_basis(d) of the
+    order), all positive; keep is the columns of _exponents(d) of the
     monomials a form can contain when it vanishes to order m1, m2, m3 at
     e1, e2, e3: x^i y^j z^k vanishes to order m at e1 exactly when
     j + k >= m (likewise i + k >= m at e2 and i + j >= m at e3).

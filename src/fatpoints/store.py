@@ -63,7 +63,9 @@ def _checked(rec: dict, encoded: str) -> Optional[Certificate]:
     derived fields and the prime and seed of every trial;
     (b) have reports that count the monomials and conditions of the system
     its route samples (_sampled), and as h0_bound their least h0_sample,
-    or with no evidence the linsys.exact_h0 of that system; (c) have
+    or with no evidence the linsys.exact_h0 of that system; evidence is
+    only that of a system exact_h0 leaves undecided, since interp.least_h0
+    samples no other; (c) have
     h0_bound >= max(chi, 0) when d >= -2; and (d) have a command, a
     certificate system and a config of its own that encode to the
     invocation, so they hash to the key the record is found under.
@@ -83,10 +85,11 @@ def _checked(rec: dict, encoded: str) -> Optional[Certificate]:
     counts = (linsys.monomial_count(sampled.d), linsys.conditions_count(sampled))
     if any((r.monomials, r.conditions) != counts for (_, _, r) in cert.evidence):
         return None
+    least = linsys.exact_h0(sampled)
     if cert.evidence:
+        if least is not None:
+            return None
         least = min(r.h0_sample for (_, _, r) in cert.evidence)
-    else:
-        least = linsys.exact_h0(sampled)
     floor = max(cert.chi, 0) if cert.system.d >= -2 else 0
     return cert if cert.h0_bound == least and cert.h0_bound >= floor else None
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from fatpoints import cli, elliptic, gfmat, interp, linsys
+from fatpoints import cli, elliptic, gfmat, linsys
 from fatpoints.certificate import INCONCLUSIVE, NONSPECIAL, SPECIAL_EXACT
 from fatpoints.elliptic import (corollary_nonspecial, mu_bound, reduce,
                                 theorem_upper_bound)
@@ -17,6 +17,8 @@ from fatpoints.interp import (build_matrix, certify, config_for_system,
                               h0_at_sample)
 from fatpoints.linsys import (FatPointSystem, ON_CUBIC, chi, cremona,
                               homogeneous_system)
+from test_gfmat import rational_rank
+from test_interp import monomial_basis
 
 CASES = [(13, 10, 4), (28, 12, 8), (38, 10, 12), (57, 10, 18), (174, 10, 55)]
 
@@ -150,7 +152,7 @@ def test_criterion_7_property_suites():
     for _ in range(100):  # GF(p) rank equals rational rank on small matrices
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        assert gfmat.rank(GFMatrix(M, DEFAULT_PRIME)) == gfmat.rational_rank(M)
+        assert gfmat.rank(GFMatrix(M, DEFAULT_PRIME)) == rational_rank(M)
 
     for seed in range(10):  # on-cubic h0 >= generic h0 per seed
         for (d, n, m) in [(3, 10, 1), (4, 10, 1), (6, 10, 2)]:
@@ -164,7 +166,7 @@ def test_criterion_7_property_suites():
         d = rng.randint(0, 60)
         n = rng.randint(0, 12)
         s = FatPointSystem(d, tuple(rng.randint(0, 6) for _ in range(n)))
-        assert len(interp.monomial_basis(d)) == (d + 1) * (d + 2) // 2
+        assert len(monomial_basis(d)) == (d + 1) * (d + 2) // 2
         assert chi(s) == linsys.monomial_count(d) - linsys.conditions_count(s)
 
     report("7 property suites (chi-gap, identity, cremona, ranks, "

@@ -377,6 +377,17 @@ def _forged_provenance(c):
     c["evidence"][-1].update(prime="101", seed="42")
 
 
+def _evidence_of_a_decided_system(c):
+    # (b) the cubic peel decides (4; 1^10) on a cubic, h0 = 5, so no trial
+    # ever samples it; a forged full-rank report agrees with every derived
+    # field
+    c["evidence"] = [{"prime": c["prime"],
+                      "seed": str(certificate.derive_seed(int(c["seed"]), 0)),
+                      "report": {"monomials": 15, "conditions": 10,
+                                 "rank": 10, "h0_sample": 5,
+                                 "full_rank": True}}]
+
+
 def _bound_below_floor(c):
     # (c) the corollary's exact bound for (11; 3^12) is chi = 6
     c.update(h0_bound=5, h0=None, h1=None, verdict="inconclusive")
@@ -460,10 +471,13 @@ def test_store_record_of_schema_3_is_a_miss(tmp_path, capsys):
     (["certify", "4", "1x10", "--placement", "cubic"], _relabelled_method),
     (["certify", "13", "4x10"], _forged_provenance),
     (["certify", "13", "4x10"], _system_of_another_json_type),
+    (["certify", "4", "1x10", "--placement", "cubic"],
+     _evidence_of_a_decided_system),
 ], ids=["derived-fields", "report-fields", "least-sample", "exact-h0",
         "corollary-exact-h0", "report-counts", "corollary-report-counts",
         "inadmissible-twist", "direct-twist", "floor", "other-system",
-        "method-label", "evidence-provenance", "system-json-type"])
+        "method-label", "evidence-provenance", "system-json-type",
+        "evidence-of-decided-system"])
 def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
                                                 tamper):
     _assert_miss(tmp_path, capsys, argv, tamper)

@@ -6,9 +6,39 @@ import pytest
 from fatpoints import field, gfmat
 from fatpoints.field import (DEFAULT_PRIME, MAX_PRIME, is_prime, legendre,
                              sqrt_mod)
-from fatpoints.gfmat import LEAF, MAX_INNER, GFMatrix, rank, rational_rank
+from fatpoints.gfmat import LEAF, MAX_INNER, GFMatrix, floor_mod, rank
 
 PRIMES = [101, 32003, DEFAULT_PRIME]
+
+
+def rational_rank(M) -> int:
+    """Exact rank over the rationals of an integer matrix: the oracle.
+
+    Fraction-free Bareiss elimination on Python big integers; for modest
+    sizes, not performance.
+    """
+    a = [[int(x) for x in row] for row in M]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    if nrows == 0 or ncols == 0:
+        return 0
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+    return r
 
 
 def test_is_prime():
@@ -213,11 +243,16 @@ def test_blocked_rank_matches_unblocked_kernel(p):
         (dep, True),
         (dep[:, :n].copy(), False),
         (dep[:, :n].T.copy(), False),
+        # every entry p - 1, the largest residue
+        (np.full((n, n + 30), p - 1), False),
+        (np.full((n + 30, n), p - 1), False),
     ]
     for M, full in cases:
         want = _unblocked_rank(M, p)
         assert (want == min(M.shape)) == full
         assert rank(GFMatrix(M, p)) == want
+        # the float64 kernel against the int64 oracle, rows permuted
+        assert rank(GFMatrix(M[rng.permutation(len(M))], p)) == want
 
 
 def test_rank_chunks_pivot_blocks_beyond_max_inner():
@@ -235,16 +270,18 @@ def test_rank_chunks_pivot_blocks_beyond_max_inner():
     # the same chunking on scattered pivot columns, every entry p - 1, and
     # on random residues, against Python integers
     k = MAX_INNER + 100
-    cols = sorted(rng.choice(k + 30, k, replace=False).tolist())
-    c = rng.integers(0, p, (3, 4))
-    for a, b in ((np.full((3, k + 30), p - 1), np.full((k, 4), p - 1)),
-                 (rng.integers(0, p, (3, k + 30)), rng.integers(0, p, (k, 4)))):
-        got = c.copy()
-        gfmat._submul(got, a, cols, b, p)
-        want = [[(int(c[i, j]) - sum(int(a[i, q]) * int(b[t, j])
-                                     for t, q in enumerate(cols))) % p
-                 for j in range(4)] for i in range(3)]
-        assert got.tolist() == want
+    c = rng.integers(0, p, (3, 4)).astype(np.float64)
+    for cols in (sorted(rng.choice(k + 30, k, replace=False).tolist()),
+                 list(range(20, k + 20))):                 # one run: a view
+        for a, b in ((np.full((3, k + 30), p - 1.0), np.full((k, 4), p - 1.0)),
+                     (rng.integers(0, p, (3, k + 30)).astype(np.float64),
+                      rng.integers(0, p, (k, 4)).astype(np.float64))):
+            got = c.copy()
+            gfmat._submul(got, a, cols, b, p)
+            want = [[(int(c[i, j]) - sum(int(a[i, q]) * int(b[t, j])
+                                         for t, q in enumerate(cols))) % p
+                     for j in range(4)] for i in range(3)]
+            assert got.tolist() == want
 
 
 def test_blocked_rank_matches_rational_oracle():
@@ -282,13 +319,13 @@ def test_trsm_matches_integer_oracle(k):
     for p in (7, DEFAULT_PRIME):
         rng = np.random.default_rng(k)
         r0 = 3
-        a = rng.integers(0, p, (r0 + k + 4, k + 40))
+        a = rng.integers(0, p, (r0 + k + 4, k + 40)).astype(np.float64)
         cols = sorted(rng.choice(k + 40, k, replace=False).tolist())
         segs = _leaves(rng, a, r0, cols, p)
         L = [[1 if i == j else int(a[r0 + i, cols[j]]) if i > j else 0
               for j in range(k)] for i in range(k)]
         for width in (2 * LEAF + 1, 3):
-            x = rng.integers(0, p, (k, width))
+            x = rng.integers(0, p, (k, width)).astype(np.float64)
             got = x.copy()
             gfmat._trsm(a, p, r0, segs, got)
             # L (L^-1 x) = x, in Python integers
@@ -303,14 +340,15 @@ def test_unit_lower_inverse_matches_integer_oracle(k):
     # only the strictly lower part of l counts
     for p in (3, DEFAULT_PRIME):
         rng = np.random.default_rng(k)
-        for l in (rng.integers(0, p, (k, k)), np.full((k, k), p - 1)):
+        for l in (rng.integers(0, p, (k, k)).astype(np.float64),
+                  np.full((k, k), p - 1.0)):
             got = gfmat._unit_lower_inverse(l, p).tolist()
             L = [[1 if i == j else int(l[i, j]) if i > j else 0
                   for j in range(k)] for i in range(k)]
             # (I + N) got = I, in Python integers, and got is reduced
             for i in range(k):
                 for j in range(k):
-                    assert sum(L[i][t] * got[t][j]
+                    assert sum(L[i][t] * int(got[t][j])
                                for t in range(k)) % p == (i == j)
                     assert 0 <= got[i][j] < p
 
@@ -327,7 +365,7 @@ def test_eliminate_factors_a_leaf_exactly(p):
                   rng.integers(max(p - 2 ** 20, 0), p, (n, LEAF)),
                   rng.integers(0, p, (LEAF - 7, LEAF)), low):
         m = len(block)
-        a = np.hstack([block, np.arange(m)[:, None]])
+        a = np.hstack([block, np.arange(m)[:, None]]).astype(np.float64)
         (piv, inv), = gfmat._eliminate(a, p, 0, 0, LEAF)
         k = len(piv)
         assert piv == sorted(piv) and k == _unblocked_rank(block, p)
@@ -339,7 +377,7 @@ def test_eliminate_factors_a_leaf_exactly(p):
         U = [[int(a[i, c]) if c >= piv[i] else 0 for c in range(LEAF)]
              for i in range(k)]
         for i in range(m):
-            row = block[a[i, LEAF]]
+            row = block[int(a[i, LEAF])]
             for c in range(LEAF):
                 assert sum(L[i][j] * U[j][c] for j in range(k)) % p == row[c]
         for i in range(k):
@@ -347,7 +385,7 @@ def test_eliminate_factors_a_leaf_exactly(p):
                 assert sum(int(inv[i, t]) * L[t][j]
                            for t in range(k)) % p == (i == j)
     # a leaf that finds no pivot returns nothing and inverts nothing
-    a = np.zeros((5, LEAF), dtype=np.int64)
+    a = np.zeros((5, LEAF))
     assert gfmat._eliminate(a, p, 0, 0, LEAF) == []
 
 
@@ -408,15 +446,37 @@ def test_mul_mod_exact_at_worst_case():
     # float64 product of residues must hold, against Python integers
     p = DEFAULT_PRIME
     assert MAX_INNER == 2048 and MAX_INNER * (MAX_PRIME - 2) ** 2 < 2 ** 53
-    a = np.full((3, MAX_INNER), p - 1, dtype=np.int64)
-    b = np.full((MAX_INNER, 4), p - 1, dtype=np.int64)
+    a = np.full((3, MAX_INNER), p - 1.0)
+    b = np.full((MAX_INNER, 4), p - 1.0)
     assert (gfmat._mul_mod(a, b, p) == MAX_INNER * (p - 1) ** 2 % p).all()
     rng = np.random.default_rng(2)
-    a = rng.integers(p - 2 ** 20, p, (5, MAX_INNER))
-    b = rng.integers(p - 2 ** 20, p, (MAX_INNER, 3))
+    a = rng.integers(p - 2 ** 20, p, (5, MAX_INNER)).astype(np.float64)
+    b = rng.integers(p - 2 ** 20, p, (MAX_INNER, 3)).astype(np.float64)
     want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p
              for col in b.T] for row in a]
     assert gfmat._mul_mod(a, b, p).tolist() == want
     with pytest.raises(ValueError):
-        gfmat._mul_mod(np.ones((1, MAX_INNER + 1), dtype=np.int64),
-                       np.ones((MAX_INNER + 1, 1), dtype=np.int64), p)
+        gfmat._mul_mod(np.ones((1, MAX_INNER + 1)),
+                       np.ones((MAX_INNER + 1, 1)), p)
+
+
+@pytest.mark.parametrize("p", [3, 101, 2097143])
+def test_floor_mod_exact_at_its_bound(p):
+    # every kind of integer the kernel reduces, up to the Schur update's
+    # worst case MAX_INNER (p - 1)^2 below 0 and p - 1 above it, against
+    # Python integers
+    assert MAX_INNER * (2097143 - 1) ** 2 + 2097143 < 2 ** 53
+    worst = MAX_INNER * (p - 1) ** 2
+    xs = [0, 1, p - 1, p, p + 1, worst, worst + p - 1, -worst,
+          -worst + p - 1, 2 ** 53 - p, -(2 ** 53 - p)]
+    for k in (1, 2, 7, 2 ** 20 + 3, worst // p - 1, worst // p):
+        xs += [k * p, -k * p, k * p + 1, k * p - 1, -k * p + 1, -k * p - 1]
+    xs = [x for x in xs if abs(x) + p <= 2 ** 53]
+    got = floor_mod(np.array(xs, dtype=np.float64), p)
+    assert got.tolist() == [x % p for x in xs]
+    # on a strided view, in place, as on a tile of the Schur update
+    a = np.full((4, 6), -float(worst))
+    tile = a[::2, 1:4]
+    assert floor_mod(tile, p) is tile
+    assert (tile == -worst % p).all() and (a[1::2] == -worst).all()
+

@@ -10,11 +10,25 @@ from fatpoints.certificate import (NONSPECIAL, SPECIAL_EXACT,
                                    certificate_from_dict, derive_seed)
 from fatpoints.field import DEFAULT_PRIME
 from fatpoints.interp import (build_matrix, certify, config_for_system,
-                              h0_at_sample, monomial_basis, sample_config)
+                              h0_at_sample, sample_config)
 from fatpoints.linsys import (FatPointSystem, GENERIC, ON_CUBIC,
                               homogeneous_system)
+from test_gfmat import rational_rank
 
 P = DEFAULT_PRIME
+
+
+def monomial_basis(d: int):
+    """Exponent triples (i, j, k), i+j+k = d, in the column order of
+    build_matrix (interp._exponents)."""
+    return [tuple(e) for e in interp._exponents(d).T.tolist()]
+
+
+def interleaved(blocks):
+    """The rows of blocks, one block of rows per point, in build_matrix's
+    order: row i of every point, in point order, before row i + 1 of any."""
+    return [b[i] for i in range(max(map(len, blocks), default=0))
+            for b in blocks if i < len(b)]
 
 
 def sympy_condition_rows(point, m, d, p):
@@ -160,7 +174,8 @@ def loop_condition_rows(point, m, d, p, cols=None):
 @pytest.mark.parametrize("chart", ["z", "y"])
 def test_condition_rows_match_loop_oracle_at_large_degree(d, m, chart):
     # the falling-factorial and power tables reach 174!/120! and c^174 here;
-    # any int64 overflow before reduction would show as a wrong residue
+    # any product past the exact float64 range before reduction would show as
+    # a wrong residue
     rng = random.Random(d * 1000 + m)
     x, y = rng.randrange(1, P), rng.randrange(1, P)
     pt = (x, y, rng.randrange(1, P)) if chart == "z" else (x, y, 0)
@@ -189,7 +204,7 @@ def test_condition_rows_m2_full_rank():
     pt = (17, 23, 1)
     rows = condition_rows(pt, 2, 2, P)
     lifted = [[int(v) for v in row] for row in rows]
-    assert gfmat.rational_rank(lifted) == 3
+    assert rational_rank(lifted) == 3
 
 
 def test_build_matrix_shapes():
@@ -213,11 +228,11 @@ def test_build_matrix_large_shape():
 
 
 def _stacked_rows(s, cfg):
-    # the former build: one block per point, stacked and reduced again
+    # one point's build at a time, reduced again, in the interleaved order
     eff = linsys.effective_part(s)
     blocks = [condition_rows(cfg.points[i], m, eff.d, cfg.p)
               for i, m in enumerate(eff.mults) if m >= 1]
-    return np.mod(np.vstack(blocks), cfg.p)
+    return np.mod(np.array(interleaved(blocks)), cfg.p)
 
 
 @pytest.mark.parametrize("s", [
@@ -230,7 +245,7 @@ def test_build_matrix_writes_one_buffer(s):
     cfg = config_for_system(s, P, 7)
     M = build_matrix(s, cfg)
     want = _stacked_rows(s, cfg)
-    assert M.data.dtype == np.int64 and M.data.shape == want.shape
+    assert M.data.dtype == np.float64 and M.data.shape == want.shape
     assert (M.data == want).all()
     # the short side is contiguous, so rank(M, overwrite=True) copies nothing
     short = M.data.T if M.rows > M.cols else M.data
@@ -238,10 +253,11 @@ def test_build_matrix_writes_one_buffer(s):
 
 
 def _loop_matrix(s, cfg):
-    # the Python-integer oracle's rows for every point with m >= 1, stacked
+    # the Python-integer oracle's rows for every point with m >= 1,
+    # interleaved
     eff = linsys.effective_part(s)
-    return [row for pt, m in zip(cfg.points, eff.mults) if m >= 1
-            for row in loop_condition_rows(pt, m, eff.d, cfg.p)]
+    return interleaved([loop_condition_rows(pt, m, eff.d, cfg.p)
+                        for pt, m in zip(cfg.points, eff.mults) if m >= 1])
 
 
 @pytest.mark.parametrize("p", [97, 1000003, P])
@@ -536,12 +552,12 @@ def test_gfp_rank_equals_rational_rank_on_lifted_matrices():
             continue
         cfg = config_for_system(s, P, rng.randrange(2 ** 32))
         M = build_matrix(s, cfg)
-        lifted = []
-        for pt, m in zip(cfg.points, s.mults):
-            lifted.extend(integer_condition_rows(pt, m, d))
+        lifted = interleaved([integer_condition_rows(pt, m, d)
+                              for pt, m in zip(cfg.points, s.mults)])
+        assert len(lifted) == M.rows
         for lrow, prow in zip(lifted, M.data):
             assert [v % P for v in lrow] == [int(v) for v in prow]
-        assert gfmat.rank(M) == gfmat.rational_rank(lifted)
+        assert gfmat.rank(M) == rational_rank(lifted)
         checked += 1
 
 
