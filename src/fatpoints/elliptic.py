@@ -171,6 +171,13 @@ def corollary_nonspecial(s: FatPointSystem, mu: Optional[int],
     nonspecial.  Otherwise the result is inconclusive, with b attached as an
     upper bound.  Since the two chis agree here, the floor case is exactly
     the reduced system being certified nonspecial.
+
+    It never samples, so it takes no max_cells and `sweep
+    --max-matrix-entries` never skips its rows: with m' = m - mu > 0 the
+    reduced system's cubic peel restricts to degree (n-9)(1+mu+2j)/2 > 0
+    at step j and ends at degree (n-9)(1+mu+2m')/6 > 0, so linsys.exact_h0
+    decides it, with h0 = chi; with m' <= 0 every multiplicity clamps to
+    0, and h0 is the monomial count, or 0 when d - 3 mu < 0.
     """
     if mu is None:
         raise InapplicableError("the corollary needs n >= 10, d >= 1, m >= 1 "

@@ -1,18 +1,20 @@
 """Append-only certificate store: one JSON record per line.
 
 An invocation (command, input system, run config) has one canonical
-encoding (invocation, by certificate.canonical_json).  A record is keyed
-by the sha256 of that encoding, so re-running an identical invocation is
-a lookup, not a recomputation; timestamps are not part of it.
+encoding (invocation, by certificate.canonical_json).  On load and on put
+alike, a record is filed under the invocation its own command,
+certificate system and config encode to (_answered), so it answers only
+that one, and re-running an identical invocation is a lookup, not a
+recomputation; timestamps are not part of it.
 CertificateStore.certificate is the one look-up-or-compute: it serves the
-stored certificate if it is one this code would sign for the invocation
-(_checked), and otherwise computes one and appends its record at once; of
-two lines with one key, the later wins on load.  A last line without
-its newline was torn by a crash mid-write: loading drops it with a warning
-on stderr and the first append cuts it off.  A bad line before the last
-one is an error.  The first append of a run opens one append handle,
-which close() (or leaving a `with` block) closes; each record is written
-and flushed before put returns.
+stored certificate if it is one this code would sign (_checked), and
+otherwise computes one and appends its record at once; of two lines for
+one invocation, the later wins on load.  A last line without its newline
+was torn by a crash mid-write: loading drops it with a warning on stderr
+and the first append cuts it off.  Any other line that is not a record
+naming an invocation is an error.  The first append of a run opens one
+append handle, which close() (or leaving a `with` block) closes; each
+record is written and flushed before put returns.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import __version__, elliptic, linsys
 from .certificate import Certificate, canonical_json, certificate_from_dict
 from .linsys import FatPointSystem
 
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 
 def invocation(command: str, system: dict, config: dict) -> str:
@@ -35,10 +37,11 @@ def invocation(command: str, system: dict, config: dict) -> str:
     return canonical_json({"command": command, "system": system, "config": config})
 
 
-def record_key(encoded: str) -> str:
-    """The key of the records of an encoded invocation."""
-    import hashlib  # loaded by the first hash, not by every CLI start
-    return hashlib.sha256(encoded.encode()).hexdigest()
+def _answered(rec) -> str:
+    """The invocation rec answers: its own command, certificate system and
+    config, encoded (JSON tells 1, 1.0 and true apart).  LookupError or
+    TypeError unless rec is an object with those fields."""
+    return invocation(rec["command"], rec["certificate"]["system"], rec["config"])
 
 
 def _sampled(cert: Certificate) -> FatPointSystem:
@@ -53,10 +56,9 @@ def _sampled(cert: Certificate) -> FatPointSystem:
     return plan.reduced
 
 
-def _checked(rec: dict, encoded: str) -> Optional[Certificate]:
+def _checked(rec: dict) -> Optional[Certificate]:
     """The record's certificate if this code would sign it for the
-    invocation encoded, under whose record_key the record is found; else
-    None.
+    invocation the record answers (_answered); else None.
 
     It must (a) parse and derive again to the same JSON object, which fixes
     the schema, the method, chi, h0, h1, the verdict, every report's
@@ -65,17 +67,11 @@ def _checked(rec: dict, encoded: str) -> Optional[Certificate]:
     its route samples (_sampled), and as h0_bound their least h0_sample,
     or with no evidence the linsys.exact_h0 of that system; evidence is
     only that of a system exact_h0 leaves undecided, since interp.least_h0
-    samples no other; (c) have
-    h0_bound >= max(chi, 0) when d >= -2; and (d) have a command, a
-    certificate system and a config of its own that encode to the
-    invocation, so they hash to the key the record is found under.
+    samples no other; and (c) have h0_bound >= max(chi, 0) when d >= -2.
     """
     try:
-        d = rec["certificate"]
-        if invocation(rec["command"], d["system"], rec["config"]) != encoded:
-            return None
-        cert = certificate_from_dict(d)
-        if cert.to_dict() != d:
+        cert = certificate_from_dict(rec["certificate"])
+        if cert.to_dict() != rec["certificate"]:
             return None
         sampled = _sampled(cert)
     except (LookupError, TypeError, ValueError, ArithmeticError,
@@ -100,7 +96,7 @@ class CertificateStore:
 
     def __init__(self, path: str):
         self.path = path
-        self._by_key = {}
+        self._by_invocation = {}  # _answered(rec) -> rec
         # byte offset of a torn last line, cut off before the first append
         self._torn_at = None
         self._out = None  # the append handle, from the first append on
@@ -117,11 +113,13 @@ class CertificateStore:
                     continue
                 try:
                     rec = json.loads(line)
-                    if not isinstance(rec, dict) or not isinstance(rec.get("key"), str):
-                        raise ValueError("not an object with a string key")
+                    self._by_invocation[_answered(rec)] = rec
                 except ValueError as e:
                     raise ValueError(f"store {path} line {n} is corrupt: {e}") from None
-                self._by_key[rec["key"]] = rec
+                except (LookupError, TypeError):
+                    raise ValueError(
+                        f"store {path} line {n} is corrupt: not an object with "
+                        "command, config and certificate.system") from None
 
     def __enter__(self):
         return self
@@ -138,38 +136,32 @@ class CertificateStore:
                     compute: Callable[[], Certificate]) -> Certificate:
         """The certificate of this invocation: the stored one if it passes
         _checked, else compute()'s, whose record is appended at once (an
-        error that compute raises stores nothing).  The invocation is
-        encoded and its key hashed once, for both."""
-        encoded = invocation(command, system, config)
-        key = record_key(encoded)
-        cert = self.lookup_certificate(key, encoded)
+        error that compute raises stores nothing)."""
+        cert = self.lookup_certificate(invocation(command, system, config))
         if cert is None:
             cert = compute()
-            self.put(key, command, system, config, cert)
+            self.put(command, config, cert)
         return cert
 
-    def lookup_certificate(self, key: str, encoded: str) -> Optional[Certificate]:
-        """The certificate of the record under key, if it passes _checked
-        for the invocation encoded."""
-        rec = self._by_key.get(key)
-        return None if rec is None else _checked(rec, encoded)
+    def lookup_certificate(self, encoded: str) -> Optional[Certificate]:
+        """The certificate of the record that answers the invocation
+        encoded, if it passes _checked."""
+        rec = self._by_invocation.get(encoded)
+        return None if rec is None else _checked(rec)
 
-    def put(self, key: str, command: str, system: dict, config: dict,
-            cert: Certificate) -> None:
-        """Append the record of cert under key and flush it, so a later
-        reader, or a rerun after a kill, sees it; the first put cuts a torn
-        tail and opens the file."""
+    def put(self, command: str, config: dict, cert: Certificate) -> None:
+        """Append cert's record, of a run of command with config, filed
+        under the invocation it names, and flush it so that a later reader,
+        or a rerun after a kill, sees it; the first put cuts a torn tail."""
         rec = {
             "schema_version": STORE_SCHEMA_VERSION,
-            "key": key,
             "command": command,
-            "system": system,
             "config": config,
             "certificate": cert.to_dict(),
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "tool_version": __version__,
         }
-        self._by_key[key] = rec
+        self._by_invocation[_answered(rec)] = rec
         if self._out is None:
             os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
             if self._torn_at is not None:

@@ -14,14 +14,20 @@ from fatpoints.cli import (EXIT_DECIDED, EXIT_UNDECIDED, EXIT_USAGE, main,
 from fatpoints.elliptic import corollary_nonspecial, reduce, theorem_upper_bound
 from fatpoints.interp import certify
 from fatpoints.linsys import FatPointSystem, homogeneous_system
-from fatpoints.store import CertificateStore, invocation, record_key
+from fatpoints.store import CertificateStore, invocation
+
+
+def _answered(rec):
+    """The invocation a store record rec names: its own command,
+    certificate system and config, encoded."""
+    return invocation(rec["command"], rec["certificate"]["system"],
+                      rec["config"])
 
 
 def _lookup(st, rec):
     """What the store st serves for the invocation of its record rec, or
     None on a miss."""
-    encoded = invocation(rec["command"], rec["system"], rec["config"])
-    return st.lookup_certificate(record_key(encoded), encoded)
+    return st.lookup_certificate(_answered(rec))
 
 
 def _recomputed():
@@ -149,6 +155,20 @@ def test_prime_beyond_2_31_is_usage_error(capsys):
             captured = capsys.readouterr()
             assert f"--prime {prime} must be below 2^21" in captured.err
             assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["certify", "13", "4x10"],
+                                  ["bound", "13", "10", "4"],
+                                  ["sweep", "13", "10", "4"]],
+                         ids=["certify", "bound", "sweep"])
+def test_prime_at_most_twice_the_degree_is_usage_error(capsys, argv):
+    # the floor is max(2 d, 3) = 26 for degree 13: 23 is refused before
+    # anything runs, and 29, the next prime above it, is accepted
+    assert main(argv + ["--prime", "23"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--prime 23 too small for degree 13" in captured.err
+    assert captured.out == ""
+    assert main(argv + ["--prime", "29"]) == EXIT_DECIDED
 
 
 def test_trials_below_one_is_usage_error(capsys):
@@ -394,14 +414,15 @@ def _bound_below_floor(c):
 
 
 def _another_systems_certificate(c):
-    # (d) a sound certificate, but for (2; 2^2), not for the key's system
+    # a sound certificate, but for (2; 2^2): the record answers that
+    # invocation, not this one
     c.clear()
     c.update(certify(FatPointSystem(2, (2, 2))).to_dict())
 
 
 def _system_of_another_json_type(c):
-    # (d) 13.0 == 13 in Python, but in JSON the record's system is not the
-    # invocation's, so the record's own fields hash to another key
+    # 13.0 == 13 in Python, but in JSON the record's system is not the
+    # invocation's, so the record answers another invocation
     c["system"]["d"] = 13.0
 
 
@@ -424,7 +445,7 @@ def _assert_miss(tmp_path, capsys, argv, tamper, part="certificate"):
     # the bad record is recomputed and the current one appended after it
     assert run(capsys, *argv, "--store", store) == (want_code, want)
     recs = _records(store)
-    assert len(recs) == 2 and recs[0]["key"] == recs[1]["key"]
+    assert len(recs) == 2 and _answered(recs[1]) == _answered(untampered)
     assert (recs[1]["certificate"]["schema_version"]
             == certificate.CERT_SCHEMA_VERSION)
 
@@ -491,9 +512,9 @@ def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
 ], ids=["trials-float", "trials-bool", "other-command"])
 def test_store_record_of_another_invocation_is_a_miss(tmp_path, capsys, argv,
                                                       part, tamper):
-    # (d) 3.0 == 3 and True == 1 in Python, but the record's own config
-    # then encodes to another invocation than the one it is filed under,
-    # as does a command of another subcommand
+    # 3.0 == 3 and True == 1 in Python, but the record's own config then
+    # encodes to another invocation, which the record answers instead, as
+    # does a command of another subcommand
     _assert_miss(tmp_path, capsys, argv, tamper, part)
 
 
@@ -655,33 +676,39 @@ def test_store_put_is_seen_by_another_reader_at_once(tmp_path):
                                       _recomputed) == cert
 
 
-def test_sweep_opens_its_store_once_and_hashes_each_key_once(
+def test_sweep_opens_its_store_once_and_encodes_each_record_once(
         tmp_path, capsys, monkeypatch):
-    appends, keys = [], []
+    appends, encoded = [], []
 
     def counting_open(path, mode="r", *args, **kwargs):
         if "a" in mode:
             appends.append(path)
         return open(path, mode, *args, **kwargs)
 
-    def counting_key(encoded):
-        keys.append(encoded)
-        return record_key(encoded)
+    def counting_invocation(*args):
+        encoded.append(invocation(*args))
+        return encoded[-1]
 
     # the store's module-level open shadows the builtin one
     monkeypatch.setattr(store_mod, "open", counting_open, raising=False)
-    monkeypatch.setattr(store_mod, "record_key", counting_key)
+    monkeypatch.setattr(store_mod, "invocation", counting_invocation)
     store = str(tmp_path / "certs.ndjson")
     argv = ["sweep", "10:12", "10", "4", "--store", store]
     code, cold = run(capsys, *argv)
-    assert code == EXIT_DECIDED and len(_records(store)) == 3
-    assert appends == [store] and len(keys) == 3
+    recs = _records(store)
+    assert code == EXIT_DECIDED and len(recs) == 3
+    # each row's invocation is encoded for its lookup, and the record put
+    # appends is filed under the same string
+    assert appends == [store]
+    assert sorted(encoded) == sorted(2 * [_answered(r) for r in recs])
 
-    # a fully served resume opens nothing for append
+    # a fully served resume opens nothing for append: each loaded record
+    # is encoded once, and each row's invocation once for its lookup
     appends.clear()
-    keys.clear()
+    encoded.clear()
     assert run(capsys, *argv) == (EXIT_DECIDED, cold)
-    assert appends == [] and len(keys) == 3
+    assert appends == []
+    assert sorted(encoded) == sorted(2 * [_answered(r) for r in recs])
 
 
 def test_store_roundtrip(tmp_path):
@@ -692,14 +719,43 @@ def test_store_roundtrip(tmp_path):
     with CertificateStore(path) as st:
         assert st.certificate("certify", system, config, lambda: cert) is cert
     (rec,) = _records(path)
-    assert rec["key"] == record_key(invocation("certify", system, config))
-    assert (rec["command"], rec["system"], rec["config"],
-            rec["certificate"]) == ("certify", system, config, cert.to_dict())
+    # the record names its invocation once: no key and no copied system
+    assert rec == {"schema_version": 2, "command": "certify",
+                   "config": config, "certificate": cert.to_dict(),
+                   "tool_version": fatpoints.__version__}
+    assert _answered(rec) == invocation("certify", system, config)
 
     # served from the file, with nothing computed or appended
     with CertificateStore(path) as st2:
         assert st2.certificate("certify", system, config, _recomputed) == cert
     assert _records(path) == [rec]
+
+
+SCHEMA_1_STORE = os.path.join(os.path.dirname(__file__), "data",
+                              "store-schema1.ndjson")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "10:12", "10", "4"],
+    ["sweep", "13", "10", "4"],
+    ["certify", "13", "4x10"],
+    ["certify", "40", "20x5"],
+], ids=["sweep-twist-past-m", "sweep-corollary", "certify-sampled",
+        "certify-special"])
+def test_store_serves_schema_1_records(tmp_path, capsys, argv):
+    # a store written by schema 1, whose records also carried a sha256 key
+    # and a copy of the system; their command, config and certificate are
+    # unchanged, so each invocation is served with nothing appended
+    with open(SCHEMA_1_STORE) as f:
+        lines = f.read()
+    assert all(r["schema_version"] == 1 and "key" in r
+               for r in map(json.loads, lines.splitlines()))
+    store = tmp_path / "certs.ndjson"
+    store.write_text(lines)
+    argv = argv + ["--format", "json"]
+    want = run(capsys, *argv)
+    assert run(capsys, *argv, "--store", str(store)) == want
+    assert store.read_text() == lines
 
 
 def test_canonical_json_is_the_one_encoding(tmp_path, capsys):
@@ -716,12 +772,14 @@ def test_canonical_json_is_the_one_encoding(tmp_path, capsys):
     assert out == certificate.canonical_json(rec["certificate"]) + "\n"
     cert = certificate.certificate_from_dict(rec["certificate"])
     assert cert.evidence and cert.to_json() + "\n" == out
-    inv = {k: rec[k] for k in ("command", "system", "config")}
+    inv = {"command": rec["command"], "system": rec["certificate"]["system"],
+           "config": rec["config"]}
     assert invocation(**inv) == certificate.canonical_json(inv)
     for obj in (rec, cert.to_dict(), inv):
         assert certificate.canonical_json(obj) == json.dumps(
             obj, sort_keys=True, separators=(",", ":"))
-    # rule (d) needs 1, 1.0 and true to encode apart
+    # filing each record under its own invocation needs 1, 1.0 and true
+    # to encode apart
     assert [certificate.canonical_json({"trials": v}) for v in (1, 1.0, True)] \
         == ['{"trials":1}', '{"trials":1.0}', '{"trials":true}']
 
@@ -778,9 +836,17 @@ def test_store_rejects_corruption_before_last_line(tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["{}", "[1]"], ids=["no-key", "array"])
+@pytest.mark.parametrize("line", [
+    "{}", "[1]", '{"key": "0"}',
+    '{"command": "certify", "config": {}, "certificate": {}}',
+    '{"command": "certify", "config": {}, "certificate": [1]}',
+    '{"command": "certify", "certificate": {"system": {}}}',
+], ids=["no-key", "array", "schema-1-key-only", "no-certificate-system",
+        "certificate-array", "no-config"])
 def test_store_line_that_is_not_a_keyed_object_is_corrupt(tmp_path, capsys,
                                                           line):
+    # a record is keyed by the invocation its own command, config and
+    # certificate.system name; a line without them names none
     path = str(tmp_path / "store.ndjson")
     _one_record_store(path)
     with open(path) as f:

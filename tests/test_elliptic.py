@@ -374,6 +374,29 @@ def test_corollary_is_floor_case_of_the_bound():
     assert verdicts == {NONSPECIAL, INCONCLUSIVE}
 
 
+def test_corollary_never_samples(monkeypatch):
+    # at the corollary's twist the cubic peel decides the reduced system,
+    # with h0 = chi while m - mu > 0; every row the corollary applies to
+    # with n in 10..20 and m in 1..20 (d is bounded by mu >= 1)
+    monkeypatch.setattr(interp, "h0_at_sample",
+                        lambda *a: pytest.fail("sampled"))
+    rows = certified = 0
+    for n in range(10, 21):
+        for m in range(1, 21):
+            for d in range(1, (n - 9 + 2 * m * n) // 6 + 1):
+                mu = corollary_twist(d, n, m)
+                if mu is None:
+                    continue
+                cert = corollary(d, n, m)
+                rows += 1
+                assert not cert.evidence
+                if mu < m:
+                    assert cert.verdict == NONSPECIAL
+                    assert cert.h0 == cert.chi
+                    certified += 1
+    assert (rows, certified) == (5273, 774)
+
+
 def test_corollary_agrees_with_direct_certification():
     # cross-validation on cases small enough to run both routes; (1; 1^10)
     # twists by 15 to an empty system, so its bound is exact
