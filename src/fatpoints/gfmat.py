@@ -3,18 +3,34 @@
 Everything here is deterministic.  Rank over GF(p), p an odd prime below
 MAX_PRIME = 2^21, is computed by one recursive rank-revealing LU, in place
 (the recursive PLUQ of Dumas, Pernet and Sultan, with the delayed reduction
-of Dumas, Giorgi and Pernet's FFLAS/FFPACK).  The columns split in half;
-the left half is factored first, its row swaps moving whole rows.  A unit
-lower triangular solve turns the pivot rows' right block into
-X = L11^-1 A12, the rows below take the Schur update A22 -= L21 X (mod p),
-and A22, reduced, is factored in turn unless it is zero (the rank is known).
+of Dumas, Giorgi and Pernet's FFLAS/FFPACK), in product form: no
+triangular solve and no inverse of L.  After a column block is factored,
+its pivot rows stand first, and each row below them holds G in the pivot
+columns, its coefficients on the pivot rows as the block held them on
+entry: the row as it entered is G times those rows, on the block's
+columns.  Row swaps move whole rows, and no column right of the block is
+otherwise written.  The columns split in half and the left half is
+factored first, so the rows below its pivots take the Schur update
+A22 -= G1 A12 (mod p) with A12 the pivot rows' right block as it entered,
+and A22 is factored in turn unless it is zero (the rank is known).  A row
+below both halves' pivots then holds G2 on the right pivots, and one more
+product turns its G1 into its G on the left ones, G1 - G2 G1', G1' the
+right pivot rows' G1.
+
 Blocks at most LEAF columns wide, small matrices included, go through one
-unblocked kernel: first-nonzero pivoting on an int64 copy of the block
-(any nonzero pivot is exact over a field), which stores the multipliers of
-L below each pivot, reducing mod p only the pivot column and row and, once
-at the end, the block (at most LEAF updates below p^2 keep every entry an
-exact float64 integer).  A leaf returns its pivots with its block of L
-inverted by doubling, for the solve.
+unblocked kernel: first-nonzero pivoting (any nonzero pivot is exact over
+a field) on an int64 copy of the block, each row holding its G on the
+pivots found so far and its residual in the other columns.  A leaf of
+more than twice as many rows as columns runs that loop on its top rows
+only, together with the unit rows, each of whose G and residual the loop
+carries too: a row x of the block is x times the unit rows, so its G is x
+times theirs, and one product gives every row below its G when each
+column finds its pivot in the top rows.  A column that finds none there
+flushes: the rows below take their G and residual from the same product,
+and the loop goes on at full height.  A loop reduces only the pivot column
+and row before use, and each pivot adds one product below p^2 to an
+entry, so at most LEAF of them keep every int64 entry an exact float64
+integer until the block is reduced, once, at the end.
 
 Matrices hold their residues as float64 integers, so the products are
 plain float64 BLAS products with no conversion: with p < 2^21 and at most
@@ -102,83 +118,170 @@ def rank(M: GFMatrix, overwrite: bool = False) -> int:
     a = np.ascontiguousarray(a) if overwrite else np.array(a, order="C")
     if 0 in a.shape:
         return 0
-    return sum(len(cols) for cols, _ in _lu(a, M.p, 0, 0, a.shape[1]))
+    return len(_lu(a, M.p, 0, 0, a.shape[1], False))
 
 
-def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
-    """Rank-revealing LU of the block a[r0:, c0:c1], in place.
+def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int, g: bool) -> list:
+    """Rank-revealing LU of the block a[r0:, c0:c1] in product form, in
+    place; returns its pivot columns in increasing order, which number its
+    rank.
 
-    Returns one pair (pivot columns, L^-1) per leaf that found any pivot
-    (_eliminate), in increasing column order; the pivots number the block's
-    rank.  Row swaps move whole rows of a, and the i-th pivot row ends at
-    r0 + i.  The pivot rows then hold U, and below each pivot its column
-    holds the multipliers of the unit lower triangular L.  The left half of
-    the columns is factored first; its pivot rows' right block A12 becomes
-    X = L11^-1 A12 (_trsm), the rows below take A22 -= L21 X, and A22 is
-    factored unless it is zero.
+    With g set, row swaps move whole rows of a, the i-th pivot row ends at
+    r0 + i, each row below the pivot rows ends holding its G in the pivot
+    columns (see above), and no column outside c0:c1 is otherwise written.
+    Without g, for the blocks whose G no later step reads (the last ones of
+    a rank), a is left undefined from r0 on.
     """
     if c1 - c0 <= LEAF:
-        return _eliminate(a, p, r0, c0, c1)
+        return _eliminate(a, p, r0, c0, c1, g)
     h = (c0 + c1) // 2
-    left = _lu(a, p, r0, c0, h)
-    cols = [c for seg, _ in left for c in seg]
-    r1 = r0 + len(cols)
+    left = _lu(a, p, r0, c0, h, True)
+    r1 = r0 + len(left)
     if left:
-        x = a[r0:r1, h:c1]
-        _trsm(a, p, r0, left, x)
-        _submul(a[r1:, h:c1], a[r1:], cols, x, p)
-    if not a[r1:, h:c1].any():
+        _submul(a[r1:, h:c1], a[r1:], left, a[r0:r1, h:c1], p)
+    rest = a[r1:, h:c1]
+    # its first row is nonzero unless the rank falls short there, and
+    # answers most tests without a pass over the whole block
+    if not (len(rest) and (rest[0].any() or rest.any())):
         return left
-    return left + _lu(a, p, r1, h, c1)
+    right = _lu(a, p, r1, h, c1, g)
+    r2 = r1 + len(right)
+    if g and left and right and r2 < len(a):
+        # G1 - G2 G1' on the left pivots; a gathered copy is written back
+        sel = _run(left)
+        g1 = a[r2:, sel]
+        _submul(g1, a[r2:], right, a[r1:r2, sel], p)
+        if not isinstance(sel, slice):
+            a[r2:, sel] = g1
+    return left + right
 
 
-def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
-    """Unblocked form of _lu on a[r0:, c0:c1]: [] if it finds no pivot,
-    else [(pivots, L^-1)], L^-1 the inverse of the leaf's block of L, which
-    no later step of _lu changes.
+def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int,
+               g: bool) -> list:
+    """Unblocked form of _lu on the leaf a[r0:, c0:c1], of m rows and
+    w = c1 - c0 columns.
 
-    First-nonzero pivoting: any nonzero pivot is exact over a field.  The
-    block is worked on as a contiguous transposed int64 copy, so that every
-    column operation runs over contiguous memory and reduces a short
-    vector with one int64 `%`.  Only the pivot column and row are reduced
-    before use: the rows below take the pivot row times the pivot's
-    inverse, reduced, times their entries in the pivot column, which are
-    then scaled into the multipliers of L and left below p^2.  So at most
-    c1 - c0 <= LEAF <= MAX_INNER updates, each below p^2, leave every entry
-    x with |x| + p <= 2^53: the block converts to float64 exactly, and
-    floor_mod reduces it once at the end.
+    The loop runs on a contiguous transposed int64 copy t, so that every
+    column operation runs over contiguous memory; its row swaps are
+    recorded and applied to a at once (_move).  A pivot subtracts its
+    multiple of the pivot row from each row below it, G and residual
+    alike, and leaves the multiplier in its own column, as the row's G on
+    it.  A leaf of more than 2w rows first runs the loop on its top w
+    rows (_window), and the rows below take their G, or their G and
+    residual when the window stops short, from their entries times the
+    unit rows'.  Only the pivot column and row are reduced before use, so
+    every entry x has |x| + p <= (w + 1) p^2 + p < 2^53, and the block is
+    reduced once at the end.  Without g, a is not written at all, and the
+    loop updates only the columns ahead.
     """
-    t = a[r0:, c0:c1].T.astype(np.int64, order="C")
-    w, nrows = t.shape
-    pivots = []
+    blk = a[r0:, c0:c1]
+    m, w = blk.shape
+    moved = {}
     r = 0
-    for c in range(w):
+    if m > 2 * w:
+        t = blk[:w].T.astype(np.int64, order="C")
+        r = _window(t, p, moved)
+        if r == w:
+            if g:
+                _move(a, r0, moved)
+                units = floor_mod(t.T.astype(np.float64), p)
+                blk[w:] = _mul_mod(blk[w:], units, p)
+            return list(range(c0, c1))
+        units = np.eye(w)
+        units[:r] = t[:, :r].T
+        full = np.empty((w, m), dtype=np.int64)
+        full[:, :w] = t
+        full[:, w:] = _mul_mod(blk[w:], floor_mod(units, p), p).T
+        t = full
+    else:
+        t = blk.T.astype(np.int64, order="C")
+    pivots = list(range(c0, c0 + r))
+    for c in range(r, w):
         col = t[c, r:]
         col %= p
         if not col[0]:
             nz = col.nonzero()[0]
             if nz.size == 0:
                 continue
-            i, j = r, r + nz[0]
-            a[[r0 + i, r0 + j]] = a[[r0 + j, r0 + i]]
-            t[:, [i, j]] = t[:, [j, i]]
+            _swap(t, moved, r, r + nz[0])
         pivots.append(c0 + c)
         r += 1
-        if r == nrows:
+        if r == m:
             break
-        # the update of the columns to the right, then the multipliers
-        # col[1:] / pivot, left below p^2
-        inv = pow(col.item(0), -1, p)
-        if c + 1 < w:
-            row = t[c + 1:, r - 1]
+        piv = col.item(0)
+        inv = pow(piv, -1, p)
+        lo = 0 if g else c + 1
+        if lo < w:
+            row = t[lo:, r - 1]
             row %= p
-            rest = t[c + 1:, r:]
-            rest -= (row * inv % p)[:, None] * col[1:]
-        col[1:] *= inv
-    a[r0:, c0:c1] = floor_mod(t.astype(np.float64), p).T
-    if not pivots:
-        return []
-    return [(pivots, _unit_lower_inverse(a[r0:r0 + r, _run(pivots)], p))]
+            if g:
+                # the pivot's entry as piv - 1: the update below then
+                # leaves col - (1 - inv) col = inv col, the multipliers,
+                # in the pivot column
+                row[c] = piv - 1
+            t[lo:, r:] -= (row * inv % p)[:, None] * col[1:]
+    if g:
+        _move(a, r0, moved)
+        blk[...] = floor_mod(t.T.astype(np.float64), p)
+    return pivots
+
+
+def _window(t: np.ndarray, p: int, moved: dict) -> int:
+    """The loop of _eliminate on the top w rows of a leaf, t their
+    transposed w x w int64 copy, in place, with the unit rows carried
+    along; returns the number r of leading columns that find a pivot in
+    those rows, stopping at the first column that finds none.
+
+    The pivot of column c moves to place c of t, and once its row is used
+    the place goes to the c-th unit row, the first whose residual is
+    nonzero there (Gauss-Jordan inversion in place): afterwards place k < r
+    holds the G and residual of the k-th unit row, and the unit rows from
+    r on are still themselves.  With r = w, t transposed is the inverse of
+    the pivot block.
+    """
+    w = len(t)
+    r = 0
+    while r < w:
+        col = t[r]
+        col %= p
+        piv = col.item(r)
+        if not piv:
+            nz = col[r:].nonzero()[0]
+            if nz.size == 0:
+                break
+            _swap(t, moved, r, r + nz[0])
+            piv = col.item(r)
+        inv = pow(piv, -1, p)
+        rs = t[:, r] % p
+        rs *= inv
+        rs %= p
+        # every other place x ends x - (1 - inv) x = inv x in column r, its
+        # G on the pivot, and with piv + 1 there the pivot row's place ends
+        # x - inv x (piv + 1) = -inv x elsewhere, the unit row's residual
+        # less inv times the pivot row, and then takes its G, inv
+        rs[r] = 1 - inv
+        col[r] = piv + 1
+        t -= rs[:, None] * col
+        t[r, r] = inv
+        r += 1
+    return r
+
+
+def _swap(t: np.ndarray, moved: dict, i: int, j: int) -> None:
+    """Swaps the rows i and j of a leaf in its transposed copy t, and
+    records in moved which row of the leaf each place now holds."""
+    x = t[:, i].copy()
+    t[:, i] = t[:, j]
+    t[:, j] = x
+    moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+
+
+def _move(a: np.ndarray, r0: int, moved: dict) -> None:
+    """Moves the whole rows of a from r0 on as the swaps that moved
+    records, in one gather."""
+    pos = [i for i, j in moved.items() if i != j]
+    if pos:
+        a[[r0 + i for i in pos]] = a[[r0 + moved[i] for i in pos]]
 
 
 def _run(cols: list):
@@ -188,34 +291,6 @@ def _run(cols: list):
     if cols[-1] - cols[0] == len(cols) - 1:
         return slice(cols[0], cols[-1] + 1)
     return cols
-
-
-def _trsm(a: np.ndarray, p: int, r0: int, segs: list, x: np.ndarray) -> None:
-    """x <- L^-1 x in place, L the unit lower triangular matrix with
-    L[i, j] = a[r0 + i, cols[j]] for i > j, cols the pivots of the leaves
-    segs of _lu joined, each leaf's block of L inverted by its own L^-1."""
-    if len(segs) == 1:
-        x[...] = _mul_mod(segs[0][1], x, p)
-        return
-    s = len(segs) // 2
-    cols = [c for seg, _ in segs[:s] for c in seg]
-    h = len(cols)
-    _trsm(a, p, r0, segs[:s], x[:h])
-    _submul(x[h:], a[r0 + h:r0 + len(x)], cols, x[:h], p)
-    _trsm(a, p, r0 + h, segs[s:], x[h:])
-
-
-def _unit_lower_inverse(l: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of I + N, N the strictly lower part of the square l,
-    by doubling: N^k = 0, so it is (I - N)(I + N^2)(I + N^4)... up to N^k."""
-    n = np.tril(l, -1)
-    inv = floor_mod(np.eye(len(l)) - n, p)
-    for _ in range(1, (len(l) - 1).bit_length()):
-        n = _mul_mod(n, n, p)
-        # inv + inv @ n is below (len(l) + 1) p^2, exact in float64
-        inv += inv @ n
-        floor_mod(inv, p)
-    return inv
 
 
 def _submul(c: np.ndarray, a: np.ndarray, cols: list, b: np.ndarray,

@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from fatpoints import field, gfmat
+from fatpoints import field, gfmat, interp, linsys
 from fatpoints.field import (DEFAULT_PRIME, MAX_PRIME, is_prime, legendre,
                              sqrt_mod)
 from fatpoints.gfmat import LEAF, MAX_INNER, GFMatrix, floor_mod, rank
+from fatpoints.linsys import GENERIC, ON_CUBIC, homogeneous_system
 
 PRIMES = [101, 32003, DEFAULT_PRIME]
 
@@ -209,6 +210,27 @@ def _low_rank(rng, rows, cols, r, p):
     return (coef @ base).astype(np.int64) % p
 
 
+def _leaf_width(n):
+    # the width of the first leaf of an n-column block: _lu halves it
+    while n > LEAF:
+        n //= 2
+    return n
+
+
+def _spy_windows(monkeypatch):
+    # (pivots found, width) of each leaf window; fewer pivots is a flush
+    windows = []
+    orig = gfmat._window
+
+    def window(t, p, moved):
+        r = orig(t, p, moved)
+        windows.append((r, len(t)))
+        return r
+
+    monkeypatch.setattr(gfmat, "_window", window)
+    return windows
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 65521, DEFAULT_PRIME])
 def test_blocked_rank_matches_unblocked_kernel(p):
     # n columns recurse four levels deep before the leaves
@@ -228,6 +250,17 @@ def test_blocked_rank_matches_unblocked_kernel(p):
     dep = rng.integers(0, p, (n, n + 50))
     for c in (5, LEAF + 3, 3 * LEAF + 1, 5 * LEAF, (n + 50) // 2 + 2, n + 49):
         dep[:, c] = (2 * dep[:, c - 1] + dep[:, c // 3]) % p
+    # the first leaf's top w rows singular, so that its window stops short
+    # and flushes: at its first column (zero there), at a middle one (zero
+    # leading rows), at its last one (a repeated leading row), and on a
+    # leaf block of rank below w (a column that depends on two others)
+    w = _leaf_width(n + 30)
+    first, middle, last, low_leaf = (rng.integers(0, p, (n, n + 30))
+                                     for _ in range(4))
+    first[:w, 0] = 0
+    middle[:w // 2] = 0
+    last[1] = last[0]
+    low_leaf[:, w // 2] = (low_leaf[:, 1] + 2 * low_leaf[:, 2]) % p
     cases = [  # (matrix, full rank)
         (rng.integers(0, p, (n + 60, n)), True),            # tall
         (rng.integers(0, p, (n, n + 90)), True),            # wide
@@ -246,6 +279,10 @@ def test_blocked_rank_matches_unblocked_kernel(p):
         # every entry p - 1, the largest residue
         (np.full((n, n + 30), p - 1), False),
         (np.full((n + 30, n), p - 1), False),
+        (first, True),
+        (middle, False),
+        (last, False),
+        (low_leaf, True),
     ]
     for M, full in cases:
         want = _unblocked_rank(M, p)
@@ -299,127 +336,174 @@ def test_blocked_rank_matches_rational_oracle():
         assert _unblocked_rank(M, DEFAULT_PRIME) == want
 
 
-def _leaves(rng, a, r0, cols, p):
-    # cols cut into consecutive leaves of 1 to LEAF pivots, each with the
-    # inverse of its block of L, as _lu returns them
-    segs = []
-    while cols:
-        n = min(int(rng.integers(1, LEAF + 1)), len(cols))
-        segs.append((cols[:n],
-                     gfmat._unit_lower_inverse(a[r0:r0 + n, cols[:n]], p)))
-        r0, cols = r0 + n, cols[n:]
-    return segs
-
-
-@pytest.mark.parametrize("k", [1, 5, LEAF, 2 * LEAF + 7, 5 * LEAF])
-def test_trsm_matches_integer_oracle(k):
-    # L's multipliers sit in scattered columns of a wider matrix, below row
-    # r0, as _lu leaves them, in leaves of random width; both solves use
-    # the leaves' inverses
-    for p in (7, DEFAULT_PRIME):
-        rng = np.random.default_rng(k)
-        r0 = 3
-        a = rng.integers(0, p, (r0 + k + 4, k + 40)).astype(np.float64)
-        cols = sorted(rng.choice(k + 40, k, replace=False).tolist())
-        segs = _leaves(rng, a, r0, cols, p)
-        L = [[1 if i == j else int(a[r0 + i, cols[j]]) if i > j else 0
-              for j in range(k)] for i in range(k)]
-        for width in (2 * LEAF + 1, 3):
-            x = rng.integers(0, p, (k, width)).astype(np.float64)
-            got = x.copy()
-            gfmat._trsm(a, p, r0, segs, got)
-            # L (L^-1 x) = x, in Python integers
-            for i in range(k):
-                for c in range(width):
-                    assert sum(L[i][j] * int(got[j, c])
-                               for j in range(i + 1)) % p == x[i, c]
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 17, LEAF])
-def test_unit_lower_inverse_matches_integer_oracle(k):
-    # only the strictly lower part of l counts
+@pytest.mark.parametrize("k", [1, 2, 17, LEAF])
+def test_window_inverts_its_top_block_in_place(k):
+    # _window on a k x k block, against Python integers: place q < r holds
+    # the q-th unit row's G on the r pivot rows (the block's rows in pivot
+    # order) and its residual in the columns from r on, so that the unit
+    # row is G times the pivot rows plus the residual; with r = k, t
+    # transposed is the inverse of the block with its rows in that order
     for p in (3, DEFAULT_PRIME):
-        rng = np.random.default_rng(k)
-        for l in (rng.integers(0, p, (k, k)).astype(np.float64),
-                  np.full((k, k), p - 1.0)):
-            got = gfmat._unit_lower_inverse(l, p).tolist()
-            L = [[1 if i == j else int(l[i, j]) if i > j else 0
-                  for j in range(k)] for i in range(k)]
-            # (I + N) got = I, in Python integers, and got is reduced
-            for i in range(k):
-                for j in range(k):
-                    assert sum(L[i][t] * int(got[t][j])
-                               for t in range(k)) % p == (i == j)
-                    assert 0 <= got[i][j] < p
+        rng = np.random.default_rng(k + p)
+        lower, upper = rng.integers(0, p, (2, k, k))
+        one = np.eye(k, dtype=np.int64)
+        full = (np.tril(lower, -1) + one) @ (np.triu(upper, 1) + one) % p
+        for T, want in ((full[rng.permutation(k)], k),
+                        (np.full((k, k), p - 1), 1),
+                        (np.vstack([np.zeros((1, k), int), full[1:]]),
+                         None)):
+            t = T.T.astype(np.int64, order="C")
+            moved = {}
+            r = gfmat._window(t, p, moved)
+            assert r == want or want is None and r < k
+            assert (np.abs(t) + p <= 2 ** 53).all()
+            top = [[int(x) for x in T[moved.get(i, i)]] for i in range(r)]
+            for q in range(r):
+                g = [int(t[c, q]) for c in range(k)]
+                for c in range(k):
+                    rest = g[c] if c >= r else 0
+                    assert (sum(g[j] * top[j][c] for j in range(r)) + rest
+                            - (q == c)) % p == 0
 
 
-@pytest.mark.parametrize("p", [3, DEFAULT_PRIME])
-def test_eliminate_factors_a_leaf_exactly(p):
-    # the delayed reduction at its worst: a LEAF-wide block of p - 1, and
-    # residues near p in full- and low-rank blocks; the last column of a
-    # holds row numbers, so the row swaps can be read back
+@pytest.mark.parametrize("p", [3, 65521, DEFAULT_PRIME])
+def test_eliminate_factors_a_leaf_exactly(monkeypatch, p):
+    # the delayed reduction at its worst (every entry p - 1, residues near
+    # p) and low-rank blocks, through all three paths: a short block (at
+    # most 2 LEAF rows) at full height, a tall one whose window finds every
+    # pivot, and a tall one whose window stops short and flushes; the last
+    # column of a holds row numbers, so the row swaps can be read back
+    windows = _spy_windows(monkeypatch)
     rng = np.random.default_rng(p)
     n = 3 * LEAF + 5
     low = (rng.integers(0, 3, (n, 9)) @ rng.integers(0, p, (9, LEAF))) % p
-    for block in (np.full((n, LEAF), p - 1), np.full((5, LEAF), p - 1),
-                  rng.integers(max(p - 2 ** 20, 0), p, (n, LEAF)),
-                  rng.integers(0, p, (LEAF - 7, LEAF)), low):
+    zero_top = rng.integers(0, p, (n, LEAF))
+    zero_top[:LEAF // 2] = 0
+    unit_top = rng.integers(0, p, (n, LEAF))
+    unit_top[:LEAF] = np.tril(unit_top[:LEAF], -1) + np.eye(LEAF, dtype=int)
+    near_p = rng.integers(max(p - 2 ** 20, 0), p, (n, LEAF))
+    for block, path in ((np.full((n, LEAF), p - 1), "flush"),
+                        (np.full((5, LEAF), p - 1), "short"),
+                        (near_p, "window" if p > 3 else None),
+                        (unit_top, "window"),
+                        (rng.integers(0, p, (LEAF - 7, LEAF)), "short"),
+                        (low, "flush"), (zero_top, "flush")):
         m = len(block)
         a = np.hstack([block, np.arange(m)[:, None]]).astype(np.float64)
-        (piv, inv), = gfmat._eliminate(a, p, 0, 0, LEAF)
+        windows.clear()
+        piv = gfmat._eliminate(a, p, 0, 0, LEAF, True)
+        assert path in (None, "short" if not windows else "window"
+                        if windows == [(LEAF, LEAF)] else "flush")
         k = len(piv)
         assert piv == sorted(piv) and k == _unblocked_rank(block, p)
         assert ((0 <= a[:, :LEAF]) & (a[:, :LEAF] < p)).all()
-        # L U = the block with its rows permuted, and inv L = I on the
-        # leaf's block of L, in Python integers
-        L = [[1 if i == j else int(a[i, piv[j]]) if i > j else 0
-              for j in range(k)] for i in range(m)]
-        U = [[int(a[i, c]) if c >= piv[i] else 0 for c in range(LEAF)]
-             for i in range(k)]
-        for i in range(m):
-            row = block[int(a[i, LEAF])]
+        # the pivot rows first, as the block held them; each row below
+        # holds G in the pivot columns, and is G times the pivot rows, in
+        # Python integers
+        rows = [int(i) for i in a[:, LEAF]]
+        assert sorted(rows) == list(range(m))
+        top = [[int(x) for x in block[i]] for i in rows[:k]]
+        for i in range(k, m):
+            g = [int(a[i, c]) for c in piv]
             for c in range(LEAF):
-                assert sum(L[i][j] * U[j][c] for j in range(k)) % p == row[c]
-        for i in range(k):
-            for j in range(k):
-                assert sum(int(inv[i, t]) * L[t][j]
-                           for t in range(k)) % p == (i == j)
-    # a leaf that finds no pivot returns nothing and inverts nothing
-    a = np.zeros((5, LEAF))
-    assert gfmat._eliminate(a, p, 0, 0, LEAF) == []
+                assert (sum(g[j] * top[j][c] for j in range(k)) - block[
+                    rows[i], c]) % p == 0
+    # without G wanted the leaf writes nothing; a leaf that finds no pivot
+    # returns none
+    a = np.hstack([low, np.arange(n)[:, None]]).astype(np.float64)
+    before = a.copy()
+    assert len(gfmat._eliminate(a, p, 0, 0, LEAF, False)) == 9
+    assert (a == before).all()
+    assert gfmat._eliminate(np.zeros((5, LEAF)), p, 0, 0, LEAF, True) == []
+
+
+@pytest.mark.parametrize("p", [3, 7, 65521, DEFAULT_PRIME])
+def test_lu_leaves_each_row_its_g_on_the_pivot_rows(p):
+    # the product form above the leaves: after _lu on a block several
+    # leaves wide, random or low-rank, the rows below the pivots are G
+    # times the pivot rows as the block held them, in Python integers
+    rng = np.random.default_rng(p)
+    for M in (rng.integers(0, p, (4 * LEAF, 3 * LEAF + 5)),
+              _low_rank(rng, 6 * LEAF, 5 * LEAF, 50, p)):
+        m, n = M.shape
+        a = np.hstack([M, np.arange(m)[:, None]]).astype(np.float64)
+        piv = gfmat._lu(a, p, 0, 0, n, True)
+        k = len(piv)
+        assert k == _unblocked_rank(M, p)
+        assert ((0 <= a[:, :n]) & (a[:, :n] < p)).all()
+        rows = a[:, n].astype(np.int64)
+        g = a[k:][:, piv].astype(np.int64).astype(object)
+        top = M[rows[:k]].astype(object)
+        assert ((g.dot(top) - M[rows[k:]]) % p == 0).all()
+
+
+@pytest.mark.parametrize("n", [5 * LEAF, 8 * LEAF + 40])
+def test_generic_square_matrix_never_flushes(monkeypatch, n):
+    # every window of a random square matrix, at a large prime, finds
+    # every pivot of its leaf in its top rows
+    windows = _spy_windows(monkeypatch)
+    M = np.random.default_rng(n).integers(0, DEFAULT_PRIME, (n, n))
+    assert rank(GFMatrix(M, DEFAULT_PRIME)) == n
+    assert windows and all(r == w for r, w in windows)
+
+
+@pytest.mark.parametrize("tag", [GENERIC, ON_CUBIC])
+def test_special_40_flushes_and_keeps_its_deficit(monkeypatch, tag):
+    # (40;20^5) is twice the conic through the five points: its framed
+    # matrix, built as h0_at_sample builds it, has rank one below its
+    # monomials at both placements, and its windows flush
+    s = homogeneous_system(40, 5, 20, tag)
+    cfg = interp.config_for_system(s, DEFAULT_PRIME, 0)
+    M = interp.build_matrix(*interp._frame(linsys.effective_part(s), cfg))
+    want = _unblocked_rank(M.data.astype(np.int64), DEFAULT_PRIME)
+    assert want == M.cols - 1
+    windows = _spy_windows(monkeypatch)
+    assert rank(M) == want
+    assert any(r < w for r, w in windows)
 
 
 def _count_leaves(monkeypatch):
-    # (first column, found any pivot) of each leaf eliminated, and the size
-    # of each block of L inverted
-    leaves, inverses = [], []
-    orig_eliminate, orig_inverse = gfmat._eliminate, gfmat._unit_lower_inverse
+    # (first column, found any pivot) of each leaf eliminated
+    leaves = []
+    orig = gfmat._eliminate
 
-    def eliminate(a, p, r0, c0, c1):
-        segs = orig_eliminate(a, p, r0, c0, c1)
-        leaves.append((c0, bool(segs)))
-        return segs
-
-    def inverse(l, p):
-        inverses.append(len(l))
-        return orig_inverse(l, p)
+    def eliminate(a, p, r0, c0, c1, g):
+        pivots = orig(a, p, r0, c0, c1, g)
+        leaves.append((c0, bool(pivots)))
+        return pivots
 
     monkeypatch.setattr(gfmat, "_eliminate", eliminate)
-    monkeypatch.setattr(gfmat, "_unit_lower_inverse", inverse)
-    return leaves, inverses
+    return leaves
 
 
 def test_rank_inverts_each_leaf_block_at_most_once(monkeypatch):
-    # full rank over 8 leaves: the solves above the leaves would invert the
-    # first leaf's block once at each of three levels
-    leaves, inverses = _count_leaves(monkeypatch)
+    # full rank over 8 leaves, and a matrix whose leading rows are zero so
+    # that windows flush: a leaf of more than 2w rows inverts its top block
+    # in its window exactly once, whether or not it flushes, and a shorter
+    # leaf inverts none; nothing above the leaves inverts a block again
+    windows = _spy_windows(monkeypatch)
+    runs = []
+    orig = gfmat._eliminate
+
+    def eliminate(a, p, r0, c0, c1, g):
+        before = len(windows)
+        pivots = orig(a, p, r0, c0, c1, g)
+        runs.append((len(a) - r0 > 2 * (c1 - c0), len(windows) - before))
+        return pivots
+
+    monkeypatch.setattr(gfmat, "_eliminate", eliminate)
     rng = np.random.default_rng(6)
-    for shape in [(8 * LEAF, 8 * LEAF), (8 * LEAF + 40, 5 * LEAF + 3)]:
-        M = rng.integers(0, DEFAULT_PRIME, shape)
-        leaves.clear()
-        inverses.clear()
-        assert rank(GFMatrix(M, DEFAULT_PRIME)) == min(shape)
-        assert 0 < len(inverses) <= sum(found for _, found in leaves)
+    zero_top = rng.integers(0, DEFAULT_PRIME, (8 * LEAF + 40, 5 * LEAF + 3))
+    zero_top[:LEAF // 2] = 0
+    for M in (rng.integers(0, DEFAULT_PRIME, (8 * LEAF, 8 * LEAF)),
+              rng.integers(0, DEFAULT_PRIME, (8 * LEAF + 40, 5 * LEAF + 3)),
+              zero_top.T):
+        windows.clear()
+        runs.clear()
+        assert rank(GFMatrix(M, DEFAULT_PRIME)) == min(M.shape)
+        assert runs and all(n == tall for tall, n in runs)
+        assert 0 < len(windows) == sum(tall for tall, _ in runs)
+    assert any(r < w for r, w in windows)
 
 
 @pytest.mark.parametrize("case", ["zero-rows", "low-rank"])
@@ -427,7 +511,7 @@ def test_rank_stops_once_the_rows_left_are_zero(monkeypatch, case):
     # rank 2 LEAF over 8 leaves of columns, all of it in the first two: a
     # full-rank block with zero rows shuffled in, or more rows than the
     # rank, as in the special-40 matrix; no leaf right of the first two is
-    # eliminated, and each of those two inverts its block of L once
+    # eliminated
     p = DEFAULT_PRIME
     rng = np.random.default_rng(9)
     if case == "zero-rows":
@@ -436,9 +520,9 @@ def test_rank_stops_once_the_rows_left_are_zero(monkeypatch, case):
         M = M[rng.permutation(4 * LEAF)]
     else:
         M = _low_rank(rng, 3 * LEAF, 8 * LEAF, 2 * LEAF, p)
-    leaves, inverses = _count_leaves(monkeypatch)
+    leaves = _count_leaves(monkeypatch)
     assert rank(GFMatrix(M, p)) == _unblocked_rank(M, p) == 2 * LEAF
-    assert leaves == [(0, True), (LEAF, True)] and inverses == [LEAF, LEAF]
+    assert leaves == [(0, True), (LEAF, True)]
 
 
 def test_mul_mod_exact_at_worst_case():
