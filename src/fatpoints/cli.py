@@ -34,18 +34,20 @@ class UsageError(Exception):
 
 def parse_mults(text: str):
     """Multiplicity vector syntax: comma list of M or MxK blocks, e.g. 4x10 or 3,2x4,1."""
-    if not text:
-        return ()
     out = []
     for part in text.split(","):
         part = part.strip()
-        if "x" in part:
-            m, k = part.split("x", 1)
-            if int(k) < 0:
-                raise ValueError(f"negative repeat count in {part!r}")
-            out.extend([int(m)] * int(k))
-        elif part:
-            out.append(int(part))
+        if not part:
+            continue
+        m, x, k = part.partition("x")
+        try:
+            m, k = int(m), int(k) if x else 1
+        except ValueError:
+            raise ValueError(f"cannot read multiplicity block {part!r}: "
+                             "want M or MxK") from None
+        if k < 0:
+            raise ValueError(f"negative repeat count in {part!r}")
+        out.extend([m] * k)
     return tuple(out)
 
 
@@ -59,13 +61,14 @@ def nonnegative_int(text: str) -> int:
 
 def parse_range(text: str):
     """A single value 'v' or an inclusive range 'lo:hi'."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            return []
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    try:
+        if ":" in text:
+            lo, hi = (int(v) for v in text.split(":", 1))
+            return list(range(lo, hi + 1))
+        return [int(text)]
+    except ValueError:
+        raise ValueError(
+            f"cannot read range {text!r}: want V or LO:HI") from None
 
 
 def _config_dict(args) -> dict:

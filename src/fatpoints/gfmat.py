@@ -118,35 +118,30 @@ def rank(M: GFMatrix, overwrite: bool = False) -> int:
     a = np.ascontiguousarray(a) if overwrite else np.array(a, order="C")
     if 0 in a.shape:
         return 0
-    return len(_lu(a, M.p, 0, 0, a.shape[1], False))
+    return len(_lu(a, M.p, 0, 0, a.shape[1]))
 
 
-def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int, g: bool) -> list:
+def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
     """Rank-revealing LU of the block a[r0:, c0:c1] in product form, in
     place; returns its pivot columns in increasing order, which number its
     rank.
 
-    With g set, row swaps move whole rows of a, the i-th pivot row ends at
-    r0 + i, each row below the pivot rows ends holding its G in the pivot
-    columns (see above), and no column outside c0:c1 is otherwise written.
-    Without g, for the blocks whose G no later step reads (the last ones of
-    a rank), a is left undefined from r0 on.
+    Row swaps move whole rows of a, the i-th pivot row ends at r0 + i, each
+    row below the pivot rows ends holding its G in the pivot columns (see
+    above), and no column outside c0:c1 is otherwise written.
     """
     if c1 - c0 <= LEAF:
-        return _eliminate(a, p, r0, c0, c1, g)
+        return _eliminate(a, p, r0, c0, c1)
     h = (c0 + c1) // 2
-    left = _lu(a, p, r0, c0, h, True)
+    left = _lu(a, p, r0, c0, h)
     r1 = r0 + len(left)
     if left:
         _submul(a[r1:, h:c1], a[r1:], left, a[r0:r1, h:c1], p)
-    rest = a[r1:, h:c1]
-    # its first row is nonzero unless the rank falls short there, and
-    # answers most tests without a pass over the whole block
-    if not (len(rest) and (rest[0].any() or rest.any())):
+    if not a[r1:, h:c1].any():
         return left
-    right = _lu(a, p, r1, h, c1, g)
+    right = _lu(a, p, r1, h, c1)
     r2 = r1 + len(right)
-    if g and left and right and r2 < len(a):
+    if left and r2 < len(a):
         # G1 - G2 G1' on the left pivots; a gathered copy is written back
         sel = _run(left)
         g1 = a[r2:, sel]
@@ -156,23 +151,21 @@ def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int, g: bool) -> list:
     return left + right
 
 
-def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int,
-               g: bool) -> list:
+def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
     """Unblocked form of _lu on the leaf a[r0:, c0:c1], of m rows and
-    w = c1 - c0 columns.
+    w = c1 - c0 columns, with the same result.
 
     The loop runs on a contiguous transposed int64 copy t, so that every
     column operation runs over contiguous memory; its row swaps are
-    recorded and applied to a at once (_move).  A pivot subtracts its
-    multiple of the pivot row from each row below it, G and residual
-    alike, and leaves the multiplier in its own column, as the row's G on
-    it.  A leaf of more than 2w rows first runs the loop on its top w
-    rows (_window), and the rows below take their G, or their G and
-    residual when the window stops short, from their entries times the
-    unit rows'.  Only the pivot column and row are reduced before use, so
-    every entry x has |x| + p <= (w + 1) p^2 + p < 2^53, and the block is
-    reduced once at the end.  Without g, a is not written at all, and the
-    loop updates only the columns ahead.
+    recorded and applied to a at once (_move), and t is written back at
+    the end.  A pivot subtracts its multiple of the pivot row from each
+    row below it, G and residual alike, and leaves the multiplier in its
+    own column, as the row's G on it.  A leaf of more than 2w rows first
+    runs the loop on its top w rows (_window), and the rows below take
+    their G, or their G and residual when the window stops short, from
+    their entries times the unit rows'.  Only the pivot column and row are
+    reduced before use, so every entry x has |x| + p <= (w + 1) p^2 + p <
+    2^53, and the block is reduced once at the end.
     """
     blk = a[r0:, c0:c1]
     m, w = blk.shape
@@ -182,10 +175,9 @@ def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int,
         t = blk[:w].T.astype(np.int64, order="C")
         r = _window(t, p, moved)
         if r == w:
-            if g:
-                _move(a, r0, moved)
-                units = floor_mod(t.T.astype(np.float64), p)
-                blk[w:] = _mul_mod(blk[w:], units, p)
+            _move(a, r0, moved)
+            units = floor_mod(t.T.astype(np.float64), p)
+            blk[w:] = _mul_mod(blk[w:], units, p)
             return list(range(c0, c1))
         units = np.eye(w)
         units[:r] = t[:, :r].T
@@ -210,19 +202,15 @@ def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int,
             break
         piv = col.item(0)
         inv = pow(piv, -1, p)
-        lo = 0 if g else c + 1
-        if lo < w:
-            row = t[lo:, r - 1]
-            row %= p
-            if g:
-                # the pivot's entry as piv - 1: the update below then
-                # leaves col - (1 - inv) col = inv col, the multipliers,
-                # in the pivot column
-                row[c] = piv - 1
-            t[lo:, r:] -= (row * inv % p)[:, None] * col[1:]
-    if g:
-        _move(a, r0, moved)
-        blk[...] = floor_mod(t.T.astype(np.float64), p)
+        row = t[:, r - 1]
+        row %= p
+        # the pivot's entry as piv - 1: the update below then leaves
+        # col - (1 - inv) col = inv col, the multipliers, in the pivot
+        # column
+        row[c] = piv - 1
+        t[:, r:] -= (row * inv % p)[:, None] * col[1:]
+    _move(a, r0, moved)
+    blk[...] = floor_mod(t.T.astype(np.float64), p)
     return pivots
 
 

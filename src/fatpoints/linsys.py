@@ -143,19 +143,19 @@ def cremona(s: FatPointSystem) -> FatPointSystem:
     return replace(s, d=2 * s.d - msum, mults=tuple(new))
 
 
-def cremona_standardize(s: FatPointSystem, max_steps: int = 10000):
+def cremona_standardize(s: FatPointSystem):
     """Iterate cremona on the sorted multiplicity vector until standard form.
 
     Stops when d >= m1 + m2 + m3 (sorted descending), or when the degree or
-    a multiplicity goes negative.  Returns (system, steps taken).
+    a multiplicity goes negative.  Returns (system, steps taken).  A step
+    runs only when d < m1 + m2 + m3 and lowers d to 2d - (m1 + m2 + m3) < d,
+    so at most d + 1 steps run before d goes negative.
     """
     if s.npoints < 3:
         raise ValueError("cremona_standardize needs at least 3 points")
     cur = replace(s, mults=tuple(sorted(s.mults, reverse=True)))
     steps = 0
-    while steps < max_steps:
-        if cur.d < 0 or min(cur.mults) < 0:
-            break
+    while cur.d >= 0 and min(cur.mults) >= 0:
         m1, m2, m3 = cur.mults[0], cur.mults[1], cur.mults[2]
         if cur.d >= m1 + m2 + m3:
             break

@@ -80,6 +80,19 @@ def test_parse_range():
     assert parse_range("6:3") == []
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["certify", "2", "x3"], "block 'x3'"),
+    (["certify", "2", "4x"], "block '4x'"),
+    (["expdim", "3", "2,x"], "block 'x'"),
+    (["sweep", "1:", "10", "1"], "range '1:'"),
+])
+def test_unreadable_mults_or_range_names_the_input(capsys, argv, bad):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read ")
+    assert bad in captured.err and captured.out == ""
+
+
 def test_expdim_paper_case(capsys):
     code, out = run(capsys, "expdim", "13", "4x10", "--format", "json")
     assert code == EXIT_DECIDED

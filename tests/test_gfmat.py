@@ -391,7 +391,7 @@ def test_eliminate_factors_a_leaf_exactly(monkeypatch, p):
         m = len(block)
         a = np.hstack([block, np.arange(m)[:, None]]).astype(np.float64)
         windows.clear()
-        piv = gfmat._eliminate(a, p, 0, 0, LEAF, True)
+        piv = gfmat._eliminate(a, p, 0, 0, LEAF)
         assert path in (None, "short" if not windows else "window"
                         if windows == [(LEAF, LEAF)] else "flush")
         k = len(piv)
@@ -408,26 +408,25 @@ def test_eliminate_factors_a_leaf_exactly(monkeypatch, p):
             for c in range(LEAF):
                 assert (sum(g[j] * top[j][c] for j in range(k)) - block[
                     rows[i], c]) % p == 0
-    # without G wanted the leaf writes nothing; a leaf that finds no pivot
+    # a low-rank leaf finds its 9 pivots; a leaf that finds no pivot
     # returns none
     a = np.hstack([low, np.arange(n)[:, None]]).astype(np.float64)
-    before = a.copy()
-    assert len(gfmat._eliminate(a, p, 0, 0, LEAF, False)) == 9
-    assert (a == before).all()
-    assert gfmat._eliminate(np.zeros((5, LEAF)), p, 0, 0, LEAF, True) == []
+    assert len(gfmat._eliminate(a, p, 0, 0, LEAF)) == 9
+    assert gfmat._eliminate(np.zeros((5, LEAF)), p, 0, 0, LEAF) == []
 
 
 @pytest.mark.parametrize("p", [3, 7, 65521, DEFAULT_PRIME])
 def test_lu_leaves_each_row_its_g_on_the_pivot_rows(p):
-    # the product form above the leaves: after _lu on a block several
-    # leaves wide, random or low-rank, the rows below the pivots are G
-    # times the pivot rows as the block held them, in Python integers
+    # the product form above the leaves: after the call rank makes, _lu
+    # on a block several leaves wide, random or low-rank, the rows below
+    # the pivots are G times the pivot rows as the block held them, in
+    # Python integers, the last blocks included
     rng = np.random.default_rng(p)
     for M in (rng.integers(0, p, (4 * LEAF, 3 * LEAF + 5)),
               _low_rank(rng, 6 * LEAF, 5 * LEAF, 50, p)):
         m, n = M.shape
         a = np.hstack([M, np.arange(m)[:, None]]).astype(np.float64)
-        piv = gfmat._lu(a, p, 0, 0, n, True)
+        piv = gfmat._lu(a, p, 0, 0, n)
         k = len(piv)
         assert k == _unblocked_rank(M, p)
         assert ((0 <= a[:, :n]) & (a[:, :n] < p)).all()
@@ -467,8 +466,8 @@ def _count_leaves(monkeypatch):
     leaves = []
     orig = gfmat._eliminate
 
-    def eliminate(a, p, r0, c0, c1, g):
-        pivots = orig(a, p, r0, c0, c1, g)
+    def eliminate(a, p, r0, c0, c1):
+        pivots = orig(a, p, r0, c0, c1)
         leaves.append((c0, bool(pivots)))
         return pivots
 
@@ -485,9 +484,9 @@ def test_rank_inverts_each_leaf_block_at_most_once(monkeypatch):
     runs = []
     orig = gfmat._eliminate
 
-    def eliminate(a, p, r0, c0, c1, g):
+    def eliminate(a, p, r0, c0, c1):
         before = len(windows)
-        pivots = orig(a, p, r0, c0, c1, g)
+        pivots = orig(a, p, r0, c0, c1)
         runs.append((len(a) - r0 > 2 * (c1 - c0), len(windows) - before))
         return pivots
 

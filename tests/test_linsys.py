@@ -92,7 +92,7 @@ def test_cremona_standardize_terminates_and_preserves_chi():
         s = rand_system(rng)
         out, steps = cremona_standardize(s)
         assert chi(out) == chi(s)
-        assert steps < 10000
+        assert steps <= max(s.d, 0) + 1
         srt = tuple(sorted(out.mults, reverse=True))
         done = (out.d < 0 or min(out.mults) < 0
                 or out.d >= srt[0] + srt[1] + srt[2])
