@@ -17,6 +17,12 @@ below both halves' pivots then holds G2 on the right pivots, and one more
 product turns its G1 into its G on the left ones, G1 - G2 G1', G1' the
 right pivot rows' G1.
 
+Matrices that share a leading column block can share its factorization
+(Lead): the first rank with it records the block's row order, its pivot
+count r and the G of the rows below its pivots, and each later rank is r
+plus the rank of the Schur complement of the other columns, which the
+recorded G gives with one product, as the top split of _lu would.
+
 Blocks at most LEAF columns wide, small matrices included, go through one
 unblocked kernel: first-nonzero pivoting (any nonzero pivot is exact over
 a field) on an int64 copy of the block, each row holding its G on the
@@ -107,18 +113,71 @@ def floor_mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def rank(M: GFMatrix, overwrite: bool = False) -> int:
+class Lead:
+    """A leading column block that several matrices share, factored once.
+
+    cols is its width, which the caller sets before the first rank with
+    this lead.  After that rank, order holds the block's row indices with
+    its r pivot rows first, and g, of shape (rows - r) x r, holds the G of
+    the rows below them: row order[r + i] of the block is g[i] times the
+    pivot rows.  For a matrix [B | R] whose leading block is B, the rank is
+    then r plus the rank of the Schur complement R[below] - g R[pivots], as
+    in the top split of _lu.
+    """
+
+    def __init__(self):
+        self.cols = 0
+        self.order = None
+        self.r = 0
+        self.g = None
+
+    def _factor(self, blk: np.ndarray, p: int) -> None:
+        """Factors blk by _lu on a copy that carries each row's index in
+        one more column, which only the row moves write."""
+        m, w = blk.shape
+        a = np.empty((m, w + 1))
+        a[:, :w] = blk
+        a[:, w] = np.arange(m)
+        pivots = _lu(a, p, 0, 0, w) if m else []
+        self.order = a[:, w].astype(np.intp)
+        self.r = len(pivots)
+        self.g = a[self.r:, pivots]
+
+
+def rank(M: GFMatrix, overwrite: bool = False, lead: Lead = None) -> int:
     """Rank of M over GF(p), by _lu on a C-order copy of M or, for a tall
     M, of its transpose (same rank; the recursion splits the long side).
 
     With `overwrite` set, M.data is eliminated in place when its layout
     allows, with no copy, and its entries are undefined afterwards.
+
+    With `lead`, the rank is that of M^T while the lead is unfactored: its
+    first lead.cols columns are then the lead's block B, which this rank
+    factors (Lead).  Once it is factored, the rank is that of [B | M^T].
+    Either way only the Schur complement of B is eliminated, and M is not
+    written.
     """
-    a = M.data.T if M.rows > M.cols else M.data
+    if lead is None:
+        return _rank(M.data, M.p, overwrite)
+    a = M.data.T
+    if lead.order is None:
+        lead._factor(a[:, :lead.cols], M.p)
+        a = a[:, lead.cols:]
+    r = lead.r
+    s = a[lead.order[r:]]
+    _submul(s, lead.g, range(r), a[lead.order[:r]], M.p)
+    return r + _rank(s, M.p, True)
+
+
+def _rank(a: np.ndarray, p: int, overwrite: bool) -> int:
+    """Rank of the reduced array a, by _lu on a C-order copy of a or of
+    its transpose, or on a itself when `overwrite` is set and its layout
+    allows."""
+    a = a.T if a.shape[0] > a.shape[1] else a
     a = np.ascontiguousarray(a) if overwrite else np.array(a, order="C")
     if 0 in a.shape:
         return 0
-    return len(_lu(a, M.p, 0, 0, a.shape[1]))
+    return len(_lu(a, p, 0, 0, a.shape[1]))
 
 
 def _lu(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:

@@ -23,6 +23,7 @@ a system that linsys.exact_h0 decides is certified without loading numpy.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -35,6 +36,9 @@ from .linsys import ON_CUBIC, FatPointSystem
 
 SAMPLE_RETRIES = 64
 DEFAULT_TRIALS = 3
+# A point leads a tall framed matrix when it has at least 1/LEAD_SHARE as
+# many conditions as there are kept monomials (_lead_of).
+LEAD_SHARE = 2
 
 
 class MatrixTooLarge(Exception):
@@ -139,13 +143,15 @@ def _charts(points, d: int, p: int) -> list:
     return charts
 
 
-def _write_rows(points, mults, d: int, p: int, out, keep=None) -> None:
+def _write_rows(points, mults, d: int, p: int, out, keep=None,
+                graded: bool = False) -> None:
     """Condition rows of the points into the float64 rows of out,
     interleaved: row i of every point, in point order, comes before row
     i + 1 of any point.  A point's rows are its conditions in the order
     (alpha, beta) = (0, 0), (0, 1) ... (0, m-1), (1, 0) ... (m-1, 0): the
     (alpha, beta) row holds the alpha-th derivative in the first affine
-    variable and the beta-th in the second.
+    variable and the beta-th in the second.  With `graded`, for one point,
+    its rows go in order of alpha + beta, then alpha.
 
     The columns are the monomials of _exponents(d), or only those at the
     indices `keep` when given.  Checks the prime and the points first (see
@@ -183,10 +189,15 @@ def _write_rows(points, mults, d: int, p: int, out, keep=None) -> None:
 
     sizes = np.array([m * (m + 1) // 2 for m in mults], dtype=np.int64)
     for q, ((u, v, _, _), m) in enumerate(zip(charts, mults)):
-        # dest[i]: the row of out that row i of this point goes to, after
-        # the rows below i of every point and row i of the points before
-        i = np.arange(sizes[q])[:, None]
-        dest = np.minimum(i, sizes).sum(1) + (i < sizes[:q]).sum(1)
+        if graded:
+            dest = np.array([(a + b) * (a + b + 1) // 2 + a
+                             for a in range(m) for b in range(m - a)])
+        else:
+            # dest[i]: the row of out that row i of this point goes to,
+            # after the rows below i of every point and row i of the points
+            # before
+            i = np.arange(sizes[q])[:, None]
+            dest = np.minimum(i, sizes).sum(1) + (i < sizes[:q]).sum(1)
         # du[alpha, col]: alpha-th derivative of the first affine factor,
         # per monomial; dv likewise for the second
         f, sh = fall[:m], shift[:m]
@@ -200,9 +211,10 @@ def _write_rows(points, mults, d: int, p: int, out, keep=None) -> None:
         del du, dv  # at most one point's tables are alive at a time
 
 
-def build_matrix(s: FatPointSystem, cfg: PointConfig, keep=None):
+def build_matrix(s: FatPointSystem, cfg: PointConfig, keep=None, lead=None):
     """Condition rows for every point with positive multiplicity, in the
-    interleaved order of _write_rows.
+    interleaved order of _write_rows, or with the rows of the point at
+    index `lead` first, graded (_write_rows), then the others' interleaved.
 
     The columns are the monomials of _exponents(d), or only those at the
     index array `keep` when given.  The rows go straight into one float64
@@ -225,8 +237,14 @@ def build_matrix(s: FatPointSystem, cfg: PointConfig, keep=None):
         data = np.empty((ncols, nrows)).T
     else:
         data = np.empty((nrows, ncols))
+    rows = data
+    if lead is not None:
+        conds.remove(lead)
+        m = eff.mults[lead]
+        rows = data[m * (m + 1) // 2:]
+        _write_rows([cfg.points[lead]], [m], eff.d, cfg.p, data, keep, True)
     _write_rows([cfg.points[i] for i in conds], [eff.mults[i] for i in conds],
-                eff.d, cfg.p, data, keep)
+                eff.d, cfg.p, rows, keep)
     return GFMatrix(data, cfg.p, reduced=True)
 
 
@@ -279,6 +297,42 @@ def _frame(eff: FatPointSystem, cfg: PointConfig):
     return replace(eff, mults=mults), replace(cfg, points=points), keep
 
 
+def _lead_of(rest: FatPointSystem, keep) -> Optional[int]:
+    """The index of the point that leads the framed matrix of rest on the
+    kept monomials (h0_at_sample), or None.
+
+    That is the first point of largest multiplicity, when the matrix is
+    tall (more conditions than kept monomials) and the point has at least
+    1/LEAD_SHARE as many conditions as there are kept monomials.  Below
+    that share, factoring its block first made the first trial slower
+    than the interleaved elimination, and a first trial at full rank is
+    the only one.
+    """
+    sizes = [m * (m + 1) // 2 for m in rest.mults]
+    q = sizes.index(max(sizes))
+    if sum(sizes) > len(keep) and LEAD_SHARE * sizes[q] >= len(keep):
+        return q
+    return None
+
+
+def _spread(keep):
+    """keep in a stride of about 0.618 len(keep) through its order.
+
+    A point's rows on monomials whose exponents lie on one line are
+    polynomials of degree < m in the exponents there, of rank at most m.
+    In keep's lexicographic order runs of rows follow such lines, which
+    stops the top rows of the rank kernel's leaves short of full rank on
+    the lead's graded rows; the stride spreads every run over the lines.
+    """
+    import numpy as np
+
+    n = len(keep)
+    k = max(1, round(0.618 * n))
+    while math.gcd(k, n) != 1:
+        k += 1
+    return keep[np.arange(n) * k % n]
+
+
 def framed_cells(s: FatPointSystem) -> int:
     """Cells of the matrix h0_at_sample eliminates for s when the frame's
     points are not collinear: the other points' conditions times the kept
@@ -289,7 +343,8 @@ def framed_cells(s: FatPointSystem) -> int:
                            if i not in top)
 
 
-def h0_at_sample(s: FatPointSystem, cfg: PointConfig) -> RankReport:
+def h0_at_sample(s: FatPointSystem, cfg: PointConfig,
+                 lead=None) -> RankReport:
     """Sections of the system at this concrete configuration.
 
     h0_sample = monomials - rank bounds the generic characteristic-zero h0
@@ -302,6 +357,18 @@ def h0_at_sample(s: FatPointSystem, cfg: PointConfig) -> RankReport:
     killed plus the rank of the other points' rows on the kept monomials,
     and only those are built and eliminated, in place.  The report counts
     the monomials and conditions of the whole (effective) system.
+
+    `lead` is the gfmat.Lead that least_h0 shares between the trials of s,
+    used when a point leads its framed matrix (_lead_of).  When that point,
+    (x, y, z) after the frame, lies on no coordinate line, the diagonal map
+    diag(yz, xz, xy) moves it to (1:1:1).  The map is invertible and fixes
+    e1, e2 and e3, so by the same argument it keeps the rank, and it only
+    scales monomials, so it keeps the frame's kept ones.  The point's rows,
+    written first (graded, on the kept monomials in the order of _spread),
+    are then the same in every trial: the first such trial factors them
+    into the lead, and later ones build and eliminate only the other
+    points' rows, after it (gfmat.rank).  A point on a coordinate line
+    takes the path without a lead.
     """
     from . import gfmat
 
@@ -309,8 +376,29 @@ def h0_at_sample(s: FatPointSystem, cfg: PointConfig) -> RankReport:
         raise ConfigError("system and configuration tags disagree")
     eff = linsys.effective_part(s)
     rest, moved, keep = _frame(eff, cfg)
-    M = build_matrix(rest, moved, keep)
-    r = gfmat.rank(M, overwrite=True)
+    q = None if lead is None or keep is None else _lead_of(rest, keep)
+    if q is not None and all(moved.points[q]):
+        x, y, z = moved.points[q]
+        p = cfg.p
+        moved = replace(moved, points=tuple(
+            (u * y * z % p, v * x * z % p, t * x * y % p)
+            for (u, v, t) in moved.points))
+        keep = _spread(keep)
+        w = rest.mults[q] * (rest.mults[q] + 1) // 2
+        if lead.order is None:
+            lead.cols = w
+        elif lead.cols == w:
+            # only the other points' rows, after the factored lead
+            rest = replace(rest, mults=tuple(
+                0 if i == q else m for i, m in enumerate(rest.mults)))
+            q = None
+        else:
+            raise ValueError("the lead does not fit the system")
+        M = build_matrix(rest, moved, keep, q)
+        r = gfmat.rank(M, True, lead)
+    else:
+        M = build_matrix(rest, moved, keep)
+        r = gfmat.rank(M, overwrite=True)
     monomials = linsys.monomial_count(eff.d)
     # the monomials the frame killed, plus the rank on the kept ones
     return RankReport(monomials, linsys.conditions_count(eff),
@@ -327,6 +415,15 @@ def least_h0(s: FatPointSystem, trials: int, p: int, seed: int,
     max(monomials - conditions, 0), so no later trial can lower the least.
     Raises MatrixTooLarge instead of sampling when the framed matrix has
     more than max_cells cells (framed_cells).
+
+    The trials share one gfmat.Lead, which lives for this call only.  When
+    a point leads the framed matrix (_lead_of), the first trial that moves
+    that point to (1:1:1) factors its rows, and every later one ranks only
+    the Schur complement of the other points' rows (h0_at_sample).  The
+    move is a diagonal map, which fixes the frame's points and acts
+    invertibly on forms of degree d, carrying each fat point's conditions
+    to those of its image, so each report is still the exact rank at its
+    own sampled configuration.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -336,10 +433,13 @@ def least_h0(s: FatPointSystem, trials: int, p: int, seed: int,
     if max_cells is not None and framed_cells(s) > max_cells:
         raise MatrixTooLarge(f"the framed matrix of {s} has more than "
                              f"{max_cells} cells")
+    from .gfmat import Lead
+
+    lead = Lead()
     evidence = []
     for t in range(trials):
         sub = derive_seed(seed, t)
-        rep = h0_at_sample(s, config_for_system(s, p, sub))
+        rep = h0_at_sample(s, config_for_system(s, p, sub), lead)
         evidence.append((p, sub, rep))
         if rep.full_rank:
             break

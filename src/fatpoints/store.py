@@ -1,11 +1,12 @@
 """Append-only certificate store: one JSON record per line.
 
 An invocation (command, input system, run config) has one canonical
-encoding (invocation, by certificate.canonical_json).  On load and on put
-alike, a record is filed under the invocation its own command,
-certificate system and config encode to (_answered), so it answers only
-that one, and re-running an identical invocation is a lookup, not a
-recomputation; timestamps are not part of it.
+encoding (invocation, by certificate.canonical_json).  On load, a record
+is filed under the invocation its own command, certificate system and
+config encode to (_answered), and on put under the same string, which the
+lookup before it encoded once; so it answers only that one, and
+re-running an identical invocation is a lookup, not a recomputation;
+timestamps are not part of it.
 CertificateStore.certificate is the one look-up-or-compute: it serves the
 stored certificate if it is one this code would sign (_checked), and
 otherwise computes one and appends its record at once; of two lines for
@@ -137,10 +138,11 @@ class CertificateStore:
         """The certificate of this invocation: the stored one if it passes
         _checked, else compute()'s, whose record is appended at once (an
         error that compute raises stores nothing)."""
-        cert = self.lookup_certificate(invocation(command, system, config))
+        encoded = invocation(command, system, config)
+        cert = self.lookup_certificate(encoded)
         if cert is None:
             cert = compute()
-            self.put(command, config, cert)
+            self.put(command, config, cert, encoded)
         return cert
 
     def lookup_certificate(self, encoded: str) -> Optional[Certificate]:
@@ -149,10 +151,13 @@ class CertificateStore:
         rec = self._by_invocation.get(encoded)
         return None if rec is None else _checked(rec)
 
-    def put(self, command: str, config: dict, cert: Certificate) -> None:
+    def put(self, command: str, config: dict, cert: Certificate,
+            encoded: str) -> None:
         """Append cert's record, of a run of command with config, filed
-        under the invocation it names, and flush it so that a later reader,
-        or a rerun after a kill, sees it; the first put cuts a torn tail."""
+        under encoded, the invocation it names (_answered of the record, as
+        the lookup that missed encoded it), and flush it so that a later
+        reader, or a rerun after a kill, sees it; the first put cuts a torn
+        tail."""
         rec = {
             "schema_version": STORE_SCHEMA_VERSION,
             "command": command,
@@ -161,7 +166,7 @@ class CertificateStore:
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "tool_version": __version__,
         }
-        self._by_invocation[_answered(rec)] = rec
+        self._by_invocation[encoded] = rec
         if self._out is None:
             os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
             if self._torn_at is not None:

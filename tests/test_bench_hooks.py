@@ -43,3 +43,22 @@ def test_tracer_installs_and_uninstalls():
     assert names.count(spans.CERTIFY) == 1 and names.count(spans.BOUND) == 1
     for layer in (spans.SAMPLE, spans.BUILD, spans.RANK, spans.TRIAL):
         assert names.count(layer) == 4
+
+
+def test_lead_trials_still_span_through_the_wrapped_attributes():
+    # (40; 20^5) runs all three trials; the first factors the fourth
+    # point's rows, the later ones build and rank only the fifth point's
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        interp.certify(homogeneous_system(40, 5, 20), trials=3, seed=0)
+    finally:
+        tracer.uninstall()
+    names = [s["name"] for s in tracer.spans]
+    for layer in (spans.SAMPLE, spans.BUILD, spans.RANK, spans.TRIAL):
+        assert names.count(layer) == 3
+    for layer in (spans.BUILD, spans.RANK):
+        assert [s["cells"] for s in tracer.spans if s["name"] == layer] == [
+            420 * 231, 210 * 231, 210 * 231]
+    m = spans.layer_metrics(tracer.spans)
+    assert (m["interp.trials"], m["interp.trials.useful_ratio"]) == (3, 1.0)

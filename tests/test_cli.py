@@ -710,10 +710,10 @@ def test_sweep_opens_its_store_once_and_encodes_each_record_once(
     code, cold = run(capsys, *argv)
     recs = _records(store)
     assert code == EXIT_DECIDED and len(recs) == 3
-    # each row's invocation is encoded for its lookup, and the record put
-    # appends is filed under the same string
+    # each row's invocation is encoded once, for its lookup, and the record
+    # put appends is filed under that string
     assert appends == [store]
-    assert sorted(encoded) == sorted(2 * [_answered(r) for r in recs])
+    assert sorted(encoded) == sorted(_answered(r) for r in recs)
 
     # a fully served resume opens nothing for append: each loaded record
     # is encoded once, and each row's invocation once for its lookup

@@ -461,6 +461,34 @@ def test_special_40_flushes_and_keeps_its_deficit(monkeypatch, tag):
     assert any(r < w for r, w in windows)
 
 
+@pytest.mark.parametrize("p", [3, 65521, DEFAULT_PRIME])
+@pytest.mark.parametrize("rows, w, n, r", [
+    (40, 25, 30, 25), (40, 25, 30, 9), (70, 33, 50, 70), (40, 40, 10, 40),
+    (45, 20, 70, 45), (30, 12, 0, 5), (20, 10, 15, 0), (0, 5, 7, 0)])
+def test_rank_after_a_factored_lead_matches_the_whole_matrix(p, rows, w, n,
+                                                             r):
+    # matrices [B | R] that share their leading block B, of rank at most r:
+    # the first rank with the lead factors B, the later ones see only R,
+    # either in B's row space (the same r rows mixed) or random
+    rng = np.random.default_rng([p, rows, w, n, r])
+    coef = rng.integers(0, 4, (rows, r)).astype(np.float64)
+    B = (coef @ rng.integers(0, p, (r, w))).astype(np.int64) % p
+    lead = gfmat.Lead()
+    lead.cols = w
+    for k in range(4):
+        if k % 2:
+            R = rng.integers(0, p, (rows, n))
+        else:
+            R = (coef @ rng.integers(0, p, (r, n))).astype(np.int64) % p
+        whole = np.hstack([B, R])
+        given = whole if lead.order is None else R
+        # the lead's columns are the rows of the matrix rank receives
+        assert (rank(GFMatrix(given.T, p), lead=lead)
+                == _unblocked_rank(whole, p))
+        assert (lead.r, len(lead.order)) == (_unblocked_rank(B, p), rows)
+        assert lead.g.shape == (rows - lead.r, lead.r)
+
+
 def _count_leaves(monkeypatch):
     # (first column, found any pivot) of each leaf eliminated
     leaves = []

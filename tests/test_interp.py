@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from fatpoints.linsys import (FatPointSystem, GENERIC, ON_CUBIC,
 from test_gfmat import rational_rank
 
 P = DEFAULT_PRIME
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def monomial_basis(d: int):
@@ -437,6 +439,203 @@ def test_frame_keeps_the_monomials_the_frame_points_leave():
         e for e in basis
         if e[1] + e[2] >= 3 and e[0] + e[2] >= 2 and e[0] + e[1] >= 1]
     assert (0, 0, 4) not in [basis[c] for c in keep]
+
+
+def _spy_ranks(monkeypatch):
+    """Records, per gfmat.rank call, its matrix's cells and its lead: None
+    without one, False when the call factors it, True when it was
+    factored before."""
+    calls = []
+    rank = gfmat.rank
+
+    def spy(M, overwrite=False, lead=None):
+        calls.append((M.rows * M.cols,
+                      None if lead is None else lead.order is not None))
+        return rank(M, overwrite, lead)
+
+    monkeypatch.setattr(gfmat, "rank", spy)
+    return calls
+
+
+def _led(s):
+    # whether a point leads the framed matrix of s at a sample whose frame
+    # points are not collinear (interp._lead_of)
+    rest, _, keep = interp._frame(linsys.effective_part(s),
+                                  config_for_system(s, P, 0))
+    return keep is not None and interp._lead_of(rest, keep) is not None
+
+
+def _lifted_rank(s, cfg):
+    # rank over Q of the whole matrix at the sampled points lifted to Z
+    return rational_rank(interleaved([integer_condition_rows(pt, m, s.d)
+                                      for pt, m in zip(cfg.points, s.mults)]))
+
+
+@pytest.mark.parametrize("tag", [GENERIC, ON_CUBIC])
+@pytest.mark.parametrize("t", range(2, 9))
+def test_lead_trials_match_the_framed_path_on_2t_t5(monkeypatch, t, tag):
+    # (2t; t^5) holds the conic through the five points t times, so every
+    # trial runs; from t = 3 on the matrix is tall and the fourth point's
+    # t(t+1)/2 conditions are t/(t+2) >= 1/2 of the kept monomials
+    s = homogeneous_system(2 * t, 5, t, tag=tag)
+    calls = _spy_ranks(monkeypatch)
+    h0, evidence = interp.least_h0(s, 3, P, 30 + t)
+    assert h0 == 1 and len(evidence) == 3
+    cells = interp.framed_cells(s)
+    if t == 2:
+        assert calls == [(cells, None)] * 3
+    else:
+        # later trials build and rank the fifth point's rows only
+        assert calls == [(cells, False), (cells // 2, True),
+                         (cells // 2, True)]
+    for (p, sub, rep) in evidence:
+        cfg = config_for_system(s, p, sub)
+        assert rep == h0_at_sample(s, cfg)
+        if t <= 3:
+            assert rep.rank == _lifted_rank(s, cfg)
+
+
+@pytest.mark.parametrize("tag", [GENERIC, ON_CUBIC])
+def test_lead_trials_match_the_framed_path_on_40_20x5(monkeypatch, tag):
+    s = homogeneous_system(40, 5, 20, tag=tag)
+    calls = _spy_ranks(monkeypatch)
+    h0, evidence = interp.least_h0(s, 3, P, 0)
+    # 210 of the 231 kept monomials are pivots of the lead, so later
+    # trials eliminate a 21 x 210 Schur complement
+    assert calls == [(420 * 231, False), (210 * 231, True), (210 * 231, True)]
+    assert h0 == 1
+    for (p, sub, rep) in evidence:
+        assert rep == RankReport(861, 1050, 860)
+        assert rep == h0_at_sample(s, config_for_system(s, p, sub))
+
+
+def test_lead_trials_match_the_framed_path_on_random_tall_systems(monkeypatch):
+    # few-point systems whose fourth point leads: three large frame
+    # multiplicities, the fourth below them, at most two smaller points
+    rng = random.Random(3232)
+    calls = _spy_ranks(monkeypatch)
+    led = lifted = 0
+    while led < 40:
+        d = rng.randint(2, 14)
+        top = [rng.randint(d // 3 + 1, d) for _ in range(3)]
+        fourth = rng.randint(1, min(top))
+        mults = top + [fourth] + [rng.randint(-1, fourth)
+                                  for _ in range(rng.randint(0, 2))]
+        rng.shuffle(mults)
+        s = FatPointSystem(d, mults, [rng.choice((GENERIC, ON_CUBIC))
+                                      for _ in mults])
+        if not _led(s):
+            continue
+        p = (101, 1000003, P)[led % 3]
+        calls.clear()
+        h0, evidence = interp.least_h0(s, 3, p, rng.randrange(2 ** 32))
+        if not evidence:
+            continue
+        led += calls[0][1] is False
+        for (_, sub, rep) in evidence:
+            cfg = config_for_system(s, p, sub)
+            assert rep == h0_at_sample(s, cfg) == full_matrix_report(s, cfg), s
+            if p == P and linsys.monomial_count(d) <= 45:
+                assert rep.rank == _lifted_rank(linsys.effective_part(s), cfg)
+                lifted += 1
+    assert lifted >= 5
+
+
+def test_lead_trials_keep_each_trials_special_position(monkeypatch):
+    # six points on the conic xy = z^2: the conic through the five 6-fold
+    # points, taken three times, passes through the simple one, so each
+    # trial has rank 90, not the generic 91.  A later trial that reused
+    # another trial's fourth point, not one fixed at (1:1:1), would not see
+    # its own six points on one conic
+    s = FatPointSystem(12, (6, 6, 6, 6, 6, 1))
+    configs = {derive_seed(0, i): _cfg(s, [(t * t, 1, t) for t in ts])
+               for i, ts in enumerate([(1, 2, 3, 4, 5, 6),
+                                       (2, 3, 5, 7, 11, 13),
+                                       (10, 9, 8, 17, 19, 23)])}
+    monkeypatch.setattr(interp, "config_for_system",
+                        lambda s, p, sub: configs[sub])
+    calls = _spy_ranks(monkeypatch)
+    h0, evidence = interp.least_h0(s, 3, P, 0)
+    assert [lead for (_, lead) in calls] == [False, True, True]
+    assert [rep for (_, _, rep) in evidence] == [RankReport(91, 106, 90)] * 3
+    for (_, sub, rep) in evidence:
+        assert rep == full_matrix_report(s, configs[sub])
+
+
+def test_lead_skipped_for_a_fourth_point_on_a_coordinate_line(monkeypatch):
+    # q = a + b goes to (1, 1, 0) under the frame, on the line z = 0, where
+    # no diagonal map takes it to (1:1:1): its trial takes the framed path,
+    # and the next trial factors the lead
+    s = homogeneous_system(8, 5, 4)
+    a, b, c = (2, 3, 1), (5, 1, 1), (4, 4, 1)
+    q = tuple(u + v for u, v in zip(a, b))
+    hand = _cfg(s, [a, b, c, q, (9, 2, 1)])
+    assert interp._frame(s, hand)[1].points[3][2] == 0
+    sample = interp.config_for_system
+    monkeypatch.setattr(interp, "config_for_system",
+                        lambda s, p, sub: hand if sub == derive_seed(0, 0)
+                        else sample(s, p, sub))
+    calls = _spy_ranks(monkeypatch)
+    h0, evidence = interp.least_h0(s, 3, P, 0)
+    cells = interp.framed_cells(s)
+    assert calls == [(cells, None), (cells, False), (cells // 2, True)]
+    monkeypatch.setattr(interp, "config_for_system", sample)
+    assert evidence[0][2] == full_matrix_report(s, hand)
+    for (p, sub, rep) in evidence[1:]:
+        assert rep == h0_at_sample(s, config_for_system(s, p, sub))
+
+
+def test_a_lead_factored_for_another_system_is_refused():
+    lead = gfmat.Lead()
+    s = homogeneous_system(8, 5, 4)
+    h0_at_sample(s, config_for_system(s, P, 1), lead)
+    assert lead.cols == 10 and lead.order is not None
+    other = homogeneous_system(10, 5, 5)
+    with pytest.raises(ValueError, match="does not fit"):
+        h0_at_sample(other, config_for_system(other, P, 2), lead)
+
+
+@pytest.mark.parametrize("s", [homogeneous_system(24, 6, 10),
+                               homogeneous_system(38, 10, 12)],
+                         ids=["24-10x6", "38-12x10"])
+def test_no_lead_below_the_rule_or_on_a_square_matrix(monkeypatch, s):
+    # (24; 10^6) is tall, 165 x 160, but its fourth point's 55 conditions
+    # are under half of the kept monomials; (38; 12^10) is square, 546 x 546
+    assert not _led(s)
+    calls = _spy_ranks(monkeypatch)
+    interp.least_h0(s, 3, P, 0)
+    assert calls and all(lead is None for (_, lead) in calls)
+
+
+def test_first_trial_at_full_rank_builds_only_its_matrix(monkeypatch):
+    # one simple point more than (12; 6^5) makes it nonspecial: trial 0 is
+    # full rank, and factoring the lead built and ranked nothing more
+    s = FatPointSystem(12, (6, 6, 6, 6, 6, 1))
+    built = []
+
+    def build(*args):
+        M = build_matrix(*args)
+        built.append(M.rows * M.cols)
+        return M
+
+    monkeypatch.setattr(interp, "build_matrix", build)
+    calls = _spy_ranks(monkeypatch)
+    h0, evidence = interp.least_h0(s, 3, P, 0)
+    assert len(evidence) == 1 and evidence[0][2].full_rank and h0 == 0
+    cells = interp.framed_cells(s)
+    assert built == [cells] and calls == [(cells, False)]
+
+
+@pytest.mark.parametrize("placement", ["generic", "cubic"])
+def test_certify_40_20x5_prints_the_golden_certificate(capsys, placement):
+    from fatpoints import cli
+
+    name = "certify-40-20x5" + ("-cubic" if placement == "cubic" else "")
+    with open(os.path.join(DATA, name + ".json")) as f:
+        golden = f.read()
+    code = cli.main(["certify", "40", "20x5", "--placement", placement,
+                     "--format", "json"])
+    assert (code, capsys.readouterr().out) == (cli.EXIT_UNDECIDED, golden)
 
 
 @pytest.mark.parametrize("s", [
