@@ -37,6 +37,12 @@ def canonical_json(obj) -> str:
     return _ENCODER.encode(obj)
 
 
+def run_fields(system: FatPointSystem, prime: int, seed: int, trials: int):
+    """A run as a certificate states it; the store files records under it."""
+    return {"system": system.to_dict(), "prime": str(prime),
+            "seed": str(seed), "trials": trials}
+
+
 class ConfigError(Exception):
     pass
 
@@ -127,13 +133,10 @@ class Certificate:
             "schema_version": CERT_SCHEMA_VERSION,
             "verdict": self.verdict,
             "method": self.method,
-            "system": self.system.to_dict(),
+            **run_fields(self.system, self.prime, self.seed, self.trials),
             "twist": None if self.twist is None else {
                 "k": self.twist[0], "mu": self.twist[1]},
             "chi": self.chi,
-            "prime": str(self.prime),
-            "seed": str(self.seed),
-            "trials": self.trials,
             "h0_bound": self.h0_bound,
             "h0": self.h0,
             "h1": self.h1,
@@ -166,7 +169,7 @@ def certificate_from_dict(d: dict) -> Certificate:
     p, seed = int(d["prime"]), int(d["seed"])
     return Certificate(
         system=FatPointSystem(s["d"], tuple(s["mults"]), tuple(s["tags"])),
-        prime=p, seed=seed, trials=d["trials"], h0_bound=d["h0_bound"],
+        prime=p, seed=seed, trials=int(d["trials"]), h0_bound=d["h0_bound"],
         evidence=tuple(
             (p, derive_seed(seed, i),
              RankReport(e["report"]["monomials"], e["report"]["conditions"],

@@ -71,11 +71,6 @@ def parse_range(text: str):
             f"cannot read range {text!r}: want V or LO:HI") from None
 
 
-def _config_dict(args) -> dict:
-    return {"prime": str(args.prime), "seed": str(args.seed),
-            "trials": args.trials}
-
-
 def _check_runconfig(args, max_degree: int) -> None:
     if args.trials < 1:
         raise UsageError(f"--trials {args.trials} must be at least 1")
@@ -100,12 +95,13 @@ def _store(args):
     return CertificateStore(args.store) if args.store else contextlib.nullcontext()
 
 
-def _certified(st, command: str, s: FatPointSystem, config: dict, compute):
+def _certified(st, command: str, s: FatPointSystem, args, compute):
     """compute()'s certificate, or with a store the one it serves for this
-    invocation (CertificateStore.certificate)."""
+    run of command on s (CertificateStore.certificate)."""
     if st is None:
         return compute()
-    return st.certificate(command, s.to_dict(), config, compute)
+    return st.certificate(command, certificate.run_fields(
+        s, args.prime, args.seed, args.trials), compute)
 
 
 def cmd_expdim(args) -> int:
@@ -129,7 +125,7 @@ def cmd_certify(args) -> int:
     s = FatPointSystem(args.d, mults, (tag,) * len(mults))
     _check_runconfig(args, max(args.d, 0))
     with _store(args) as st:
-        cert = _certified(st, "certify", s, _config_dict(args), lambda:
+        cert = _certified(st, "certify", s, args, lambda:
                           interp.certify(s, args.trials, args.prime, args.seed))
     _emit(cert.to_dict(),
           [f"system   {s}  ({args.placement})",
@@ -222,14 +218,13 @@ def cmd_sweep(args) -> int:
     ds, ns, ms = parse_range(args.d_range), parse_range(args.n_range), parse_range(args.m_range)
     items = [(d, n, m) for d in ds for n in ns for m in ms]
     _check_runconfig(args, max((d for d, _, _ in items), default=0))
-    config = _config_dict(args)
     rows = []
     with _store(args) as st:
         for d, n, m in items:
             s = linsys.homogeneous_system(d, n, m)
             twist = elliptic.corollary_twist(d, n, m)
             try:
-                cert = _certified(st, "sweep", s, config,
+                cert = _certified(st, "sweep", s, args,
                                   lambda: _sweep_item(s, twist, args))
                 verdict = cert.verdict
             except interp.MatrixTooLarge:

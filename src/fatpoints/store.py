@@ -1,12 +1,10 @@
 """Append-only certificate store: one JSON record per line.
 
-An invocation (command, input system, run config) has one canonical
-encoding (invocation, by certificate.canonical_json).  On load, a record
-is filed under the invocation its own command, certificate system and
-config encode to (_answered), and on put under the same string, which the
-lookup before it encoded once; so it answers only that one, and
-re-running an identical invocation is a lookup, not a recomputation;
-timestamps are not part of it.
+A record states its run once, in its certificate, and answers only the
+invocation of its own command and its certificate's system, prime, seed
+and trials (invocation), under which it is filed on load and on put; so
+is a record of schema 1 or 2, its config and key unread.  Re-running an
+identical invocation is thus a lookup, not a recomputation.
 CertificateStore.certificate is the one look-up-or-compute: it serves the
 stored certificate if it is one this code would sign (_checked), and
 otherwise computes one and appends its record at once; of two lines for
@@ -30,19 +28,16 @@ from . import __version__, elliptic, linsys
 from .certificate import Certificate, canonical_json, certificate_from_dict
 from .linsys import FatPointSystem
 
-STORE_SCHEMA_VERSION = 2
+STORE_SCHEMA_VERSION = 3
 
 
-def invocation(command: str, system: dict, config: dict) -> str:
-    """The canonical encoding of an invocation."""
-    return canonical_json({"command": command, "system": system, "config": config})
-
-
-def _answered(rec) -> str:
-    """The invocation rec answers: its own command, certificate system and
-    config, encoded (JSON tells 1, 1.0 and true apart).  LookupError or
-    TypeError unless rec is an object with those fields."""
-    return invocation(rec["command"], rec["certificate"]["system"], rec["config"])
+def invocation(command: str, run: dict) -> str:
+    """The canonical encoding of a run of command: run's system, prime,
+    seed and trials as written (JSON tells 1, 1.0, "1" and true apart),
+    run being a certificate's JSON or certificate.run_fields of a request.
+    LookupError or TypeError unless run is an object with those fields."""
+    return canonical_json([command, run["system"], run["prime"], run["seed"],
+                           run["trials"]])
 
 
 def _sampled(cert: Certificate) -> FatPointSystem:
@@ -59,7 +54,7 @@ def _sampled(cert: Certificate) -> FatPointSystem:
 
 def _checked(rec: dict) -> Optional[Certificate]:
     """The record's certificate if this code would sign it for the
-    invocation the record answers (_answered); else None.
+    invocation the record answers; else None.
 
     It must (a) parse and derive again to the same JSON object, which fixes
     the schema, the method, chi, h0, h1, the verdict, every report's
@@ -67,8 +62,11 @@ def _checked(rec: dict) -> Optional[Certificate]:
     (b) have reports that count the monomials and conditions of the system
     its route samples (_sampled), and as h0_bound their least h0_sample,
     or with no evidence the linsys.exact_h0 of that system; evidence is
-    only that of a system exact_h0 leaves undecided, since interp.least_h0
-    samples no other; and (c) have h0_bound >= max(chi, 0) when d >= -2.
+    only what interp.least_h0 writes: none for a system exact_h0 decides,
+    else 1 to `trials` reports, none but the last at full rank, and fewer
+    than `trials` only when the last is; and (c) have h0_bound >=
+    max(chi, 0) when d >= -2.  No rule redoes a rank, so a forged rank
+    whose derived fields all agree still passes.
     """
     try:
         cert = certificate_from_dict(rec["certificate"])
@@ -80,13 +78,17 @@ def _checked(rec: dict) -> Optional[Certificate]:
         return None
     # equal to its effective part's, which interp.h0_at_sample reports
     counts = (linsys.monomial_count(sampled.d), linsys.conditions_count(sampled))
-    if any((r.monomials, r.conditions) != counts for (_, _, r) in cert.evidence):
+    reports = [r for (_, _, r) in cert.evidence]
+    if any((r.monomials, r.conditions) != counts for r in reports):
         return None
     least = linsys.exact_h0(sampled)
-    if cert.evidence:
-        if least is not None:
+    if reports:
+        # least_h0 runs trials up to the first at full rank, at most `trials`
+        ran = next((i for i, r in enumerate(reports, 1) if r.full_rank),
+                   cert.trials)
+        if least is not None or len(reports) != min(ran, cert.trials):
             return None
-        least = min(r.h0_sample for (_, _, r) in cert.evidence)
+        least = min(r.h0_sample for r in reports)
     floor = max(cert.chi, 0) if cert.system.d >= -2 else 0
     return cert if cert.h0_bound == least and cert.h0_bound >= floor else None
 
@@ -97,7 +99,7 @@ class CertificateStore:
 
     def __init__(self, path: str):
         self.path = path
-        self._by_invocation = {}  # _answered(rec) -> rec
+        self._by_invocation = {}  # invocation a record answers -> record
         # byte offset of a torn last line, cut off before the first append
         self._torn_at = None
         self._out = None  # the append handle, from the first append on
@@ -114,13 +116,14 @@ class CertificateStore:
                     continue
                 try:
                     rec = json.loads(line)
-                    self._by_invocation[_answered(rec)] = rec
+                    self._by_invocation[
+                        invocation(rec["command"], rec["certificate"])] = rec
                 except ValueError as e:
                     raise ValueError(f"store {path} line {n} is corrupt: {e}") from None
                 except (LookupError, TypeError):
-                    raise ValueError(
-                        f"store {path} line {n} is corrupt: not an object with "
-                        "command, config and certificate.system") from None
+                    raise ValueError(f"store {path} line {n} is corrupt: not an "
+                                     "object with command and certificate "
+                                     "system, prime, seed and trials") from None
 
     def __enter__(self):
         return self
@@ -133,35 +136,31 @@ class CertificateStore:
             self._out.close()
             self._out = None
 
-    def certificate(self, command: str, system: dict, config: dict,
+    def certificate(self, command: str, run: dict,
                     compute: Callable[[], Certificate]) -> Certificate:
-        """The certificate of this invocation: the stored one if it passes
-        _checked, else compute()'s, whose record is appended at once (an
-        error that compute raises stores nothing)."""
-        encoded = invocation(command, system, config)
+        """The certificate of this run of command (certificate.run_fields):
+        the stored one if it passes _checked, else compute()'s, of that run,
+        appended at once (an error that compute raises stores nothing)."""
+        encoded = invocation(command, run)
         cert = self.lookup_certificate(encoded)
         if cert is None:
             cert = compute()
-            self.put(command, config, cert, encoded)
+            self.put(command, cert, encoded)
         return cert
 
     def lookup_certificate(self, encoded: str) -> Optional[Certificate]:
-        """The certificate of the record that answers the invocation
-        encoded, if it passes _checked."""
+        """The certificate filed under encoded, if it passes _checked."""
         rec = self._by_invocation.get(encoded)
         return None if rec is None else _checked(rec)
 
-    def put(self, command: str, config: dict, cert: Certificate,
-            encoded: str) -> None:
-        """Append cert's record, of a run of command with config, filed
-        under encoded, the invocation it names (_answered of the record, as
-        the lookup that missed encoded it), and flush it so that a later
-        reader, or a rerun after a kill, sees it; the first put cuts a torn
-        tail."""
+    def put(self, command: str, cert: Certificate, encoded: str) -> None:
+        """Append cert's record, of a run of command, filed under encoded,
+        the invocation it answers (as the lookup that missed encoded it from
+        the same fields), and flush it so that a later reader, or a rerun
+        after a kill, sees it; the first put cuts a torn tail."""
         rec = {
             "schema_version": STORE_SCHEMA_VERSION,
             "command": command,
-            "config": config,
             "certificate": cert.to_dict(),
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "tool_version": __version__,

@@ -18,10 +18,15 @@ from fatpoints.store import CertificateStore, invocation
 
 
 def _answered(rec):
-    """The invocation a store record rec names: its own command,
-    certificate system and config, encoded."""
-    return invocation(rec["command"], rec["certificate"]["system"],
-                      rec["config"])
+    """The invocation a store record rec names: its own command and its
+    certificate's system, prime, seed and trials, encoded."""
+    return invocation(rec["command"], rec["certificate"])
+
+
+def _run(cert):
+    """The run cert states, as a request names it to the store."""
+    return certificate.run_fields(cert.system, cert.prime, cert.seed,
+                                  cert.trials)
 
 
 def _lookup(st, rec):
@@ -421,6 +426,24 @@ def _evidence_of_a_decided_system(c):
                                  "full_rank": True}}]
 
 
+def _truncated_evidence(c):
+    # (b) one trial of (13; 4^10) at rank 99 of 100, where 3 were requested:
+    # least_h0 goes on after a trial below full rank, so it never writes
+    # this, though every derived field agrees (special-suspected, exit 2)
+    c["evidence"][0]["report"].update(rank=99, h0_sample=6, full_rank=False)
+    c.update(evidence=c["evidence"][:1], h0_bound=6, h0=None, h1=None,
+             verdict="special-suspected")
+
+
+def _evidence_past_full_rank(c):
+    # (b) a second trial after the full-rank first one: least_h0 stops at
+    # the first full-rank trial; every derived field still agrees
+    c["evidence"].append({
+        "prime": c["prime"],
+        "seed": str(certificate.derive_seed(int(c["seed"]), 1)),
+        "report": dict(c["evidence"][0]["report"])})
+
+
 def _bound_below_floor(c):
     # (c) the corollary's exact bound for (11; 3^12) is chi = 6
     c.update(h0_bound=5, h0=None, h1=None, verdict="inconclusive")
@@ -507,27 +530,30 @@ def test_store_record_of_schema_3_is_a_miss(tmp_path, capsys):
     (["certify", "13", "4x10"], _system_of_another_json_type),
     (["certify", "4", "1x10", "--placement", "cubic"],
      _evidence_of_a_decided_system),
+    (["certify", "13", "4x10"], _truncated_evidence),
+    (["certify", "13", "4x10"], _evidence_past_full_rank),
 ], ids=["derived-fields", "report-fields", "least-sample", "exact-h0",
         "corollary-exact-h0", "report-counts", "corollary-report-counts",
         "inadmissible-twist", "direct-twist", "floor", "other-system",
         "method-label", "evidence-provenance", "system-json-type",
-        "evidence-of-decided-system"])
+        "evidence-of-decided-system", "truncated-evidence",
+        "evidence-past-full-rank"])
 def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
                                                 tamper):
     _assert_miss(tmp_path, capsys, argv, tamper)
 
 
 @pytest.mark.parametrize("argv,part,tamper", [
-    (["certify", "13", "4x10"], "config", lambda c: c.update(trials=3.0)),
-    (["certify", "13", "4x10", "--trials", "1"], "config",
+    (["certify", "13", "4x10"], "certificate", lambda c: c.update(trials=3.0)),
+    (["certify", "13", "4x10", "--trials", "1"], "certificate",
      lambda c: c.update(trials=True)),
     (["certify", "13", "4x10"], None, lambda rec: rec.update(command="sweep")),
 ], ids=["trials-float", "trials-bool", "other-command"])
 def test_store_record_of_another_invocation_is_a_miss(tmp_path, capsys, argv,
                                                       part, tamper):
-    # 3.0 == 3 and True == 1 in Python, but the record's own config then
-    # encodes to another invocation, which the record answers instead, as
-    # does a command of another subcommand
+    # 3.0 == 3 and True == 1 in Python, but the record's own certificate
+    # then encodes to another invocation, which the record answers instead,
+    # as does a command of another subcommand
     _assert_miss(tmp_path, capsys, argv, tamper, part)
 
 
@@ -551,10 +577,9 @@ def test_store_serves_every_verdict_kind(tmp_path, make, verdict):
     assert cert.verdict == verdict
     path = str(tmp_path / "store.ndjson")
     with CertificateStore(path) as st:
-        assert st.certificate("certify", cert.system.to_dict(), {},
-                              lambda: cert) is cert
-    back = CertificateStore(path).certificate(
-        "certify", cert.system.to_dict(), {}, _recomputed)
+        assert st.certificate("certify", _run(cert), lambda: cert) is cert
+    back = CertificateStore(path).certificate("certify", _run(cert),
+                                              _recomputed)
     assert back == cert and back.to_json() == cert.to_json()
 
 
@@ -677,15 +702,13 @@ def test_cli_output_deterministic(capsys):
 def test_store_put_is_seen_by_another_reader_at_once(tmp_path):
     # each record is flushed before put returns, with the handle still open
     path = str(tmp_path / "store.ndjson")
-    system = homogeneous_system(13, 10, 4).to_dict()
-    cert = certify(homogeneous_system(13, 10, 4))
     with CertificateStore(path) as st:
         for i in range(3):
-            config = {"seed": str(i)}
-            st.certificate("certify", system, config, lambda: cert)
+            cert = certify(homogeneous_system(13, 10, 4), seed=i)
+            st.certificate("certify", _run(cert), lambda: cert)
             assert len(_records(path)) == i + 1
             reader = CertificateStore(path)
-            assert reader.certificate("certify", system, config,
+            assert reader.certificate("certify", _run(cert),
                                       _recomputed) == cert
 
 
@@ -727,48 +750,101 @@ def test_sweep_opens_its_store_once_and_encodes_each_record_once(
 def test_store_roundtrip(tmp_path):
     path = str(tmp_path / "store.ndjson")
     cert = certify(homogeneous_system(4, 10, 1, tag="on-cubic"), seed=1)
-    system = {"d": 4, "mults": [1] * 10, "tags": ["on-cubic"] * 10}
-    config = {"prime": "2147483629", "seed": "1", "trials": 3}
+    stated = {"system": {"d": 4, "mults": [1] * 10, "tags": ["on-cubic"] * 10},
+              "prime": str(interp.DEFAULT_PRIME), "seed": "1", "trials": 3}
+    assert _run(cert) == stated
     with CertificateStore(path) as st:
-        assert st.certificate("certify", system, config, lambda: cert) is cert
+        assert st.certificate("certify", stated, lambda: cert) is cert
     (rec,) = _records(path)
-    # the record names its invocation once: no key and no copied system
-    assert rec == {"schema_version": 2, "command": "certify",
-                   "config": config, "certificate": cert.to_dict(),
+    # the record states its run once, in its certificate: no config, no
+    # key and no copied system
+    assert rec == {"schema_version": 3, "command": "certify",
+                   "certificate": cert.to_dict(),
                    "tool_version": fatpoints.__version__}
-    assert _answered(rec) == invocation("certify", system, config)
+    assert _answered(rec) == invocation("certify", stated)
 
     # served from the file, with nothing computed or appended
     with CertificateStore(path) as st2:
-        assert st2.certificate("certify", system, config, _recomputed) == cert
+        assert st2.certificate("certify", stated, _recomputed) == cert
     assert _records(path) == [rec]
 
 
-SCHEMA_1_STORE = os.path.join(os.path.dirname(__file__), "data",
-                              "store-schema1.ndjson")
+def _old_store(tmp_path, name, schema):
+    """A copy of the fixture store tests/data/name, every record of the
+    store schema given; returns its path and text."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as f:
+        lines = f.read()
+    recs = [json.loads(line) for line in lines.splitlines()]
+    assert len(recs) == 6 and all(r["schema_version"] == schema and "config"
+                                  in r for r in recs)
+    store = tmp_path / "certs.ndjson"
+    store.write_text(lines)
+    return store, lines
 
 
-@pytest.mark.parametrize("argv", [
+# the four runs that wrote each fixture store, in order, into one file
+OLD_STORE_RUNS = pytest.mark.parametrize("argv", [
     ["sweep", "10:12", "10", "4"],
     ["sweep", "13", "10", "4"],
     ["certify", "13", "4x10"],
     ["certify", "40", "20x5"],
 ], ids=["sweep-twist-past-m", "sweep-corollary", "certify-sampled",
         "certify-special"])
+
+
+@OLD_STORE_RUNS
 def test_store_serves_schema_1_records(tmp_path, capsys, argv):
-    # a store written by schema 1, whose records also carried a sha256 key
-    # and a copy of the system; their command, config and certificate are
-    # unchanged, so each invocation is served with nothing appended
-    with open(SCHEMA_1_STORE) as f:
-        lines = f.read()
-    assert all(r["schema_version"] == 1 and "key" in r
-               for r in map(json.loads, lines.splitlines()))
-    store = tmp_path / "certs.ndjson"
-    store.write_text(lines)
+    # a store written by schema 1, whose records also carried a config, a
+    # sha256 key and a copy of the system; their command and certificate
+    # are unchanged, so each invocation is served with nothing appended
+    store, lines = _old_store(tmp_path, "store-schema1.ndjson", 1)
+    assert all("key" in json.loads(line) for line in lines.splitlines())
     argv = argv + ["--format", "json"]
     want = run(capsys, *argv)
     assert run(capsys, *argv, "--store", str(store)) == want
     assert store.read_text() == lines
+
+
+@OLD_STORE_RUNS
+def test_store_serves_schema_2_records(tmp_path, capsys, argv):
+    # a store written by schema 2, whose records also stated their run in
+    # a config, which is not read: each invocation is served from the
+    # record's certificate with nothing appended
+    store, lines = _old_store(tmp_path, "store-schema2.ndjson", 2)
+    argv = argv + ["--format", "json"]
+    want = run(capsys, *argv)
+    assert run(capsys, *argv, "--store", str(store)) == want
+    assert store.read_text() == lines
+
+
+def test_store_serves_a_record_only_for_the_run_its_certificate_states(
+        tmp_path, capsys):
+    # the schema-2 record of certify 13 4x10 with its config's prime edited:
+    # the config is not read, so the record answers only the default-prime
+    # run its certificate states, and a run at the edited prime is computed
+    # and appended
+    store, lines = _old_store(tmp_path, "store-schema2.ndjson", 2)
+    (rec,) = [r for r in map(json.loads, lines.splitlines())
+              if r["command"] == "certify" and r["certificate"]["system"]["d"] == 13]
+    rec["config"]["prime"] = "1000003"
+    store.write_text(json.dumps(rec) + "\n")
+    lines = store.read_text()
+
+    argv = ["certify", "13", "4x10", "--format", "json"]
+    other = argv + ["--prime", "1000003"]
+    code, out = run(capsys, *other, "--store", str(store))
+    assert (code, out) == run(capsys, *other)
+    assert json.loads(out)["prime"] == "1000003"
+    recs = _records(str(store))
+    assert len(recs) == 2 and store.read_text().startswith(lines)
+    assert recs[1]["certificate"]["prime"] == "1000003"
+    size = store.stat().st_size
+    assert run(capsys, *other, "--store", str(store)) == (code, out)
+    # the edited record still answers its own run, with nothing appended
+    code, out = run(capsys, *argv, "--store", str(store))
+    assert (code, out) == run(capsys, *argv)
+    assert json.loads(out) == rec["certificate"]
+    assert store.stat().st_size == size
 
 
 def test_canonical_json_is_the_one_encoding(tmp_path, capsys):
@@ -785,9 +861,12 @@ def test_canonical_json_is_the_one_encoding(tmp_path, capsys):
     assert out == certificate.canonical_json(rec["certificate"]) + "\n"
     cert = certificate.certificate_from_dict(rec["certificate"])
     assert cert.evidence and cert.to_json() + "\n" == out
-    inv = {"command": rec["command"], "system": rec["certificate"]["system"],
-           "config": rec["config"]}
-    assert invocation(**inv) == certificate.canonical_json(inv)
+    # the invocation is the command and the run the certificate states,
+    # which certificate.run_fields writes for to_dict and for a request
+    stated = _run(cert)
+    assert stated == {k: rec["certificate"][k] for k in stated}
+    inv = [rec["command"], *stated.values()]
+    assert invocation(rec["command"], stated) == certificate.canonical_json(inv)
     for obj in (rec, cert.to_dict(), inv):
         assert certificate.canonical_json(obj) == json.dumps(
             obj, sort_keys=True, separators=(",", ":"))
@@ -799,15 +878,14 @@ def test_canonical_json_is_the_one_encoding(tmp_path, capsys):
 
 def _one_record_store(path):
     cert = certify(homogeneous_system(4, 10, 1, tag="on-cubic"), seed=1)
-    system = {"d": 4, "mults": [1] * 10, "tags": ["on-cubic"] * 10}
     with CertificateStore(path) as st:
-        st.certificate("certify", system, {"seed": "1"}, lambda: cert)
-    return system, cert
+        st.certificate("certify", _run(cert), lambda: cert)
+    return cert
 
 
 def test_store_drops_torn_last_line(tmp_path, capsys):
     path = str(tmp_path / "store.ndjson")
-    system, cert = _one_record_store(path)
+    cert = _one_record_store(path)
     with open(path) as f:
         whole = f.read()
     with open(path, "a") as f:
@@ -818,9 +896,9 @@ def test_store_drops_torn_last_line(tmp_path, capsys):
         assert "torn last line" in capsys.readouterr().err
         # the whole record is served, and the next append replaces the torn
         # tail, so the file loads cleanly
-        assert st.certificate("certify", system, {"seed": "1"},
-                              _recomputed) == cert
-        st.certificate("certify", system, {"seed": "2"}, lambda: cert)
+        assert st.certificate("certify", _run(cert), _recomputed) == cert
+        other = certify(cert.system, seed=2)
+        st.certificate("certify", _run(other), lambda: other)
     assert len(_records(path)) == 2
     assert capsys.readouterr().err == ""
     with open(path) as f:
@@ -851,15 +929,18 @@ def test_store_rejects_corruption_before_last_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "{}", "[1]", '{"key": "0"}',
-    '{"command": "certify", "config": {}, "certificate": {}}',
-    '{"command": "certify", "config": {}, "certificate": [1]}',
-    '{"command": "certify", "certificate": {"system": {}}}',
+    '{"command": "certify", "certificate": {}}',
+    '{"command": "certify", "certificate": [1]}',
+    '{"command": "certify", "config": {"prime": "5", "seed": "0", '
+    '"trials": 1}, "certificate": {"system": {}}}',
+    '{"certificate": {"system": {}, "prime": "5", "seed": "0", "trials": 1}}',
 ], ids=["no-key", "array", "schema-1-key-only", "no-certificate-system",
-        "certificate-array", "no-config"])
+        "certificate-array", "run-only-in-config", "no-command"])
 def test_store_line_that_is_not_a_keyed_object_is_corrupt(tmp_path, capsys,
                                                           line):
-    # a record is keyed by the invocation its own command, config and
-    # certificate.system name; a line without them names none
+    # a record is keyed by the invocation its own command and certificate
+    # system, prime, seed and trials name; a line without them names none,
+    # and a schema-2 config is never read in their place
     path = str(tmp_path / "store.ndjson")
     _one_record_store(path)
     with open(path) as f:
