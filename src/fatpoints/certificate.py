@@ -156,9 +156,6 @@ class Certificate:
             ],
         }
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
 
 def certificate_from_dict(d: dict) -> Certificate:
     """The certificate of d's inputs; d's derived fields are not read, so

@@ -194,8 +194,9 @@ SWEEP_FIELDS = ("d", "n", "m", "v", "mu", "integral", "verdict", "h0")
 def _sweep_row(s: FatPointSystem, n: int, m: int, twist, verdict: str,
                cert) -> dict:
     """One sweep row of s = (d; m^n): mu is the twist bound (empty below 10
-    points), integral whether the corollary's twist is set, and h0 the
-    certificate's h0_bound, which is its h0 whenever that is pinned."""
+    points), integral whether the row took the corollary's route (twist
+    set: mu a positive integer, d, m >= 1), not whether mu is an integer,
+    and h0 the certificate's h0_bound, its h0 whenever that is pinned."""
     return {"d": s.d, "n": n, "m": m, "v": linsys.expected_dim(s),
             "mu": str(elliptic.mu_bound(s.d, n, m)) if n > 9 else "",
             "integral": twist is not None,

@@ -38,21 +38,25 @@ and row before use, and each pivot adds one product below p^2 to an
 entry, so at most LEAF of them keep every int64 entry an exact float64
 integer until the block is reduced, once, at the end.
 
-Matrices hold their residues as float64 integers, so the products are
-plain float64 BLAS products with no conversion: with p < 2^21 and at most
-MAX_INNER = 2048 terms, every partial sum is an integer below 2^53 and so
-exact, and an entry is reduced mod p once per up to MAX_INNER terms (the
-word-size bound of FFLAS).  Every reduction of unreduced float64 data is
-floor_mod, x - p floor(x / p), which is exact for integers x with
-|x| + p <= 2^53; a Schur update leaves |x| <= MAX_INNER (p - 1)^2 + p,
-and MAX_INNER (p - 1)^2 + p < 2^53 for every p below MAX_PRIME.
+A GFMatrix adopts the float64 array of residues its caller built, with
+no copy and no reduction, and rank eliminates that array in place when
+its layout allows, so the matrix is undefined afterwards.  The residues
+are float64 integers, so the products are plain float64 BLAS products
+with no conversion: with p < 2^21 and at most MAX_INNER = 2048 terms,
+every partial sum is an integer below 2^53 and so exact, and an entry is
+reduced mod p once per up to MAX_INNER terms (the word-size bound of
+FFLAS); a leaf's products have at most LEAF terms.  Every reduction of
+unreduced float64 data is floor_mod, x - p floor(x / p), which is exact
+for integers x with |x| + p <= 2^53; a Schur update leaves
+|x| <= MAX_INNER (p - 1)^2 + p, and MAX_INNER (p - 1)^2 + p < 2^53 for
+every p below MAX_PRIME.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import DEFAULT_PRIME, check_modulus
+from .field import check_modulus
 
 # At most MAX_INNER terms per float64 product of residues below MAX_PRIME:
 # MAX_INNER * (p - 1)^2 < 2^11 * 2^42 = 2^53.
@@ -66,23 +70,13 @@ CHUNK_CELLS = 1 << 18
 
 
 class GFMatrix:
-    """Dense matrix over GF(p), entries fully reduced float64 integers, in
-    either memory order."""
+    """Dense matrix over GF(p): data, a 2-D float64 array of integers in
+    [0, p), in either memory order, adopted as it is, without a copy."""
 
-    def __init__(self, data, p: int = DEFAULT_PRIME, reduced: bool = False):
-        """`reduced` says data is a 2-D float64 array of integers in [0, p);
-        it is then adopted as it is, without a copy.  Other data is read as
-        int64 integers and reduced."""
+    def __init__(self, data, p: int):
         check_modulus(p)
         self.p = p
-        if reduced:
-            self.data = data
-            return
-        arr = np.asarray(data, dtype=np.int64)
-        if arr.ndim != 2:
-            n = arr.shape[0] if arr.ndim else 1
-            arr = arr.reshape(n, arr.size // n if n else 0)
-        self.data = np.mod(arr, p).astype(np.float64)
+        self.data = data
 
     @property
     def rows(self) -> int:
@@ -144,21 +138,19 @@ class Lead:
         self.g = a[self.r:, pivots]
 
 
-def rank(M: GFMatrix, overwrite: bool = False, lead: Lead = None) -> int:
-    """Rank of M over GF(p), by _lu on a C-order copy of M or, for a tall
-    M, of its transpose (same rank; the recursion splits the long side).
-
-    With `overwrite` set, M.data is eliminated in place when its layout
-    allows, with no copy, and its entries are undefined afterwards.
+def rank(M: GFMatrix, lead: Lead = None) -> int:
+    """Rank of M over GF(p), by _lu on M.data or, for a tall M, on its
+    transpose (same rank; the recursion splits the long side), in place
+    when its layout allows and otherwise on one C-order copy.  M's entries
+    are undefined afterwards.
 
     With `lead`, the rank is that of M^T while the lead is unfactored: its
     first lead.cols columns are then the lead's block B, which this rank
     factors (Lead).  Once it is factored, the rank is that of [B | M^T].
-    Either way only the Schur complement of B is eliminated, and M is not
-    written.
+    Either way only the Schur complement of B is eliminated.
     """
     if lead is None:
-        return _rank(M.data, M.p, overwrite)
+        return _rank(M.data, M.p)
     a = M.data.T
     if lead.order is None:
         lead._factor(a[:, :lead.cols], M.p)
@@ -166,15 +158,13 @@ def rank(M: GFMatrix, overwrite: bool = False, lead: Lead = None) -> int:
     r = lead.r
     s = a[lead.order[r:]]
     _submul(s, lead.g, range(r), a[lead.order[:r]], M.p)
-    return r + _rank(s, M.p, True)
+    return r + _rank(s, M.p)
 
 
-def _rank(a: np.ndarray, p: int, overwrite: bool) -> int:
-    """Rank of the reduced array a, by _lu on a C-order copy of a or of
-    its transpose, or on a itself when `overwrite` is set and its layout
-    allows."""
-    a = a.T if a.shape[0] > a.shape[1] else a
-    a = np.ascontiguousarray(a) if overwrite else np.array(a, order="C")
+def _rank(a: np.ndarray, p: int) -> int:
+    """Rank of the reduced array a, by _lu on a or its transpose, in place
+    when its layout allows and otherwise on one C-order copy."""
+    a = np.ascontiguousarray(a.T if a.shape[0] > a.shape[1] else a)
     if 0 in a.shape:
         return 0
     return len(_lu(a, p, 0, 0, a.shape[1]))
@@ -236,13 +226,13 @@ def _eliminate(a: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list:
         if r == w:
             _move(a, r0, moved)
             units = floor_mod(t.T.astype(np.float64), p)
-            blk[w:] = _mul_mod(blk[w:], units, p)
+            blk[w:] = floor_mod(blk[w:] @ units, p)
             return list(range(c0, c1))
         units = np.eye(w)
         units[:r] = t[:, :r].T
         full = np.empty((w, m), dtype=np.int64)
         full[:, :w] = t
-        full[:, w:] = _mul_mod(blk[w:], floor_mod(units, p), p).T
+        full[:, w:] = floor_mod(blk[w:] @ floor_mod(units, p), p).T
         t = full
     else:
         t = blk.T.astype(np.int64, order="C")
@@ -346,7 +336,7 @@ def _submul(c: np.ndarray, a: np.ndarray, cols: list, b: np.ndarray,
     and sorted distinct cols.
 
     The inner dimension runs MAX_INNER at a time, so every product is exact
-    (see _mul_mod), and c is updated tile by tile of rows, which bounds the
+    (see above), and c is updated tile by tile of rows, which bounds the
     temporaries; a contiguous run of cols is multiplied as a view.
     """
     m, n = c.shape
@@ -361,15 +351,3 @@ def _submul(c: np.ndarray, a: np.ndarray, cols: list, b: np.ndarray,
             # reduced in the contiguous product, not in the strided tile
             prod = a[i:i + tm, sel] @ xs
             s[...] = floor_mod(np.subtract(s, prod, out=prod), p)
-
-
-def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for reduced float64 a and b, exact in float64 BLAS.
-
-    Each term is a product of two residues below 2^21, and there are at
-    most MAX_INNER = 2^11 of them, so every partial sum is an integer below
-    2^53, where float64 arithmetic is exact in any summation order.
-    """
-    if a.shape[1] > MAX_INNER:
-        raise ValueError(f"inner dimension {a.shape[1]} exceeds {MAX_INNER}")
-    return floor_mod(a @ b, p)

@@ -245,7 +245,7 @@ def build_matrix(s: FatPointSystem, cfg: PointConfig, keep=None, lead=None):
         _write_rows([cfg.points[lead]], [m], eff.d, cfg.p, data, keep, True)
     _write_rows([cfg.points[i] for i in conds], [eff.mults[i] for i in conds],
                 eff.d, cfg.p, rows, keep)
-    return GFMatrix(data, cfg.p, reduced=True)
+    return GFMatrix(data, cfg.p)
 
 
 def _cross(u, v) -> tuple:
@@ -377,7 +377,9 @@ def h0_at_sample(s: FatPointSystem, cfg: PointConfig,
     eff = linsys.effective_part(s)
     rest, moved, keep = _frame(eff, cfg)
     q = None if lead is None or keep is None else _lead_of(rest, keep)
-    if q is not None and all(moved.points[q]):
+    if q is None or not all(moved.points[q]):
+        q = lead = None
+    else:
         x, y, z = moved.points[q]
         p = cfg.p
         moved = replace(moved, points=tuple(
@@ -394,11 +396,8 @@ def h0_at_sample(s: FatPointSystem, cfg: PointConfig,
             q = None
         else:
             raise ValueError("the lead does not fit the system")
-        M = build_matrix(rest, moved, keep, q)
-        r = gfmat.rank(M, True, lead)
-    else:
-        M = build_matrix(rest, moved, keep)
-        r = gfmat.rank(M, overwrite=True)
+    M = build_matrix(rest, moved, keep, q)
+    r = gfmat.rank(M, lead)
     monomials = linsys.monomial_count(eff.d)
     # the monomials the frame killed, plus the rank on the kept ones
     return RankReport(monomials, linsys.conditions_count(eff),

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 from . import __version__, elliptic, linsys
 from .certificate import Certificate, canonical_json, certificate_from_dict
-from .linsys import FatPointSystem
+from .linsys import GENERIC, FatPointSystem
 
 STORE_SCHEMA_VERSION = 3
 
@@ -52,25 +52,40 @@ def _sampled(cert: Certificate) -> FatPointSystem:
     return plan.reduced
 
 
+def _route_twist(command: str, s: FatPointSystem) -> Optional[tuple]:
+    """The twist a run of command writes for s: on s = (d; m^n), all
+    generic, sweep writes (n, elliptic.corollary_twist(d, n, m)) when that
+    is not None; otherwise, and on certify always, no twist."""
+    n, m = s.npoints, s.mults[0] if s.mults else 0
+    if (command == "sweep" and s.mults == (m,) * n
+            and s.tags == (GENERIC,) * n):
+        mu = elliptic.corollary_twist(s.d, n, m)
+        if mu is not None:
+            return n, mu
+    return None
+
+
 def _checked(rec: dict) -> Optional[Certificate]:
     """The record's certificate if this code would sign it for the
     invocation the record answers; else None.
 
     It must (a) parse and derive again to the same JSON object, which fixes
     the schema, the method, chi, h0, h1, the verdict, every report's
-    derived fields and the prime and seed of every trial;
-    (b) have reports that count the monomials and conditions of the system
-    its route samples (_sampled), and as h0_bound their least h0_sample,
-    or with no evidence the linsys.exact_h0 of that system; evidence is
-    only what interp.least_h0 writes: none for a system exact_h0 decides,
-    else 1 to `trials` reports, none but the last at full rank, and fewer
-    than `trials` only when the last is; and (c) have h0_bound >=
-    max(chi, 0) when d >= -2.  No rule redoes a rank, so a forged rank
+    derived fields and the prime and seed of every trial, and carry the
+    twist the record's command writes (_route_twist), which fixes its
+    route; (b) have reports that count the monomials and conditions of
+    the system its route samples (_sampled), and as h0_bound their least
+    h0_sample, or with no evidence the linsys.exact_h0 of that system;
+    evidence is only what interp.least_h0 writes: none for a system
+    exact_h0 decides, else 1 to `trials` reports, none but the last at
+    full rank, and fewer than `trials` only when the last is; and (c) have
+    h0_bound >= max(chi, 0) when d >= -2.  No rule redoes a rank, so a forged rank
     whose derived fields all agree still passes.
     """
     try:
         cert = certificate_from_dict(rec["certificate"])
-        if cert.to_dict() != rec["certificate"]:
+        if (cert.to_dict() != rec["certificate"]
+                or cert.twist != _route_twist(rec["command"], cert.system)):
             return None
         sampled = _sampled(cert)
     except (LookupError, TypeError, ValueError, ArithmeticError,

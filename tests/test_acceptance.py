@@ -8,16 +8,16 @@ import time
 import pytest
 
 from fatpoints import cli, elliptic, gfmat, linsys
-from fatpoints.certificate import INCONCLUSIVE, NONSPECIAL, SPECIAL_EXACT
+from fatpoints.certificate import (INCONCLUSIVE, NONSPECIAL, SPECIAL_EXACT,
+                                   canonical_json)
 from fatpoints.elliptic import (corollary_nonspecial, mu_bound, reduce,
                                 theorem_upper_bound)
 from fatpoints.field import DEFAULT_PRIME
-from fatpoints.gfmat import GFMatrix
 from fatpoints.interp import (build_matrix, certify, config_for_system,
                               h0_at_sample)
 from fatpoints.linsys import (FatPointSystem, ON_CUBIC, chi, cremona,
                               homogeneous_system)
-from test_gfmat import rational_rank
+from test_gfmat import gfmatrix, rational_rank
 from test_interp import monomial_basis
 
 CASES = [(13, 10, 4), (28, 12, 8), (38, 10, 12), (57, 10, 18), (174, 10, 55)]
@@ -152,7 +152,7 @@ def test_criterion_7_property_suites():
     for _ in range(100):  # GF(p) rank equals rational rank on small matrices
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        assert gfmat.rank(GFMatrix(M, DEFAULT_PRIME)) == rational_rank(M)
+        assert gfmat.rank(gfmatrix(M, DEFAULT_PRIME)) == rational_rank(M)
 
     for seed in range(10):  # on-cubic h0 >= generic h0 per seed
         for (d, n, m) in [(3, 10, 1), (4, 10, 1), (6, 10, 2)]:
@@ -177,11 +177,11 @@ def test_criterion_8_deterministic_certificates():
     def run_suite():
         out = []
         for (d, n, m) in CASES:
-            out.append(corollary(d, n, m, seed=1).to_json())
-        out.append(certify(homogeneous_system(13, 10, 4), seed=1).to_json())
+            out.append(corollary(d, n, m, seed=1))
+        out.append(certify(homogeneous_system(13, 10, 4), seed=1))
         out.append(certify(homogeneous_system(4, 10, 1, tag=ON_CUBIC),
-                           seed=1).to_json())
-        return "\n".join(out)
+                           seed=1))
+        return "\n".join(canonical_json(c.to_dict()) for c in out)
 
     a, b = run_suite(), run_suite()
     ok = a.encode() == b.encode()

@@ -456,6 +456,18 @@ def _another_systems_certificate(c):
     c.update(certify(FatPointSystem(2, (2, 2))).to_dict())
 
 
+def _twist_of_no_route(mu, k=None):
+    # (a) a sound degeneration certificate of the record's system at twist
+    # (k, mu), k = n by default, where the record's command writes another
+    # twist or none
+    def tamper(c):
+        s = certificate.certificate_from_dict(c).system
+        plan = reduce(s, s.npoints if k is None else k, mu)
+        c.clear()
+        c.update(theorem_upper_bound(plan).to_dict())
+    return tamper
+
+
 def _system_of_another_json_type(c):
     # 13.0 == 13 in Python, but in JSON the record's system is not the
     # invocation's, so the record answers another invocation
@@ -532,12 +544,16 @@ def test_store_record_of_schema_3_is_a_miss(tmp_path, capsys):
      _evidence_of_a_decided_system),
     (["certify", "13", "4x10"], _truncated_evidence),
     (["certify", "13", "4x10"], _evidence_past_full_rank),
+    (["sweep", "13", "10", "4"], _twist_of_no_route(1)),
+    (["sweep", "5", "11", "2"], _twist_of_no_route(1, k=10)),
+    (["sweep", "10", "10", "2"], _twist_of_no_route(0)),
 ], ids=["derived-fields", "report-fields", "least-sample", "exact-h0",
         "corollary-exact-h0", "report-counts", "corollary-report-counts",
         "inadmissible-twist", "direct-twist", "floor", "other-system",
         "method-label", "evidence-provenance", "system-json-type",
         "evidence-of-decided-system", "truncated-evidence",
-        "evidence-past-full-rank"])
+        "evidence-past-full-rank", "twist-inconclusive", "partial-twist",
+        "direct-sweep-twist"])
 def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
                                                 tamper):
     _assert_miss(tmp_path, capsys, argv, tamper)
@@ -557,31 +573,52 @@ def test_store_record_of_another_invocation_is_a_miss(tmp_path, capsys, argv,
     _assert_miss(tmp_path, capsys, argv, tamper, part)
 
 
-@pytest.mark.parametrize("make,verdict", [
+@pytest.mark.parametrize("make,verdict,command", [
     (lambda: certify(homogeneous_system(0, 10, -1, tag="on-cubic")),
-     "nonspecial-certified"),
-    (lambda: certify(homogeneous_system(13, 10, 4)), "nonspecial-certified"),
+     "nonspecial-certified", "certify"),
+    (lambda: certify(homogeneous_system(13, 10, 4)), "nonspecial-certified",
+     "certify"),
     (lambda: certify(homogeneous_system(3, 10, -2, tag="on-cubic")),
-     "special-exact"),
-    (lambda: certify(homogeneous_system(2, 2, 2)), "special-suspected"),
-    (lambda: certify(homogeneous_system(2, 2, 2), trials=2), "inconclusive"),
+     "special-exact", "certify"),
+    (lambda: certify(homogeneous_system(2, 2, 2)), "special-suspected",
+     "certify"),
+    (lambda: certify(homogeneous_system(2, 2, 2), trials=2), "inconclusive",
+     "certify"),
+    # the corollary's route is sweep's
     (lambda: corollary_nonspecial(homogeneous_system(174, 10, 55), 57),
-     "inconclusive"),
-    (lambda: theorem_upper_bound(reduce(homogeneous_system(13, 10, 4), 10, 1)),
-     "inconclusive"),
+     "inconclusive", "sweep"),
 ], ids=["exact-nonspecial", "sampled-nonspecial", "special-exact",
-        "special-suspected", "direct-inconclusive", "corollary-inconclusive",
-        "twist-inconclusive"])
-def test_store_serves_every_verdict_kind(tmp_path, make, verdict):
+        "special-suspected", "direct-inconclusive", "corollary-inconclusive"])
+def test_store_serves_every_verdict_kind(tmp_path, make, verdict, command):
     cert = make()
     assert cert.verdict == verdict
     path = str(tmp_path / "store.ndjson")
     with CertificateStore(path) as st:
-        assert st.certificate("certify", _run(cert), lambda: cert) is cert
-    back = CertificateStore(path).certificate("certify", _run(cert),
+        assert st.certificate(command, _run(cert), lambda: cert) is cert
+    back = CertificateStore(path).certificate(command, _run(cert),
                                               _recomputed)
-    assert back == cert and back.to_json() == cert.to_json()
+    assert back == cert
+    assert (certificate.canonical_json(back.to_dict())
+            == certificate.canonical_json(cert.to_dict()))
 
+
+def test_store_record_of_another_route_is_a_miss(tmp_path, capsys):
+    # sweep's corollary record for (13; 4^10), relabelled certify: certify
+    # takes the direct route, so it computes its own certificate, prints
+    # what a cold run prints and appends its record
+    want = run(capsys, "certify", "13", "4x10", "--format", "json")
+    assert '"method":"direct-generic"' in want[1]
+    store = str(tmp_path / "certs.ndjson")
+    run(capsys, "sweep", "13", "10", "4", "--store", store)
+    with open(store) as f:
+        rec = json.loads(f.read())
+    assert rec["certificate"]["twist"] == {"k": 10, "mu": 3}
+    rec["command"] = "certify"
+    with open(store, "w") as f:
+        f.write(json.dumps(rec) + "\n")
+    assert run(capsys, "certify", "13", "4x10", "--format", "json",
+               "--store", store) == want
+    assert len(_records(store)) == 2
 
 def test_sweep_skips_rows_whose_framed_matrix_is_too_large(capsys):
     # (13; 4^13) has no integral twist bound (15/2), so it goes the direct
@@ -860,7 +897,8 @@ def test_canonical_json_is_the_one_encoding(tmp_path, capsys):
     assert line == certificate.canonical_json(rec) + "\n"
     assert out == certificate.canonical_json(rec["certificate"]) + "\n"
     cert = certificate.certificate_from_dict(rec["certificate"])
-    assert cert.evidence and cert.to_json() + "\n" == out
+    assert (cert.evidence
+            and certificate.canonical_json(cert.to_dict()) + "\n" == out)
     # the invocation is the command and the run the certificate states,
     # which certificate.run_fields writes for to_dict and for a request
     stated = _run(cert)
