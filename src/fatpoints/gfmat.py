@@ -139,10 +139,9 @@ class Lead:
 
 
 def rank(M: GFMatrix, lead: Lead = None) -> int:
-    """Rank of M over GF(p), by _lu on M.data or, for a tall M, on its
-    transpose (same rank; the recursion splits the long side), in place
-    when its layout allows and otherwise on one C-order copy.  M's entries
-    are undefined afterwards.
+    """Rank of M over GF(p), by _lu on M.data or its transpose (same rank;
+    _rank), in place when its layout allows and otherwise on one C-order
+    copy.  M's entries are undefined afterwards.
 
     With `lead`, the rank is that of M^T while the lead is unfactored: its
     first lead.cols columns are then the lead's block B, which this rank
@@ -163,8 +162,12 @@ def rank(M: GFMatrix, lead: Lead = None) -> int:
 
 def _rank(a: np.ndarray, p: int) -> int:
     """Rank of the reduced array a, by _lu on a or its transpose, in place
-    when its layout allows and otherwise on one C-order copy."""
-    a = np.ascontiguousarray(a.T if a.shape[0] > a.shape[1] else a)
+    when its layout allows and otherwise on one C-order copy: the short
+    side as columns when it fits one leaf, else the long one (_lu splits)."""
+    rows, cols = a.shape
+    if (rows < cols) if min(rows, cols) <= LEAF else (rows > cols):
+        a = a.T
+    a = np.ascontiguousarray(a)
     if 0 in a.shape:
         return 0
     return len(_lu(a, p, 0, 0, a.shape[1]))

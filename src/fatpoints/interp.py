@@ -2,11 +2,10 @@
 
 A multiplicity-m condition at a point forces all partial derivatives of
 order < m to vanish there, i.e. m(m+1)/2 linear conditions on the monomial
-coefficients.  The tables these rows come from (monomial exponents,
-falling factorials, the powers of every point's affine coordinates) are
-built once per matrix, and each point's rows are written straight into the
-matrix's one float64 buffer, row i of every point before row i + 1 of any
-(so that leading blocks are as general as the points).  A sampled
+coefficients.  Each row is the product of two rows of one table of
+derivatives at the points, built once per matrix, and the rows go straight
+into the matrix's one float64 buffer, row i of every point before row i + 1
+of any (so that leading blocks are as general as the points).  A sampled
 configuration is first moved to a projective frame: three of its points go
 to the coordinate points, where their conditions only kill monomials, so
 just the other points' rows on the kept monomials are eliminated
@@ -26,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional
 
 from . import field, linsys
@@ -39,6 +39,8 @@ DEFAULT_TRIALS = 3
 # A point leads a tall framed matrix when it has at least 1/LEAD_SHARE as
 # many conditions as there are kept monomials (_lead_of).
 LEAD_SHARE = 2
+# _write_rows fills its output about TILE_CELLS entries at a time.
+TILE_CELLS = 1 << 15
 
 
 class MatrixTooLarge(Exception):
@@ -143,109 +145,103 @@ def _charts(points, d: int, p: int) -> list:
     return charts
 
 
-def _write_rows(points, mults, d: int, p: int, out, keep=None,
-                graded: bool = False) -> None:
-    """Condition rows of the points into the float64 rows of out,
-    interleaved: row i of every point, in point order, comes before row
-    i + 1 of any point.  A point's rows are its conditions in the order
-    (alpha, beta) = (0, 0), (0, 1) ... (0, m-1), (1, 0) ... (m-1, 0): the
-    (alpha, beta) row holds the alpha-th derivative in the first affine
-    variable and the beta-th in the second.  With `graded`, for one point,
-    its rows go in order of alpha + beta, then alpha.
+def _write_rows(points, mults, d: int, p: int, keep=None,
+                lead: bool = False):
+    """Condition rows of the points, in one new float64 array: row i of
+    every point, in point order, before row i + 1 of any.  A point's rows
+    are (alpha, beta) = (0, 0), (0, 1) ... (0, m-1), (1, 0) ... (m-1, 0),
+    the alpha-th derivative in its first affine variable and the beta-th in
+    its second; with `lead`, the first point's rows come first, graded (by
+    alpha + beta, then alpha).  The columns are the monomials of
+    _exponents(d), or those at the indices `keep`.
 
-    The columns are the monomials of _exponents(d), or only those at the
-    indices `keep` when given.  Checks the prime and the points first (see
-    _charts), also when there are no points.  Everything that does not
-    depend on the point is built once: the exponent array, the falling
-    factorials fall[a, n] = n!/(n-a)! mod p (zero where a > n) for a below
-    the largest multiplicity, and the power ladder c^0..c^d of every
-    affine coordinate, one numpy step per power (0^0 = 1).  A point's
-    derivative table for one affine variable is then D[a, n] = fall[a, n] *
-    c^(n-a), the a-th derivative of t^n at c, gathered to the monomial
-    columns.  Every entry is reduced below p < 2^21, so each float64
-    product of two entries is an exact integer below 2^42, which
-    gfmat.floor_mod reduces.
+    The prime and the points are checked first (_charts), before any
+    table, also when there are no points.  The derivatives n!/(n-a)!
+    c^(n-a) of t^n at every affine coordinate c come from its power ladder
+    (d Python-int products; 0^0 = 1) and one factorial and one
+    inverse-factorial table (n! is a unit as p > d), on each monomial's
+    exponent of c's variable, in a few numpy calls.  A row is the product
+    of two rows of that table, so about TILE_CELLS entries at a time take
+    one gathered product, one gfmat.floor_mod and one assignment, in
+    memory order: a tall array (more rows than columns) is laid out
+    transposed and filled a run of monomials, with all their conditions,
+    at a time.  Residues are below p < 2^21, so each product is an exact
+    float64 integer.
     """
     import numpy as np
 
     from .gfmat import floor_mod
 
     charts = _charts(points, d, p)
-    exps = _exponents(d) if keep is None else _exponents(d)[:, keep]
-    top = max(mults, default=0)
-    n = np.arange(d + 1, dtype=np.float64)
-    fall = np.ones((top, d + 1))
-    for a in range(1, top):
-        # the factor 0 at n = a-1 keeps every later row zero for n < a
-        np.multiply(fall[a - 1], np.maximum(n - (a - 1), 0), out=fall[a])
-        floor_mod(fall[a], p)
-    shift = np.maximum(np.arange(d + 1) - np.arange(top)[:, None], 0)
-    coords = np.array([c for (_, _, cu, cv) in charts for c in (cu, cv)],
-                      dtype=np.float64)
-    pw = np.ones((d + 1, len(coords)))
-    for i in range(1, d + 1):
-        np.multiply(pw[i - 1], coords, out=pw[i])
-        floor_mod(pw[i], p)
+    n, top = len(mults), max(mults, default=0)
 
-    sizes = np.array([m * (m + 1) // 2 for m in mults], dtype=np.int64)
-    for q, ((u, v, _, _), m) in enumerate(zip(charts, mults)):
-        if graded:
-            dest = np.array([(a + b) * (a + b + 1) // 2 + a
-                             for a in range(m) for b in range(m - a)])
-        else:
-            # dest[i]: the row of out that row i of this point goes to,
-            # after the rows below i of every point and row i of the points
-            # before
-            i = np.arange(sizes[q])[:, None]
-            dest = np.minimum(i, sizes).sum(1) + (i < sizes[:q]).sum(1)
-        # du[alpha, col]: alpha-th derivative of the first affine factor,
-        # per monomial; dv likewise for the second
-        f, sh = fall[:m], shift[:m]
-        du = floor_mod(f * pw[sh, 2 * q], p).take(exps[u], axis=1)
-        dv = floor_mod(f * pw[sh, 2 * q + 1], p).take(exps[v], axis=1)
-        r = 0
-        for alpha in range(m):
-            out[dest[r:r + m - alpha]] = floor_mod(du[alpha] * dv[:m - alpha],
-                                                   p)
-            r += m - alpha
-        del du, dv  # at most one point's tables are alive at a time
+    def step(x, k):
+        return x * k % p
+    fact = list(accumulate(range(1, d + 1), step, initial=1))
+    ifact = list(accumulate(range(d, 0, -1), step,
+                            initial=pow(fact[-1], -1, p)))[::-1]
+    # the first affine coordinates of all points, then the second ones
+    pw = np.array([list(accumulate([ch[k]] * d, step, initial=1))
+                   for k in (2, 3) for ch in charts], dtype=np.float64)
+    # ders[c, a, j] = j!/(j-a)! c^(j-a), from c^k / k! with k = j - a
+    shift = np.arange(d + 1) - np.arange(top)[:, None]
+    pw = floor_mod(pw.reshape(2 * n, d + 1) * ifact, p)
+    ders = floor_mod(pw[:, shift.clip(0)] * fact, p)
+    ders[:, shift < 0] = 0
+    # row c * top + a of tab: ders[c, a] on the monomials' exponents
+    exps = _exponents(d) if keep is None else _exponents(d)[:, keep]
+    var = np.repeat([ch[k] for k in (0, 1) for ch in charts], top)
+    tab = np.empty((len(var), exps.shape[1]))
+    for v in range(3):
+        tab[var == v] = ders.reshape(-1, d + 1)[var == v].take(exps[v], 1)
+
+    # every point's (alpha, beta), point by point, each in its own order;
+    # then row i of every point after the lead, in point order, before row
+    # i + 1 of any, and before them the lead's, by alpha + beta, then alpha
+    a, mu, skip = np.arange(top), np.array(mults, dtype=np.intp), int(lead)
+    q, al, be = np.nonzero(a[:, None] + a < mu[:, None, None])
+    sizes = mu * (mu + 1) // 2
+    i, j = np.nonzero(np.arange(sizes.max(initial=0))[:, None]
+                      < sizes[skip:])
+    order = (np.cumsum(sizes) - sizes)[skip:][j] + i
+    if lead:  # (alpha, beta) = (b, g - b) is its row b (2m - b - 1) / 2 + g
+        g, b = np.nonzero(a[:mults[0], None] >= a[:mults[0]])
+        order = np.concatenate([b * (2 * mults[0] - b - 1) // 2 + g, order])
+    rows_u, rows_v = (q * top + al)[order], ((n + q) * top + be)[order]
+
+    tall = len(q) > tab.shape[1]
+    tab = np.ascontiguousarray(tab.T) if tall else tab
+    out = np.empty((len(tab), len(q)) if tall else (len(q), tab.shape[1]))
+    size = max(1, TILE_CELLS // max(out.shape[1], 1))
+    for r in range(0, len(out), size):
+        s = slice(r, r + size)
+        src, u, v = (tab[s], rows_u, rows_v) if tall else (tab, rows_u[s],
+                                                           rows_v[s])
+        # the product and its reduction in place in out, one tile alive
+        x = src.take(u, int(tall), out[s], "clip")
+        floor_mod(np.multiply(x, src.take(v, int(tall)), out=x), p)
+    return out.T if tall else out
 
 
 def build_matrix(s: FatPointSystem, cfg: PointConfig, keep=None, lead=None):
     """Condition rows for every point with positive multiplicity, in the
-    interleaved order of _write_rows, or with the rows of the point at
-    index `lead` first, graded (_write_rows), then the others' interleaved.
-
-    The columns are the monomials of _exponents(d), or only those at the
-    index array `keep` when given.  The rows go straight into one float64
-    buffer, from tables built once per matrix.  A tall matrix (more
-    conditions than monomials) is laid out transposed, so that the rank
-    kernel, which factors the transpose of a tall matrix, can eliminate it
-    in place.
+    order of _write_rows, the rows of the point at index `lead` first when
+    given, on the monomials of _exponents(d) or those at the index array
+    `keep`.  A tall matrix (more conditions than monomials) is laid out
+    transposed, so that the rank kernel, which factors the transpose of a
+    tall matrix, can eliminate it in place.
     """
-    import numpy as np
-
     from .gfmat import GFMatrix
 
     if s.tags != cfg.tags:
         raise ConfigError("system and configuration tags disagree")
     eff = linsys.effective_part(s)
-    ncols = linsys.monomial_count(eff.d) if keep is None else len(keep)
-    conds = [i for i, m in enumerate(eff.mults) if m >= 1]
-    nrows = sum(eff.mults[i] * (eff.mults[i] + 1) // 2 for i in conds)
-    if nrows > ncols:
-        data = np.empty((ncols, nrows)).T
-    else:
-        data = np.empty((nrows, ncols))
-    rows = data
-    if lead is not None:
-        conds.remove(lead)
-        m = eff.mults[lead]
-        rows = data[m * (m + 1) // 2:]
-        _write_rows([cfg.points[lead]], [m], eff.d, cfg.p, data, keep, True)
-    _write_rows([cfg.points[i] for i in conds], [eff.mults[i] for i in conds],
-                eff.d, cfg.p, rows, keep)
-    return GFMatrix(data, cfg.p)
+    # the lead first, then the other points with conditions, in order
+    conds = sorted((i for i, m in enumerate(eff.mults) if m >= 1),
+                   key=lambda i: i != lead)
+    return GFMatrix(_write_rows([cfg.points[i] for i in conds],
+                                [eff.mults[i] for i in conds], eff.d, cfg.p,
+                                keep, lead is not None), cfg.p)
 
 
 def _cross(u, v) -> tuple:

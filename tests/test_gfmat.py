@@ -542,6 +542,24 @@ def test_rank_stops_once_the_rows_left_are_zero(monkeypatch, case):
     assert leaves == [(0, True), (LEAF, True)]
 
 
+
+@pytest.mark.parametrize("shape", [(21, 210), (210, 21), (LEAF, 3 * LEAF)])
+def test_a_short_side_within_one_leaf_is_its_columns(monkeypatch, shape):
+    # a later (40;20^5) trial's remainder after its lead is 21x210: its 21
+    # rows are the columns of one leaf, not 210 columns split into leaves
+    p = DEFAULT_PRIME
+    M = np.random.default_rng(4).integers(0, p, shape)
+    leaves = []
+    orig = gfmat._eliminate
+
+    def eliminate(a, p, r0, c0, c1):
+        leaves.append((len(a) - r0, c1 - c0))
+        return orig(a, p, r0, c0, c1)
+
+    monkeypatch.setattr(gfmat, "_eliminate", eliminate)
+    assert rank(gfmatrix(M, p)) == _unblocked_rank(M, p) == min(shape)
+    assert leaves == [(max(shape), min(shape))]
+
 def test_mul_mod_exact_at_worst_case():
     # every entry p - 1 at inner dimension MAX_INNER: the largest sum a
     # float64 product of residues must hold, against Python integers

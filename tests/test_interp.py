@@ -280,6 +280,60 @@ def test_build_matrix_matches_loop_oracle(p):
         assert M.data.tolist() == _loop_matrix(s, cfg)
 
 
+def _graded(rows, m):
+    # a point's rows in (alpha, beta) order, reordered by alpha + beta, then
+    # alpha
+    pairs = [(a, b) for a in range(m) for b in range(m - a)]
+    return [rows[pairs.index(ab)]
+            for ab in sorted(pairs, key=lambda ab: (sum(ab), ab[0]))]
+
+
+# charts y (z = 0), x (y = z = 0) and z; m = 1 points, and points clamped to
+# 0 (m = 0 and m = -2), whose rows never appear
+TILE_PTS = ((3, 1, 0), (4, 0, 0), (0, 0, 5), (0, 7, 1), (5, 0, 1), (0, 4, 0),
+            (2, 9, 1), (6, 6, 1))
+
+
+@pytest.mark.parametrize("mults,tall", [
+    ((3, 1, 4, 0, 2, -2, 1, 1), False),    # 21 conditions on 28 monomials
+    ((4, 1, 4, 0, 3, -2, 2, 1), True),     # 31 conditions on 28 monomials
+], ids=["wide", "tall"])
+@pytest.mark.parametrize("lead", [None, 0, 1, 2], ids=lambda q: f"lead{q}")
+def test_build_matrix_in_small_tiles_matches_loop_oracle(monkeypatch, mults,
+                                                         tall, lead):
+    # tiles of a few rows (or, tall, of a few monomials with all their
+    # conditions), so that every point's rows span several tiles; with a
+    # lead, its rows come first, graded, on the _spread columns, as
+    # h0_at_sample builds them
+    monkeypatch.setattr(interp, "TILE_CELLS", 70)
+    s = FatPointSystem(6, mults)
+    cfg = interp.PointConfig(p=P, points=TILE_PTS, tags=s.tags)
+    keep = None if lead is None else interp._spread(np.arange(28))
+    M = build_matrix(s, cfg, keep, lead)
+    blocks = [(q, loop_condition_rows(pt, m, 6, P, keep))
+              for q, (pt, m) in enumerate(zip(TILE_PTS, mults)) if m >= 1]
+    want = interleaved([rows for q, rows in blocks if q != lead])
+    if lead is not None:
+        want = _graded(dict(blocks)[lead], mults[lead]) + want
+    assert M.data.tolist() == want
+    assert (M.rows > M.cols) == tall and M.data.dtype == np.float64
+    assert M.data.strides == ((8, 8 * M.rows) if tall else (8 * M.cols, 8))
+
+
+@pytest.mark.parametrize("keep,lead", [(None, None), ([0, 2, 5], None),
+                                       (None, 1), ([0, 2, 5], 0)])
+@pytest.mark.parametrize("p", [5, 7])
+def test_build_matrix_refuses_a_prime_at_most_the_degree(keep, lead, p):
+    # the factorial table has no inverse mod p <= d: the prime is refused
+    # before any table is built, with and without points
+    for mults in ((2, 3), (0, -1)):
+        s = FatPointSystem(7, mults)
+        cfg = interp.PointConfig(p=p, points=((1, 2, 1), (3, 1, 1)),
+                                 tags=s.tags)
+        with pytest.raises(ConfigError, match="must exceed degree 7"):
+            build_matrix(s, cfg, keep, lead if mults[0] > 0 else None)
+
+
 @pytest.mark.parametrize("s", [
     homogeneous_system(40, 5, 20),                          # tall, deficit 1
     homogeneous_system(13, 10, 4),                          # wide, full rank
