@@ -98,14 +98,10 @@ class Certificate:
 
     @cached_property
     def h0(self) -> Optional[int]:
-        """h0_bound where it pins the generic h0: linsys.exact_h0 or a
-        full-rank last trial on a direct route; otherwise the floor
-        max(chi, 0), since a degeneration's h0_bound bounds h0 from above
-        and h0 >= max(chi, 0)."""
-        if self.twist is None:
-            pinned = not self.evidence or self.evidence[-1][2].full_rank
-        else:
-            pinned = self.h0_bound == max(self.chi, 0)
+        """h0_bound where it pins the generic h0: on every route h0_bound
+        bounds h0 from above, so it pins h0 when it meets the floor
+        linsys.lower_h0 of the system."""
+        pinned = self.h0_bound == linsys.lower_h0(self.system)
         return self.h0_bound if pinned else None
 
     @cached_property

@@ -5,8 +5,8 @@ twists by mu: the degree drops by 3*mu and the first k multiplicities by mu.
 When the twisted system's Euler characteristic does not drop, its h0 bounds
 the original system's h0 from above (`theorem_upper_bound`, for d, m >= 1);
 `best_bound` takes the least such bound over the integral twists.  At any
-twist, a bound equal to max(chi, 0) pins h0 and so proves the original
-system nonspecial.  The corollary is that floor case at the twist bound,
+twist, a bound equal to linsys.lower_h0 of the original system pins h0
+(Certificate.h0).  The corollary is that floor case at the twist bound,
 where the two chis agree, so it holds exactly when the reduced system is
 nonspecial.
 """
@@ -93,9 +93,9 @@ def theorem_upper_bound(plan: ReductionPlan, trials: int = interp.DEFAULT_TRIALS
     Requires the plan's chi hypothesis.  The bound is the reduced system's
     h0: exact when linsys.exact_h0 decides it, otherwise the best on-cubic
     sample value (itself an upper bound by semicontinuity).  The
-    certificate records the twist (k, mu); it is nonspecial-certified when
-    the bound is the floor max(chi, 0), and inconclusive otherwise.  A
-    sample of more than max_cells cells raises interp.MatrixTooLarge.
+    certificate records the twist (k, mu); it pins h0 when the bound meets
+    linsys.lower_h0 of the original system, and is inconclusive otherwise.
+    A sample of more than max_cells cells raises interp.MatrixTooLarge.
     """
     check_admissible(plan)
     bound, evidence = interp.least_h0(plan.reduced, trials, p, seed, max_cells)
@@ -122,21 +122,21 @@ def best_bound(d: int, n: int, m: int, max_cells: Optional[int] = None,
     Twists run from the twist bound down to 0, all n points specialized;
     the chi hypothesis holds on all of them, since the chi gap is
     mu (n - 9)(mu_bound - mu) / 2.  Only mu = 0 is admissible unless
-    d, m >= 1.  A twist is skipped when its chi already rules out an
-    improvement or when its reduced system needs a sample of more than
-    max_cells cells (interp.framed_cells; None is no limit), and the scan
-    stops once the bound reaches the floor max(chi, 0).
+    d, m >= 1.  A twist is skipped when the linsys.lower_h0 of its reduced
+    system, below which none of its bounds goes, already rules out an
+    improvement, or when that system needs a sample of more than max_cells
+    cells (interp.framed_cells; None is no limit), and the scan stops once
+    the bound reaches lower_h0 of (d; m^n).
     """
     top = mu_bound(d, n, m)
     if top < 0:
         return None, None
     s = linsys.homogeneous_system(d, n, m)
-    floor = max(linsys.chi(s), 0)
+    floor = linsys.lower_h0(s)
     best = best_mu = None
     for mu in range(int(top) if d >= 1 and m >= 1 else 0, -1, -1):
         plan = reduce(s, n, mu)
-        # any bound from this twist is at least max(chi_reduced, 0)
-        if best is not None and max(plan.chi_reduced, 0) >= best:
+        if best is not None and linsys.lower_h0(plan.reduced) >= best:
             continue
         try:
             b = theorem_upper_bound(plan, trials, p, seed, max_cells).h0_bound
@@ -166,8 +166,8 @@ def corollary_nonspecial(s: FatPointSystem, mu: Optional[int],
     given the row's mu = corollary_twist(d, n, m); None, where the corollary
     does not apply, raises InapplicableError.
 
-    At the corollary's twist `theorem_upper_bound` gives h0 <= b, and always
-    h0 >= max(chi, 0); so b == max(chi, 0) pins h0 = b and the system is
+    At the corollary's twist `theorem_upper_bound` gives h0 <= b, and
+    b == linsys.lower_h0(s) pins h0 = b (Certificate.h0), which proves s
     nonspecial.  Otherwise the result is inconclusive, with b attached as an
     upper bound.  Since the two chis agree here, the floor case is exactly
     the reduced system being certified nonspecial.

@@ -49,15 +49,10 @@ class MatrixTooLarge(Exception):
 
 @dataclass(frozen=True)
 class PointConfig:
-    """A concrete point set over GF(p): projective triples plus placement tags.
-
-    cubic is the (a, b) of y^2 = x^3 + ax + b when any point is constrained
-    to the curve, else None.
-    """
+    """Points over GF(p): projective triples plus placement tags."""
     p: int
     points: tuple          # ((x, y, z), ...) fully reduced mod p
     tags: tuple
-    cubic: Optional[tuple] = None
 
 
 def _exponents(d: int):
@@ -75,9 +70,10 @@ def sample_config(tags, p: int, seed: int) -> PointConfig:
     """Sample a deterministic point configuration over GF(p), one point per
     placement tag, in order.
 
-    Curve points are found by sampling x, testing quadratic residuosity of
-    x^3 + ax + b and taking a Tonelli-Shanks square root.  All points are
-    pairwise distinct (resampled on collision, bounded retries).
+    Curve points, on one smooth cubic y^2 = x^3 + ax + b, are found by
+    sampling x, testing quadratic residuosity of x^3 + ax + b and taking a
+    Tonelli-Shanks square root.  All points are pairwise distinct
+    (resampled on collision, bounded retries).
     """
     field.check_modulus(p)
     if p <= 3:
@@ -117,7 +113,7 @@ def sample_config(tags, p: int, seed: int) -> PointConfig:
                 break
         else:
             raise SamplingError("retry budget exhausted while sampling points")
-    return PointConfig(p=p, points=tuple(points), tags=tags, cubic=cubic)
+    return PointConfig(p=p, points=tuple(points), tags=tags)
 
 
 def config_for_system(s: FatPointSystem, p: int, seed: int) -> PointConfig:
@@ -406,10 +402,10 @@ def least_h0(s: FatPointSystem, trials: int, p: int, seed: int,
 
     The evidence is empty when linsys.exact_h0 decides s.  Otherwise it is
     ((p, sub-seed, RankReport), ...) of trials 0, 1, ... in order, and stops
-    after the first full-rank trial: its h0_sample is the floor
-    max(monomials - conditions, 0), so no later trial can lower the least.
-    Raises MatrixTooLarge instead of sampling when the framed matrix has
-    more than max_cells cells (framed_cells).
+    after the first trial whose h0_sample is linsys.lower_h0(s), which no
+    later trial can go below.  A sample below it is no rank of s, so it
+    raises SamplingError.  Raises MatrixTooLarge instead of sampling when
+    the framed matrix has more than max_cells cells (framed_cells).
 
     The trials share one gfmat.Lead, which lives for this call only.  When
     a point leads the framed matrix (_lead_of), the first trial that moves
@@ -431,12 +427,16 @@ def least_h0(s: FatPointSystem, trials: int, p: int, seed: int,
     from .gfmat import Lead
 
     lead = Lead()
+    floor = linsys.lower_h0(s)
     evidence = []
     for t in range(trials):
         sub = derive_seed(seed, t)
         rep = h0_at_sample(s, config_for_system(s, p, sub), lead)
+        if rep.h0_sample < floor:
+            raise SamplingError(f"trial {t} of {s} reads h0 {rep.h0_sample}, "
+                                f"below its floor {floor}")
         evidence.append((p, sub, rep))
-        if rep.full_rank:
+        if rep.h0_sample == floor:
             break
     return min(r.h0_sample for (_, _, r) in evidence), tuple(evidence)
 
@@ -446,12 +446,12 @@ def certify(s: FatPointSystem, trials: int = DEFAULT_TRIALS,
             max_cells: Optional[int] = None) -> Certificate:
     """Decide (non)speciality of the system, sampling where needed.
 
-    Exact route: when linsys.exact_h0 decides s (d < 0, no condition
-    left, or the cubic peel at the floor), with no evidence.  Sampling route:
-    trials run in order and stop at the first full-rank one, which pins the
-    generic h0; `trials` is the number requested and `evidence` lists the
-    trials that ran.  The Certificate derives the verdict from these.
-    A framed matrix of more than max_cells cells raises MatrixTooLarge.
+    Exact route: when linsys.exact_h0 decides s, with no evidence.
+    Sampling route: trials run in order up to the first at linsys.lower_h0,
+    which pins the generic h0; `trials` is the number requested and
+    `evidence` lists the trials that ran (least_h0, which raises
+    MatrixTooLarge past max_cells cells and SamplingError below the
+    floor).  The Certificate derives the verdict from these.
     """
     return Certificate(s, p, seed, trials,
                        *least_h0(s, trials, p, seed, max_cells))

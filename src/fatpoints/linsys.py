@@ -95,19 +95,19 @@ def cubic_bound(s: FatPointSystem) -> int:
     return bound
 
 
-def exact_h0(s: FatPointSystem) -> Optional[int]:
-    """h0 of s with no matrix, or None when sampling is needed.
+def lower_h0(s: FatPointSystem) -> int:
+    """The one floor of h0: max(monomials - conditions, 0), the chi of the
+    clamped system, which h0 never goes below (h2 = 0 for d >= 0; h0 = 0
+    for d < 0).  An upper bound meeting it pins h0; no sample is below it."""
+    return max(monomial_count(s.d) - conditions_count(s), 0)
 
-    0 for d < 0.  Otherwise cubic_bound(s) when it equals the floor
-    max(monomials - conditions, 0), the chi of the clamped system, which h0
-    never goes below for d >= 0 (h2 = 0), so the two pin h0.  That covers
-    the monomial count when no positive multiplicity is left.
-    """
-    if s.d < 0:
-        return 0
+
+def exact_h0(s: FatPointSystem) -> Optional[int]:
+    """h0 of s with no matrix: cubic_bound(s) when it equals lower_h0(s),
+    else None (sampling is needed).  That covers d < 0 and the monomial
+    count when no positive multiplicity is left."""
     bound = cubic_bound(s)
-    floor = max(monomial_count(s.d) - conditions_count(s), 0)
-    return bound if bound == floor else None
+    return bound if bound == lower_h0(s) else None
 
 
 def effective_part(s: FatPointSystem) -> FatPointSystem:

@@ -77,10 +77,11 @@ def _checked(rec: dict) -> Optional[Certificate]:
     the system its route samples (_sampled), and as h0_bound their least
     h0_sample, or with no evidence the linsys.exact_h0 of that system;
     evidence is only what interp.least_h0 writes: none for a system
-    exact_h0 decides, else 1 to `trials` reports, none but the last at
-    full rank, and fewer than `trials` only when the last is; and (c) have
-    h0_bound >= max(chi, 0) when d >= -2.  No rule redoes a rank, so a forged rank
-    whose derived fields all agree still passes.
+    exact_h0 decides, else 1 to `trials` reports, none below that system's
+    linsys.lower_h0, none but the last at it, and fewer than `trials` only
+    when the last is; and (c) have h0_bound >= lower_h0 of its own system.
+    No rule redoes a rank, so a forged rank whose derived fields all agree
+    and that reads no h0 below the floor still passes.
     """
     try:
         cert = certificate_from_dict(rec["certificate"])
@@ -98,14 +99,16 @@ def _checked(rec: dict) -> Optional[Certificate]:
         return None
     least = linsys.exact_h0(sampled)
     if reports:
-        # least_h0 runs trials up to the first at full rank, at most `trials`
-        ran = next((i for i, r in enumerate(reports, 1) if r.full_rank),
-                   cert.trials)
-        if least is not None or len(reports) != min(ran, cert.trials):
+        # least_h0's trials: up to the first at the floor, none below it
+        floor = linsys.lower_h0(sampled)
+        samples = [r.h0_sample for r in reports]
+        ran = samples.index(floor) + 1 if floor in samples else cert.trials
+        if (least is not None or min(samples) < floor
+                or len(samples) != min(ran, cert.trials)):
             return None
-        least = min(r.h0_sample for r in reports)
-    floor = max(cert.chi, 0) if cert.system.d >= -2 else 0
-    return cert if cert.h0_bound == least and cert.h0_bound >= floor else None
+        least = min(samples)
+    ok = cert.h0_bound == least and least >= linsys.lower_h0(cert.system)
+    return cert if ok else None
 
 
 class CertificateStore:

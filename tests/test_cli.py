@@ -444,6 +444,18 @@ def _evidence_past_full_rank(c):
         "report": dict(c["evidence"][0]["report"])})
 
 
+def _samples_below_the_floor(c):
+    # (b) three trials of (13; 4^10, -2) at rank 101 on 100 conditions,
+    # h0_sample 4: no rank of the system, whose clamped chi, the floor of
+    # every sample, is 5; its chi is 4, so every derived field agrees
+    c["evidence"] = [{"prime": c["prime"],
+                      "seed": str(certificate.derive_seed(int(c["seed"]), i)),
+                      "report": {"monomials": 105, "conditions": 100,
+                                 "rank": 101, "h0_sample": 4,
+                                 "full_rank": False}} for i in range(3)]
+    c.update(h0_bound=4, h0=None, h1=None, verdict="special-suspected")
+
+
 def _bound_below_floor(c):
     # (c) the corollary's exact bound for (11; 3^12) is chi = 6
     c.update(h0_bound=5, h0=None, h1=None, verdict="inconclusive")
@@ -557,6 +569,37 @@ def test_store_record_of_schema_3_is_a_miss(tmp_path, capsys):
 def test_store_record_failing_a_check_is_a_miss(tmp_path, capsys, argv,
                                                 tamper):
     _assert_miss(tmp_path, capsys, argv, tamper)
+
+
+def test_store_record_sampling_below_the_floor_is_a_miss(tmp_path, capsys):
+    # the forged record would be served as special-suspected (exit 2); a
+    # miss recomputes the one trial at the floor: special-exact, h1 = 1
+    argv = ["certify", "13", "4x10,-2"]
+    code, out = run(capsys, *argv, "--format", "json")
+    c = json.loads(out)
+    assert code == EXIT_DECIDED and len(c["evidence"]) == 1
+    assert (c["verdict"], c["h0"], c["h1"]) == ("special-exact", 5, 1)
+    _assert_miss(tmp_path, capsys, argv, _samples_below_the_floor)
+
+
+def test_certify_refuses_a_sample_below_the_floor(tmp_path, capsys,
+                                                  monkeypatch):
+    """A rank kernel that reads one more than the rank puts (13; 4^10) at
+    h0_sample 4, below its floor 5: certify raises instead of calling it
+    special-suspected, and the CLI exits 1 and stores nothing.
+
+    This does not catch an inflated rank that lands exactly on the floor,
+    such as (40; 20^5) reading 861 of 861: that needs the rank replayed
+    by a kernel other than gfmat."""
+    from fatpoints import gfmat
+    rank = gfmat.rank
+    monkeypatch.setattr(gfmat, "rank", lambda *a: rank(*a) + 1)
+    with pytest.raises(certificate.SamplingError, match="below its floor 5"):
+        certify(homogeneous_system(13, 10, 4))
+    store = str(tmp_path / "certs.ndjson")
+    assert run(capsys, "certify", "13", "4x10", "--store", store) == (
+        EXIT_USAGE, "")
+    assert not os.path.exists(store)
 
 
 @pytest.mark.parametrize("argv,part,tamper", [

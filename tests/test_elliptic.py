@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from fatpoints import elliptic, interp, linsys
-from fatpoints.certificate import INCONCLUSIVE, NONSPECIAL, derive_seed
+from fatpoints.certificate import (INCONCLUSIVE, NONSPECIAL, SPECIAL_EXACT,
+                                   derive_seed)
 from fatpoints.elliptic import (InapplicableError, ReductionError,
                                 best_bound, corollary_nonspecial,
                                 corollary_twist, mu_bound, reduce,
@@ -201,14 +202,19 @@ def test_theorem_upper_bound_zero_twist():
 SAMPLED_AT_FLOOR = FatPointSystem(6, (4, 2, 2, 2, 1, 1, 1, 1, 1, 1))
 
 
-@pytest.mark.parametrize("s,mu,h0,exact", [
-    (homogeneous_system(20, 14, 6), 10, 0, True),
-    (SAMPLED_AT_FLOOR, 0, 3, False)], ids=["exact-twist", "sampled-twist"])
-def test_theorem_upper_bound_at_the_floor_agrees_with_direct(s, mu, h0, exact):
+@pytest.mark.parametrize("s,mu,h0,exact,verdict", [
+    (homogeneous_system(20, 14, 6), 10, 0, True, NONSPECIAL),
+    (SAMPLED_AT_FLOOR, 0, 3, False, NONSPECIAL),
+    (homogeneous_system(26, 11, -2), 0, 378, True, SPECIAL_EXACT)],
+    ids=["exact-twist", "sampled-twist", "fixed-components"])
+def test_theorem_upper_bound_at_the_floor_agrees_with_direct(s, mu, h0, exact,
+                                                             verdict):
     # the corollary needs a homogeneous system with a positive integral
-    # twist bound, and neither system is one ((20; 6^14) has 53/5), but
-    # these twists still reach the floor max(chi, 0).  The reduced system
-    # of (20; 6^14) at mu 10 is exact, that of SAMPLED_AT_FLOOR is sampled
+    # twist bound, and no system here is one ((20; 6^14) has 53/5), but
+    # these twists still reach the floor linsys.lower_h0.  The reduced
+    # system of (20; 6^14) at mu 10 is exact, that of SAMPLED_AT_FLOOR is
+    # sampled.  (26; (-2)^11) is 11 fixed components: its floor is the
+    # 378 monomials, above max(chi, 0) = 367, and both routes pin it
     assert (len(set(s.mults)) > 1
             or elliptic.corollary_twist(s.d, s.npoints, s.mults[0]) is None)
     plan = reduce(s, s.npoints, mu)
@@ -216,7 +222,7 @@ def test_theorem_upper_bound_at_the_floor_agrees_with_direct(s, mu, h0, exact):
     assert (linsys.exact_h0(plan.reduced) is not None) == exact
     cert = theorem_upper_bound(plan, seed=1)
     direct = certify(s, seed=1)
-    assert cert.verdict == direct.verdict == NONSPECIAL
+    assert cert.verdict == direct.verdict == verdict
     assert cert.h0 == direct.h0 == h0
     assert bool(cert.evidence) != exact
     assert cert.twist == (s.npoints, mu)

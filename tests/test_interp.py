@@ -72,17 +72,22 @@ def test_monomial_basis_structure():
 def test_sample_config_generic_only():
     cfg = sample_config((GENERIC,) * 3, P, 1)
     assert len(cfg.points) == 3
-    assert cfg.cubic is None
     assert len(set(cfg.points)) == 3
 
 
 def test_sample_config_on_cubic():
     cfg = sample_config((ON_CUBIC,) * 10, P, 2)
-    a, b = cfg.cubic
-    assert (4 * a ** 3 + 27 * b ** 2) % P != 0
     assert len(set(cfg.points)) == 10
-    for (x, y, z) in cfg.points:
-        assert z == 1
+    assert all(z == 1 for (_, _, z) in cfg.points)
+    # the a and b of y^2 = x^3 + ax + b through two points of distinct x:
+    # y^2 - x^3 = ax + b at both
+    (x1, y1, _), (x2, y2, _) = cfg.points[0], next(
+        q for q in cfg.points if q[0] != cfg.points[0][0])
+    r1, r2 = (y1 * y1 - x1 ** 3) % P, (y2 * y2 - x2 ** 3) % P
+    a = (r1 - r2) * pow(x1 - x2, -1, P) % P
+    b = (r1 - a * x1) % P
+    assert (4 * a ** 3 + 27 * b ** 2) % P != 0
+    for (x, y, _) in cfg.points:
         assert (y * y - (x ** 3 + a * x + b)) % P == 0
 
 
@@ -795,7 +800,8 @@ def integer_condition_rows(pt, m, d):
 
 def test_gfp_rank_equals_rational_rank_on_lifted_matrices():
     # lift the sampled points to integers, build the matrix over Z, and
-    # compare exact rational rank against the mod-p rank of its reduction
+    # compare exact rational rank against the mod-p rank of its reduction;
+    # no h0 over Q is below the floor linsys.lower_h0
     rng = random.Random(13)
     checked = 0
     while checked < 100:
@@ -812,6 +818,8 @@ def test_gfp_rank_equals_rational_rank_on_lifted_matrices():
         for lrow, prow in zip(lifted, M.data):
             assert [v % P for v in lrow] == [int(v) for v in prow]
         assert gfmat.rank(M) == rational_rank(lifted)
+        assert (linsys.lower_h0(s)
+                <= linsys.monomial_count(d) - rational_rank(lifted))
         checked += 1
 
 

@@ -7,7 +7,8 @@ from fatpoints.field import DEFAULT_PRIME
 from fatpoints.linsys import (FatPointSystem, GENERIC, ON_CUBIC, chi,
                               conditions_count, cremona, cremona_standardize,
                               cubic_bound, effective_part, exact_h0,
-                              expected_dim, homogeneous_system, monomial_count)
+                              expected_dim, homogeneous_system, lower_h0,
+                              monomial_count)
 
 
 def rand_system(rng, allow_negative=False):
@@ -135,6 +136,21 @@ def test_monomial_count():
     assert monomial_count(-3) == 0
 
 
+def test_lower_h0():
+    # max(chi, 0) of the clamped system: above max(chi, 0) with a
+    # multiplicity <= -2, and 0 for d < 0 where chi may be positive
+    assert lower_h0(FatPointSystem(13, (4,) * 10 + (-2,))) == 5
+    assert chi(FatPointSystem(13, (4,) * 10 + (-2,))) == 4
+    assert lower_h0(homogeneous_system(26, 11, -2)) == 378
+    assert lower_h0(FatPointSystem(-4, ())) == 0 < chi(FatPointSystem(-4, ()))
+    assert lower_h0(homogeneous_system(40, 5, 20)) == 0
+    rng = random.Random(23)
+    for _ in range(200):
+        s = rand_system(rng, allow_negative=True)
+        want = max(chi(effective_part(s)), 0) if s.d >= 0 else 0
+        assert lower_h0(s) == want, s
+
+
 def test_exact_h0():
     # d < -2 and d in [-2, -1]: no sections, whatever the multiplicities
     assert exact_h0(homogeneous_system(-5, 10, 3)) == 0
@@ -177,12 +193,18 @@ def _cubic_bound_per_point(s):
 
 
 def test_cubic_bound_matches_the_per_point_peel():
+    # and exact_h0, wherever it decides, is the floor lower_h0
     rng = random.Random(19)
+    decided = 0
     for _ in range(500):
         n = rng.randint(0, 14)
         s = FatPointSystem(rng.randint(-4, 40),
                            tuple(rng.randint(-3, 12) for _ in range(n)))
         assert cubic_bound(s) == _cubic_bound_per_point(s), s
+        if exact_h0(s) is not None:
+            assert exact_h0(s) == lower_h0(s), s
+            decided += 1
+    assert decided >= 100
 
 
 def _on_cubic_corpus(rng, count):
