@@ -15,6 +15,16 @@ from typing import Optional
 from . import linsys
 from .linsys import ON_CUBIC, FatPointSystem
 
+# the interpreter's own SHA-256, as random takes its SHA-512, so that a
+# trial seed loads no OpenSSL; hashlib's gives the same digests
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 # certificate verdicts
 NONSPECIAL = "nonspecial-certified"
 SPECIAL_EXACT = "special-exact"
@@ -173,7 +183,7 @@ def certificate_from_dict(d: dict) -> Certificate:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Stable 64-bit sub-seed for trial number `index`."""
-    import hashlib  # loaded by the first trial, not by every CLI start
-    h = hashlib.sha256(f"{seed}:{index}".encode()).digest()
+    """Stable 64-bit sub-seed for trial number `index`: the first 8 bytes,
+    big-endian, of the SHA-256 of "seed:index"."""
+    h = _sha256(f"{seed}:{index}".encode()).digest()
     return int.from_bytes(h[:8], "big")

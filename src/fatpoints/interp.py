@@ -2,10 +2,11 @@
 
 A multiplicity-m condition at a point forces all partial derivatives of
 order < m to vanish there, i.e. m(m+1)/2 linear conditions on the monomial
-coefficients.  Each row is the product of two rows of one table of
-derivatives at the points, built once per matrix, and the rows go straight
-into the matrix's one float64 buffer, row i of every point before row i + 1
-of any (so that leading blocks are as general as the points).  A sampled
+coefficients.  Each row is the product of two rows of a table of
+derivatives at the points, built a panel of monomials at a time, and the
+rows go straight into the matrix's one float64 buffer, row i of every point
+before row i + 1 of any (so that leading blocks are as general as the
+points).  A sampled
 configuration is first moved to a projective frame: three of its points go
 to the coordinate points, where their conditions only kill monomials, so
 just the other points' rows on the kept monomials are eliminated
@@ -39,8 +40,10 @@ DEFAULT_TRIALS = 3
 # A point leads a tall framed matrix when it has at least 1/LEAD_SHARE as
 # many conditions as there are kept monomials (_lead_of).
 LEAD_SHARE = 2
-# _write_rows fills its output about TILE_CELLS entries at a time.
+# _write_rows fills its output about TILE_CELLS entries at a time, from a
+# panel of its derivative table of at most PANEL_CELLS entries.
 TILE_CELLS = 1 << 15
+PANEL_CELLS = 8 * TILE_CELLS
 
 
 class MatrixTooLarge(Exception):
@@ -155,14 +158,19 @@ def _write_rows(points, mults, d: int, p: int, keep=None,
     table, also when there are no points.  The derivatives n!/(n-a)!
     c^(n-a) of t^n at every affine coordinate c come from its power ladder
     (d Python-int products; 0^0 = 1) and one factorial and one
-    inverse-factorial table (n! is a unit as p > d), on each monomial's
-    exponent of c's variable, in a few numpy calls.  A row is the product
-    of two rows of that table, so about TILE_CELLS entries at a time take
-    one gathered product, one gfmat.floor_mod and one assignment, in
-    memory order: a tall array (more rows than columns) is laid out
-    transposed and filled a run of monomials, with all their conditions,
-    at a time.  Residues are below p < 2^21, so each product is an exact
-    float64 integer.
+    inverse-factorial table (n! is a unit as p > d).  A row is the product
+    of two rows of the table of those derivatives of order a < m, at each
+    point's two coordinates, on each monomial's exponent of the
+    coordinate's variable.  The table is made a panel of monomials at a
+    time, of at most PANEL_CELLS entries, in one take per variable.  In a
+    panel, about TILE_CELLS entries at a time take one gathered product,
+    one gfmat.floor_mod and one assignment, in memory order: a tall array
+    (more rows than columns) is laid out transposed and filled a run of
+    monomials, with all their conditions, at a time, and a wide one a run
+    of rows, on the panel's monomials (through a buffer when the panel is
+    narrower than the array).  So, whatever the points and multiplicities,
+    the array's build holds one panel and a few tiles beyond it.  Residues
+    are below p < 2^21, so each product is an exact float64 integer.
     """
     import numpy as np
 
@@ -179,17 +187,20 @@ def _write_rows(points, mults, d: int, p: int, keep=None,
     # the first affine coordinates of all points, then the second ones
     pw = np.array([list(accumulate([ch[k]] * d, step, initial=1))
                    for k in (2, 3) for ch in charts], dtype=np.float64)
-    # ders[c, a, j] = j!/(j-a)! c^(j-a), from c^k / k! with k = j - a
+    # ders[c * top + a, j] = j!/(j-a)! c^(j-a), from c^k / k! with k = j - a
     shift = np.arange(d + 1) - np.arange(top)[:, None]
     pw = floor_mod(pw.reshape(2 * n, d + 1) * ifact, p)
     ders = floor_mod(pw[:, shift.clip(0)] * fact, p)
     ders[:, shift < 0] = 0
-    # row c * top + a of tab: ders[c, a] on the monomials' exponents
-    exps = _exponents(d) if keep is None else _exponents(d)[:, keep]
-    var = np.repeat([ch[k] for k in (0, 1) for ch in charts], top)
-    tab = np.empty((len(var), exps.shape[1]))
-    for v in range(3):
-        tab[var == v] = ders.reshape(-1, d + 1)[var == v].take(exps[v], 1)
+    ders = ders.reshape(-1, d + 1)
+    # the table's rows: coordinate c's orders a < m, the coordinates in
+    # groups by their variable; (c, a) is its row start[c] + a, and ids[v]
+    # lists the rows of ders of variable v's group
+    start, ids, height = [0] * (2 * n), [[], [], []], 0
+    for c in sorted(range(2 * n), key=lambda c: charts[c % n][c // n]):
+        m = mults[c % n]
+        start[c], height = height, height + m
+        ids[charts[c % n][c // n]] += range(c * top, c * top + m)
 
     # every point's (alpha, beta), point by point, each in its own order;
     # then row i of every point after the lead, in point order, before row
@@ -203,19 +214,38 @@ def _write_rows(points, mults, d: int, p: int, keep=None,
     if lead:  # (alpha, beta) = (b, g - b) is its row b (2m - b - 1) / 2 + g
         g, b = np.nonzero(a[:mults[0], None] >= a[:mults[0]])
         order = np.concatenate([b * (2 * mults[0] - b - 1) // 2 + g, order])
-    rows_u, rows_v = (q * top + al)[order], ((n + q) * top + be)[order]
+    start = np.array(start, dtype=np.intp)
+    rows_u, rows_v = (start[q] + al)[order], (start[n + q] + be)[order]
 
-    tall = len(q) > tab.shape[1]
-    tab = np.ascontiguousarray(tab.T) if tall else tab
-    out = np.empty((len(tab), len(q)) if tall else (len(q), tab.shape[1]))
-    size = max(1, TILE_CELLS // max(out.shape[1], 1))
-    for r in range(0, len(out), size):
-        s = slice(r, r + size)
-        src, u, v = (tab[s], rows_u, rows_v) if tall else (tab, rows_u[s],
-                                                           rows_v[s])
-        # the product and its reduction in place in out, one tile alive
-        x = src.take(u, int(tall), out[s], "clip")
-        floor_mod(np.multiply(x, src.take(v, int(tall)), out=x), p)
+    exps = _exponents(d) if keep is None else _exponents(d)[:, keep]
+    kept, tall = exps.shape[1], len(q) > exps.shape[1]
+    ends = list(accumulate(map(len, ids), initial=0))
+    groups = [(exps[v], ders[g], slice(ends[v], ends[v + 1]))
+              for v, g in enumerate(ids) if g]
+    out = np.empty((kept, len(q)) if tall else (len(q), kept))
+    width = max(1, PANEL_CELLS // max(height, 1))
+    panel = np.empty(height * min(width, kept))
+    for c in range(0, kept, width):
+        cols, w = slice(c, c + width), min(width, kept - c)
+        tab = panel[:height * w].reshape(height, w)
+        for e, t, block in groups:
+            t.take(e[cols], 1, tab[block], "clip")
+        part = out[cols] if tall else out[:, cols]
+        size = max(1, TILE_CELLS // max(part.shape[1], 1))
+        # a wide out's tiles on a panel narrower than out are strided
+        buf = None if part.flags.c_contiguous else np.empty(
+            (min(size, len(part)), part.shape[1]))
+        for r in range(0, len(part), size):
+            s = slice(r, r + size)
+            src, u, v = (np.ascontiguousarray(tab[:, s].T), rows_u,
+                          rows_v) if tall else (tab, rows_u[s], rows_v[s])
+            # the product and its reduction in place in out, or in buf
+            x = part[s]
+            y = x if buf is None else buf[:len(x)]
+            src.take(u, int(tall), y, "clip")
+            floor_mod(np.multiply(y, src.take(v, int(tall)), out=y), p)
+            if buf is not None:
+                x[...] = y
     return out.T if tall else out
 
 
