@@ -8,12 +8,10 @@ sampling route that fills in the evidence is interp.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linsys
-from .linsys import ON_CUBIC, FatPointSystem
+from .linsys import ON_CUBIC, FatPointSystem, Value
 
 # the interpreter's own SHA-256, as random takes its SHA-512, so that a
 # trial seed loads no OpenSSL; hashlib's gives the same digests
@@ -61,8 +59,7 @@ class SamplingError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     monomials: int
     conditions: int
     rank: int
@@ -81,54 +78,40 @@ def is_special(h0: int, h1: Optional[int]) -> bool:
     return h0 > 0 and h1 is not None and h1 > 0
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """What a verdict rests on: the run, the least h0 found and the trials
-    behind it (none when linsys.exact_h0 decided it), and on the
-    degeneration route the twist (k, mu) whose reduced system was bounded;
-    a direct route has no twist.  The method, chi, h0, h1 and the verdict
-    are derived from these, here and nowhere else, and once: it is frozen."""
-    system: FatPointSystem
-    prime: int
-    seed: int
-    trials: int
-    h0_bound: int
-    evidence: tuple = ()   # ((prime, seed, RankReport), ...)
-    twist: Optional[tuple] = None   # (k, mu) on the degeneration route
+    behind it, ((prime, seed, RankReport), ...), none when linsys.exact_h0
+    decided it, and on the degeneration route the twist (k, mu) whose
+    reduced system was bounded; a direct route has no twist.  These seven
+    inputs are the value; the method, chi, h0, h1 and the verdict are
+    derived from them, here and nowhere else, all but the method once."""
+    __slots__ = ("system", "prime", "seed", "trials", "h0_bound", "evidence",
+                 "twist", "chi", "h0", "h1", "verdict")
+    _fields = __slots__[:7]
+
+    def __init__(self, system, prime, seed, trials, h0_bound, evidence=(),
+                 twist=None):
+        # h0_bound bounds h0 on every route: it pins h0 at linsys.lower_h0;
+        # h1 = h0 - chi is valid since h2 = 0 for d >= -2, null below that
+        chi = linsys.chi(system)
+        h0 = h0_bound if h0_bound == linsys.lower_h0(system) else None
+        h1 = None if h0 is None or system.d < -2 else h0 - chi
+        if h0 is not None:
+            verdict = SPECIAL_EXACT if is_special(h0, h1) else NONSPECIAL
+        # sampling never pins a deficit: agreeing ones are only suspected
+        elif (twist is None and trials >= 3
+                and len({r.h0_sample for (_, _, r) in evidence}) == 1):
+            verdict = SPECIAL_SUSPECTED
+        else:
+            verdict = INCONCLUSIVE
+        self._set(system, prime, seed, trials, h0_bound, evidence, twist,
+                  chi, h0, h1, verdict)
 
     @property
     def method(self) -> str:
         if self.twist is not None:
             return DEGENERATION_CODIM
         return DIRECT_ON_CUBIC if ON_CUBIC in self.system.tags else DIRECT_GENERIC
-
-    @cached_property
-    def chi(self) -> int:
-        return linsys.chi(self.system)
-
-    @cached_property
-    def h0(self) -> Optional[int]:
-        """h0_bound where it pins the generic h0: on every route h0_bound
-        bounds h0 from above, so it pins h0 when it meets the floor
-        linsys.lower_h0 of the system."""
-        pinned = self.h0_bound == linsys.lower_h0(self.system)
-        return self.h0_bound if pinned else None
-
-    @cached_property
-    def h1(self) -> Optional[int]:
-        """h0 - chi, valid since h2 = 0 for d >= -2; null below that."""
-        h0 = self.h0
-        return None if h0 is None or self.system.d < -2 else h0 - self.chi
-
-    @cached_property
-    def verdict(self) -> str:
-        if self.h0 is not None:
-            return SPECIAL_EXACT if is_special(self.h0, self.h1) else NONSPECIAL
-        # sampling never pins a deficit: agreeing ones are only suspected
-        if (self.twist is None and self.trials >= 3
-                and len({r.h0_sample for (_, _, r) in self.evidence}) == 1):
-            return SPECIAL_SUSPECTED
-        return INCONCLUSIVE
 
     @property
     def decided(self) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import sys
 
 from . import certificate, elliptic, field, interp, linsys
@@ -197,8 +198,12 @@ def _sweep_row(s: FatPointSystem, n: int, m: int, twist, verdict: str,
     points), integral whether the row took the corollary's route (twist
     set: mu a positive integer, d, m >= 1), not whether mu is an integer,
     and h0 the certificate's h0_bound, its h0 whenever that is pinned."""
-    return {"d": s.d, "n": n, "m": m, "v": linsys.expected_dim(s),
-            "mu": str(elliptic.mu_bound(s.d, n, m)) if n > 9 else "",
+    mu = ""
+    if n > 9:  # str(elliptic.mu_bound(s.d, n, m)), with no Fraction
+        num, den = elliptic.mu_terms(s.d, n, m)
+        g = math.gcd(num, den)
+        mu = str(num // g) if g == den else f"{num // g}/{den // g}"
+    return {"d": s.d, "n": n, "m": m, "v": linsys.expected_dim(s), "mu": mu,
             "integral": twist is not None,
             "verdict": verdict, "h0": None if cert is None else cert.h0_bound}
 

@@ -13,9 +13,7 @@ nonspecial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import interp, linsys
 from .certificate import Certificate
@@ -33,8 +31,7 @@ class InapplicableError(ReductionError):
     pass
 
 
-@dataclass(frozen=True)
-class ReductionPlan:
+class ReductionPlan(NamedTuple):
     original: FatPointSystem
     k: int
     mu: int
@@ -53,6 +50,11 @@ class ReductionPlan:
         return self.chi_reduced >= self.chi_original
 
 
+def mu_terms(d: int, n: int, m: int) -> tuple:
+    """mu_bound's numerator and denominator, in integers, not reduced."""
+    return n - 9 + 2 * m * n - 6 * d, n - 9
+
+
 def mu_bound(d: int, n: int, m: int) -> Fraction:
     """Largest admissible twist for the homogeneous system (d; m^n).
 
@@ -61,7 +63,8 @@ def mu_bound(d: int, n: int, m: int) -> Fraction:
     """
     if n <= 9:
         raise ReductionError("need at least 10 points")
-    return Fraction(n - 9 + 2 * m * n - 6 * d, n - 9)
+    from fractions import Fraction  # only reduce and bound load it
+    return Fraction(*mu_terms(d, n, m))
 
 
 def reduce(s: FatPointSystem, k: int, mu: int) -> ReductionPlan:
@@ -154,8 +157,7 @@ def corollary_twist(d: int, n: int, m: int) -> int | None:
     mu a positive integer (so the two chis agree), n >= 10 and d, m >= 1."""
     if n < MIN_SPECIALIZED or d < 1 or m < 1:
         return None
-    # mu_bound's numerator over its denominator, in integers
-    mu, rest = divmod(n - 9 + 2 * m * n - 6 * d, n - 9)
+    mu, rest = divmod(*mu_terms(d, n, m))
     return mu if rest == 0 and mu > 0 else None
 
 

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import field, linsys
 from .certificate import (Certificate, ConfigError, RankReport, SamplingError,
@@ -50,8 +49,7 @@ class MatrixTooLarge(Exception):
     """Sampling would eliminate more cells than the caller allows."""
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(NamedTuple):
     """Points over GF(p): projective triples plus placement tags."""
     p: int
     points: tuple          # ((x, y, z), ...) fully reduced mod p
@@ -316,7 +314,7 @@ def _frame(eff: FatPointSystem, cfg: PointConfig):
     points = tuple(tuple(sum(x * y for x, y in zip(row, q)) % p for row in adj)
                    for q in cfg.points)
     mults = tuple(0 if idx in top else m for idx, m in enumerate(eff.mults))
-    return replace(eff, mults=mults), replace(cfg, points=points), keep
+    return eff.replace(mults=mults), cfg._replace(points=points), keep
 
 
 def _lead_of(rest: FatPointSystem, keep) -> Optional[int]:
@@ -404,7 +402,7 @@ def h0_at_sample(s: FatPointSystem, cfg: PointConfig,
     else:
         x, y, z = moved.points[q]
         p = cfg.p
-        moved = replace(moved, points=tuple(
+        moved = moved._replace(points=tuple(
             (u * y * z % p, v * x * z % p, t * x * y % p)
             for (u, v, t) in moved.points))
         keep = _spread(keep)
@@ -413,7 +411,7 @@ def h0_at_sample(s: FatPointSystem, cfg: PointConfig,
             lead.cols = w
         elif lead.cols == w:
             # only the other points' rows, after the factored lead
-            rest = replace(rest, mults=tuple(
+            rest = rest.replace(mults=tuple(
                 0 if i == q else m for i, m in enumerate(rest.mults)))
             q = None
         else:

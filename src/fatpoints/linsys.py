@@ -9,28 +9,71 @@ impose no vanishing conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
 GENERIC = "generic"
 ON_CUBIC = "on-cubic"
+_TAGS = frozenset((GENERIC, ON_CUBIC))
 
 
-@dataclass(frozen=True)
-class FatPointSystem:
-    d: int
-    mults: tuple = ()
-    tags: tuple = ()
+class Value:
+    """Immutable; equal, hashing and printed by its inputs (_fields); its
+    other slots hold facts derived once in __init__, which replace reruns."""
+    __slots__ = _fields = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
-        tags = self.tags or (GENERIC,) * len(self.mults)
-        if len(tags) != len(self.mults):
+    def _set(self, *values):
+        for name, v in zip(self.__slots__, values):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._key()), **changes))
+
+    def __reduce__(self):  # pickle and copy rebuild it through __init__
+        return type(self), self._key()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self._key())
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class FatPointSystem(Value):
+    """(d; m_1, ..., m_n), a placement tag per point (GENERIC by default),
+    validated; chi and conditions_count read its sums of m(m+1)/2."""
+    __slots__ = ("d", "mults", "tags", "_tri", "_conditions")
+    _fields = __slots__[:3]
+
+    def __init__(self, d: int, mults: tuple = (), tags: tuple = ()):
+        mults = tuple(map(int, mults))
+        tags = tuple(tags) if tags else (GENERIC,) * len(mults)
+        if len(tags) != len(mults):
             raise ValueError("one tag per multiplicity required")
-        for t in tags:
-            if t not in (GENERIC, ON_CUBIC):
-                raise ValueError(f"unknown placement tag {t!r}")
-        object.__setattr__(self, "tags", tuple(tags))
+        try:
+            known = _TAGS.issuperset(tags)
+        except TypeError:  # an unhashable tag
+            known = False
+        if not known:
+            bad = next(t for t in tags if t not in (GENERIC, ON_CUBIC))
+            raise ValueError(f"unknown placement tag {bad!r}")
+        conditions = tri = sum([m * (m + 1) for m in mults if m > 0]) // 2
+        if mults and min(mults) < 0:
+            tri += sum([m * (m + 1) for m in mults if m < 0]) // 2
+        self._set(d, mults, tags, tri, conditions)
 
     @property
     def npoints(self) -> int:
@@ -54,7 +97,7 @@ def monomial_count(d: int) -> int:
 
 def chi(s: FatPointSystem) -> int:
     """Euler characteristic d(d+3)/2 + 1 - sum m_i(m_i+1)/2, all entries."""
-    return s.d * (s.d + 3) // 2 + 1 - sum(m * (m + 1) // 2 for m in s.mults)
+    return s.d * (s.d + 3) // 2 + 1 - s._tri
 
 
 def expected_dim(s: FatPointSystem) -> int:
@@ -64,7 +107,7 @@ def expected_dim(s: FatPointSystem) -> int:
 
 def conditions_count(s: FatPointSystem) -> int:
     """Linear conditions imposed by the positive multiplicities only."""
-    return sum(m * (m + 1) // 2 for m in s.mults if m >= 1)
+    return s._conditions
 
 
 def cubic_bound(s: FatPointSystem) -> int:
@@ -79,19 +122,18 @@ def cubic_bound(s: FatPointSystem) -> int:
     clamped at 0 again, and the peel repeats until d < 0 (h0 0) or no
     multiplicity is positive (the monomial count).  The bound holds at every
     configuration on a smooth cubic, over any field.  The peel runs on the
-    distinct positive multiplicities with their counts, as (m, count).
+    positive multiplicities sorted descending, with their running sum.
     """
-    groups = {}
-    for m in s.mults:
-        if m > 0:
-            groups[m] = groups.get(m, 0) + 1
-    d, groups, bound = s.d, list(groups.items()), 0
+    ms = sorted((m for m in s.mults if m > 0), reverse=True)
+    d, left, bound, j = s.d, sum(ms), 0, 0
     while d >= 0:
-        if not groups:
+        if not ms:
             return bound + monomial_count(d)
-        e = 3 * d - sum(m * c for m, c in groups)
+        e = 3 * d - left
         bound += e if e > 0 else 1 if e == 0 else 0
-        d, groups = d - 3, [(m - 1, c) for m, c in groups if m > 1]
+        d, left, j = d - 3, left - len(ms), j + 1
+        while ms and ms[-1] <= j:
+            ms.pop()
     return bound
 
 
@@ -99,7 +141,7 @@ def lower_h0(s: FatPointSystem) -> int:
     """The one floor of h0: max(monomials - conditions, 0), the chi of the
     clamped system, which h0 never goes below (h2 = 0 for d >= 0; h0 = 0
     for d < 0).  An upper bound meeting it pins h0; no sample is below it."""
-    return max(monomial_count(s.d) - conditions_count(s), 0)
+    return max(monomial_count(s.d) - s._conditions, 0)
 
 
 def exact_h0(s: FatPointSystem) -> Optional[int]:
@@ -118,7 +160,7 @@ def effective_part(s: FatPointSystem) -> FatPointSystem:
     """
     if s.d < 0:
         raise ValueError("effective_part needs d >= 0 (system is empty otherwise)")
-    return replace(s, mults=tuple(max(m, 0) for m in s.mults))
+    return s.replace(mults=tuple(max(m, 0) for m in s.mults))
 
 
 def cremona(s: FatPointSystem) -> FatPointSystem:
@@ -140,7 +182,7 @@ def cremona(s: FatPointSystem) -> FatPointSystem:
     new = list(s.mults)
     for i in top:
         new[i] = s.d - (msum - s.mults[i])
-    return replace(s, d=2 * s.d - msum, mults=tuple(new))
+    return s.replace(d=2 * s.d - msum, mults=tuple(new))
 
 
 def cremona_standardize(s: FatPointSystem):
@@ -153,13 +195,13 @@ def cremona_standardize(s: FatPointSystem):
     """
     if s.npoints < 3:
         raise ValueError("cremona_standardize needs at least 3 points")
-    cur = replace(s, mults=tuple(sorted(s.mults, reverse=True)))
+    cur = s.replace(mults=tuple(sorted(s.mults, reverse=True)))
     steps = 0
     while cur.d >= 0 and min(cur.mults) >= 0:
         m1, m2, m3 = cur.mults[0], cur.mults[1], cur.mults[2]
         if cur.d >= m1 + m2 + m3:
             break
         cur = cremona(cur)
-        cur = replace(cur, mults=tuple(sorted(cur.mults, reverse=True)))
+        cur = cur.replace(mults=tuple(sorted(cur.mults, reverse=True)))
         steps += 1
     return cur, steps

@@ -897,6 +897,52 @@ def test_store_serves_schema_2_records(tmp_path, capsys, argv):
     assert store.read_text() == lines
 
 
+# the six runs that wrote this store of schema 3, in order, into one file:
+# 99 grid rows with no evidence, sampled certificates at both placements,
+# one with a fixed component, and one sampled sweep row
+SCHEMA3_STORE = os.path.join(os.path.dirname(__file__), "data",
+                             "store-schema3.ndjson")
+SCHEMA3_RUNS = [
+    ["sweep", "10:20", "10:12", "2:4"],
+    ["certify", "13", "4x10"],
+    ["certify", "40", "20x5"],
+    ["certify", "40", "20x5", "--placement", "cubic"],
+    ["certify", "13", "4x10,-2"],
+    ["sweep", "22", "16", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", SCHEMA3_RUNS, ids=[
+    "sweep-grid", "certify-sampled", "certify-special",
+    "certify-special-cubic", "certify-fixed", "sweep-sampled"])
+def test_store_serves_schema_3_records(tmp_path, capsys, argv):
+    # a store of schema 3, as this schema's first code wrote it: each run
+    # prints the bytes of the cold run and appends nothing
+    path = SCHEMA3_STORE
+    with open(path) as f:
+        lines = f.read()
+    store = tmp_path / "certs.ndjson"
+    store.write_text(lines)
+    argv = argv + ["--format", "json"]
+    want = run(capsys, *argv)
+    assert run(capsys, *argv, "--store", str(store)) == want
+    assert store.read_text() == lines
+
+
+def test_schema_3_store_holds_only_records_it_serves():
+    # every record of the fixture passes the store's checks, and the six
+    # runs above answer all 104 of them
+    path = SCHEMA3_STORE
+    with open(path) as f:
+        recs = [json.loads(line) for line in f]
+    assert len(recs) == 99 + 5 and all(r["schema_version"] == 3 for r in recs)
+    with CertificateStore(path) as st:
+        for rec in recs:
+            encoded = invocation(rec["command"], rec["certificate"])
+            assert st.lookup_certificate(encoded) is not None, rec
+    assert sum(bool(r["certificate"]["evidence"]) for r in recs) == 5
+
+
 def test_store_serves_a_record_only_for_the_run_its_certificate_states(
         tmp_path, capsys):
     # the schema-2 record of certify 13 4x10 with its config's prime edited:

@@ -1,10 +1,13 @@
 """numpy loads with the first matrix, not with the package, and hashlib
 and OpenSSL's _hashlib never: trial seeds hash with the interpreter's own
-SHA-256.
+SHA-256.  A run that builds no matrix loads neither dataclasses nor
+inspect (which dataclasses imports, with ast, dis and tokenize): the
+package's value classes are plain classes and NamedTuples.  numpy imports
+inspect itself, so runs that build a matrix are not checked for it.
 
 Each check runs in a fresh interpreter on this package, as a shell or the
-benchmark's worker would, and reads whether numpy, hashlib and _hashlib
-were imported by the end.
+benchmark's worker would, and reads whether numpy, hashlib, _hashlib,
+dataclasses and inspect were imported by the end.
 """
 
 import json
@@ -18,14 +21,18 @@ import fatpoints
 
 SRC = os.path.dirname(os.path.dirname(fatpoints.__file__))
 
-# runs the CLI in process, then reports its exit code and whether numpy,
-# hashlib and _hashlib were imported, as the last line of stderr
-PROBE = """
+MODULES = ("numpy", "hashlib", "_hashlib", "dataclasses", "inspect")
+# a run that builds a matrix loads numpy, and no other of MODULES but
+# inspect, which is not read (cli_run(...)[:-1])
+MATRIX = (True, False, False, False)
+
+# runs the CLI in process, then reports its exit code and whether each of
+# MODULES was imported, as the last line of stderr
+PROBE = f"""
 import json, sys
 from fatpoints import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code] + [m in sys.modules
-                           for m in ("numpy", "hashlib", "_hashlib")]),
+print(json.dumps([code] + [m in sys.modules for m in {MODULES!r}]),
       file=sys.stderr)
 """
 
@@ -40,9 +47,13 @@ def fresh(*args):
 
 
 def cli_run(*argv):
-    """(exit code, numpy imported, hashlib imported, _hashlib imported) of
-    one CLI call in a fresh interpreter."""
+    """(exit code, then whether each of MODULES was imported) of one CLI
+    call in a fresh interpreter."""
     return tuple(json.loads(fresh("-c", PROBE, *argv).stderr.splitlines()[-1]))
+
+
+# no module of MODULES loaded: the exit code is all cli_run reports
+NONE = (False,) * len(MODULES)
 
 
 @pytest.mark.parametrize("code", [
@@ -51,9 +62,8 @@ def cli_run(*argv):
 ], ids=["package", "cli-parser"])
 def test_import_loads_no_numpy(code):
     out = fresh("-c", f"import sys; {code}; "
-                      "print([m in sys.modules for m in "
-                      "('numpy', 'hashlib', '_hashlib')])")
-    assert out.stdout == "[False, False, False]\n"
+                      f"print([m in sys.modules for m in {MODULES!r}])")
+    assert out.stdout == f"{list(NONE)}\n"
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -64,7 +74,7 @@ def test_import_loads_no_numpy(code):
     (["certify", "13", "4x10", "--prime", "4"], 1),
 ], ids=["expdim", "reduce", "certify-peeled", "usage-error"])
 def test_runs_with_no_matrix_load_no_numpy(argv, code):
-    assert cli_run(*argv) == (code, False, False, False)
+    assert cli_run(*argv) == (code, *NONE)
 
 
 def test_sweep_grid_loads_no_numpy_cold_or_resumed(tmp_path):
@@ -73,22 +83,22 @@ def test_sweep_grid_loads_no_numpy_cold_or_resumed(tmp_path):
     store = str(tmp_path / "certs.ndjson")
     for _ in ("cold", "resumed"):
         assert cli_run("sweep", "10:20", "10:12", "2:4",
-                       "--store", store) == (0, False, False, False)
+                       "--store", store) == (0, *NONE)
     with open(store) as f:
         assert len(f.readlines()) == 99
 
 
 def test_sampled_certify_loads_numpy():
     # but no hashlib: derive_seed's trial seeds use the built-in SHA-256
-    assert cli_run("certify", "13", "4x10") == (0, True, False, False)
+    assert cli_run("certify", "13", "4x10")[:-1] == (0, *MATRIX)
 
 
 def test_store_hit_with_evidence_loads_no_numpy_or_hashlib(tmp_path):
     # the cold run samples; the served one derives the trial seeds of the
     # record's evidence again (certificate_from_dict), with no matrix
     store = str(tmp_path / "certs.ndjson")
-    assert [cli_run("certify", "13", "4x10", "--store", store)
-            for _ in ("cold", "served")] == [(0, True, False, False),
-                                             (0, False, False, False)]
+    cold, served = (cli_run("certify", "13", "4x10", "--store", store)
+                    for _ in ("cold", "served"))
+    assert cold[:-1] == (0, *MATRIX) and served == (0, *NONE)
     with open(store) as f:
         assert len(f.readlines()) == 1

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -205,6 +207,96 @@ def test_cubic_bound_matches_the_per_point_peel():
             assert exact_h0(s) == lower_h0(s), s
             decided += 1
     assert decided >= 100
+
+
+def _cubic_bound_groups(s):
+    """cubic_bound as it was before its running sum: the distinct positive
+    multiplicities with their counts, a new list of groups at every step."""
+    groups = {}
+    for m in s.mults:
+        if m > 0:
+            groups[m] = groups.get(m, 0) + 1
+    d, groups, bound = s.d, list(groups.items()), 0
+    while d >= 0:
+        if not groups:
+            return bound + monomial_count(d)
+        e = 3 * d - sum(m * c for m, c in groups)
+        bound += e if e > 0 else 1 if e == 0 else 0
+        d, groups = d - 3, [(m - 1, c) for m, c in groups if m > 1]
+    return bound
+
+
+def test_cubic_bound_matches_the_group_peel():
+    # the peel on the sorted multiplicities with a running sum is the group
+    # peel, on mixed and on homogeneous systems (one group, dropped at once)
+    rng = random.Random(39)
+    for i in range(12000):
+        n = rng.randint(0, 14)
+        d = rng.randint(-5, 60)
+        if i % 4:
+            mults = tuple(rng.randint(-3, 20) for _ in range(n))
+        else:
+            mults = (rng.randint(-3, 20),) * n
+        s = FatPointSystem(d, mults)
+        assert cubic_bound(s) == _cubic_bound_groups(s), s
+
+
+def test_system_is_an_immutable_value():
+    mults, tags = (4,) * 10, (GENERIC,) * 10
+    s = FatPointSystem(13, mults, tags)
+    # equal systems hash equal, however their fields were given
+    for same in (FatPointSystem(13, list(mults)), homogeneous_system(13, 10, 4),
+                 FatPointSystem(13, (4.0,) * 10, list(tags)), s.replace()):
+        assert same == s and hash(same) == hash(s)
+    assert len({s, homogeneous_system(13, 10, 4)}) == 1
+    assert s != homogeneous_system(13, 10, 4, tag=ON_CUBIC)
+    assert s != FatPointSystem(14, mults) and s != FatPointSystem(13, mults[1:])
+    # a tuple of the same fields is not the system, either way round
+    assert s != (13, mults, tags) and (13, mults, tags) != s
+    assert s != [13, mults, tags]
+    for name in ("d", "mults", "tags", "npoints", "_tri", "_conditions", "x"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1)
+    for name in ("d", "mults", "_conditions"):
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert (s.d, s.mults, s.tags) == (13, mults, tags)
+    assert repr(s) == ("FatPointSystem(d=13, mults=(4, 4, 4, 4, 4, 4, 4, 4, "
+                       "4, 4), tags=('generic', 'generic', 'generic', "
+                       "'generic', 'generic', 'generic', 'generic', "
+                       "'generic', 'generic', 'generic'))")
+    assert repr(FatPointSystem(-1, (2, -3), (ON_CUBIC, GENERIC))) == (
+        "FatPointSystem(d=-1, mults=(2, -3), tags=('on-cubic', 'generic'))")
+    assert repr(FatPointSystem(0)) == "FatPointSystem(d=0, mults=(), tags=())"
+    for copied in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert copied == s and repr(copied) == repr(s)
+
+
+def test_system_validates_on_construction_and_replace():
+    s = FatPointSystem(5, (2, -1, 3))
+    with pytest.raises(ValueError, match="unknown placement tag 'bogus'"):
+        FatPointSystem(5, (2, 1), (GENERIC, "bogus"))
+    with pytest.raises(ValueError, match="unknown placement tag"):
+        FatPointSystem(5, (2, 1), (GENERIC, [ON_CUBIC]))  # unhashable
+    with pytest.raises(ValueError, match="one tag per multiplicity"):
+        FatPointSystem(5, (2, 1), (GENERIC,))
+    with pytest.raises(ValueError, match="unknown placement tag 'x'"):
+        s.replace(tags=("x",) * 3)
+    with pytest.raises(ValueError, match="one tag per multiplicity"):
+        s.replace(mults=(1, 2))
+    with pytest.raises(TypeError):
+        s.replace(degree=4)
+    # replace derives the sums again: chi and the conditions are the new
+    # system's, and s is unchanged
+    t = s.replace(d=7, mults=(2, -2, 0))
+    assert t == FatPointSystem(7, (2, -2, 0))
+    assert (chi(t), conditions_count(t)) == (35 + 1 - 3 - 1, 3)
+    assert (chi(s), conditions_count(s)) == (21 - 3 - 0 - 6, 9)
+    for sys_ in (s, t, FatPointSystem(3), FatPointSystem(-4, (-5, 6))):
+        assert chi(sys_) == sys_.d * (sys_.d + 3) // 2 + 1 - sum(
+            m * (m + 1) // 2 for m in sys_.mults)
+        assert conditions_count(sys_) == sum(
+            m * (m + 1) // 2 for m in sys_.mults if m >= 1)
 
 
 def _on_cubic_corpus(rng, count):
