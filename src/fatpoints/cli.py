@@ -11,12 +11,19 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import sys
 
 from . import certificate, elliptic, field, interp, linsys
 from .field import DEFAULT_PRIME
 from .linsys import GENERIC, ON_CUBIC, FatPointSystem
 from .store import CertificateStore
+
+# OpenBLAS reads this when numpy is first imported, which only a matrix
+# run does.  gfmat's products are tiles of about 2^18 entries, which a
+# second thread does not speed up; it only makes each rank wait for the
+# busier of two CPUs.  A value the caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 DEFAULT_MAX_MATRIX_ENTRIES = 4_000_000
 

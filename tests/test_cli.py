@@ -155,6 +155,20 @@ def test_process_exit_code(argv, code):
     assert proc.stderr.startswith("error: ") == (code == EXIT_USAGE)
 
 
+@pytest.mark.parametrize("given,want", [(None, "1"), ("3", "3")])
+def test_cli_keeps_openblas_to_one_thread_unless_set(given, want):
+    src = os.path.dirname(os.path.dirname(fatpoints.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = "import os, fatpoints.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == want, proc.stderr
+
+
 def test_certify_refuses_prime_beyond_int64_products(capsys):
     # (4; 2^5) is the double conic through five points: h0 = 1, chi = 0.
     # At or above 2^21 the float64 products of the elimination are not
