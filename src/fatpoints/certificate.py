@@ -41,14 +41,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_json(obj) -> str:
-    """The one encoding of certificates, store records and invocations."""
+    """The one encoding of certificates, store records and CLI output."""
     return _ENCODER.encode(obj)
-
-
-def run_fields(system: FatPointSystem, prime: int, seed: int, trials: int):
-    """A run as a certificate states it; the store files records under it."""
-    return {"system": system.to_dict(), "prime": str(prime),
-            "seed": str(seed), "trials": trials}
 
 
 class ConfigError(Exception):
@@ -122,7 +116,8 @@ class Certificate(Value):
             "schema_version": CERT_SCHEMA_VERSION,
             "verdict": self.verdict,
             "method": self.method,
-            **run_fields(self.system, self.prime, self.seed, self.trials),
+            "system": self.system.to_dict(), "prime": str(self.prime),
+            "seed": str(self.seed), "trials": self.trials,
             "twist": None if self.twist is None else {
                 "k": self.twist[0], "mu": self.twist[1]},
             "chi": self.chi,
@@ -146,20 +141,30 @@ class Certificate(Value):
         }
 
 
-def certificate_from_dict(d: dict) -> Certificate:
-    """The certificate of d's inputs; d's derived fields are not read, so
-    to_dict() gives d back only if they are the ones this code derives.
-    The method follows from the twist, and trial i's prime and seed from
-    the certificate's, as least_h0 writes them."""
+def _int(x) -> int:
+    """x, an int: not JSON's true or 1.0 (TypeError)."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
+def certificate_from_dict(d: dict, system=None) -> Certificate:
+    """The certificate of d's inputs, on system if given (the store's key
+    makes it equal to d's); d's derived fields are not read, so to_dict()
+    gives d back only if they are the ones this code derives.  The method
+    follows from the twist, and trial i's prime and seed from the
+    certificate's, as least_h0 writes them."""
     s, t = d["system"], d["twist"]
     p, seed = int(d["prime"]), int(d["seed"])
     return Certificate(
-        system=FatPointSystem(s["d"], tuple(s["mults"]), tuple(s["tags"])),
-        prime=p, seed=seed, trials=int(d["trials"]), h0_bound=d["h0_bound"],
+        system=system or FatPointSystem(s["d"], tuple(s["mults"]),
+                                        tuple(s["tags"])),
+        prime=p, seed=seed, trials=int(d["trials"]),
+        h0_bound=_int(d["h0_bound"]),
         evidence=tuple(
-            (p, derive_seed(seed, i),
-             RankReport(e["report"]["monomials"], e["report"]["conditions"],
-                        e["report"]["rank"]))
+            (p, derive_seed(seed, i), RankReport(*map(_int, (
+                e["report"]["monomials"], e["report"]["conditions"],
+                e["report"]["rank"]))))
             for i, e in enumerate(d["evidence"])),
         twist=None if t is None else (int(t["k"]), int(t["mu"])),
     )

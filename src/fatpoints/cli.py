@@ -108,8 +108,8 @@ def _certified(st, command: str, s: FatPointSystem, args, compute):
     run of command on s (CertificateStore.certificate)."""
     if st is None:
         return compute()
-    return st.certificate(command, certificate.run_fields(
-        s, args.prime, args.seed, args.trials), compute)
+    return st.certificate(command, (s, args.prime, args.seed, args.trials),
+                          compute)
 
 
 def cmd_expdim(args) -> int:

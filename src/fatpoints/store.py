@@ -2,8 +2,10 @@
 
 A record states its run once, in its certificate, and answers only the
 invocation of its own command and its certificate's system, prime, seed
-and trials (invocation), under which it is filed on load and on put; so
-is a record of schema 1 or 2, its config and key unread.  Re-running an
+and trials, a plain tuple under which it is filed on load and on put; so
+is a record of schema 1 or 2, its config and key unread.  A record whose
+run fields are not of the JSON types to_dict writes is filed under none,
+so 1, 1.0, "1" and true stay apart with no JSON encoding.  Re-running an
 identical invocation is thus a lookup, not a recomputation.
 CertificateStore.certificate is the one look-up-or-compute: it serves the
 stored certificate if it is one this code would sign (_checked), and
@@ -22,7 +24,7 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from . import __version__, elliptic, linsys
 from .certificate import Certificate, canonical_json, certificate_from_dict
@@ -31,13 +33,24 @@ from .linsys import GENERIC, FatPointSystem
 STORE_SCHEMA_VERSION = 3
 
 
-def invocation(command: str, run: dict) -> str:
-    """The canonical encoding of a run of command: run's system, prime,
-    seed and trials as written (JSON tells 1, 1.0, "1" and true apart),
-    run being a certificate's JSON or certificate.run_fields of a request.
-    LookupError or TypeError unless run is an object with those fields."""
-    return canonical_json([command, run["system"], run["prime"], run["seed"],
-                           run["trials"]])
+def invocation(command, d, mults, tags, prime, seed, trials) -> tuple:
+    """The key of a run: mults and tags tuples, prime and seed str."""
+    return command, d, mults, tags, prime, seed, trials
+
+
+def _answered(rec: dict) -> Optional[tuple]:
+    """The invocation rec answers, None if a run field's type is not
+    to_dict's; LookupError or TypeError if rec names no invocation."""
+    command, c = rec["command"], rec["certificate"]
+    s, prime, seed, trials = c["system"], c["prime"], c["seed"], c["trials"]
+    if (type(command) is type(prime) is type(seed) is str
+            and type(trials) is int and type(s) is dict and len(s) == 3):
+        d, mults, tags = s.get("d"), s.get("mults"), s.get("tags")
+        if (type(d) is int and type(mults) is type(tags) is list
+                and {*map(type, mults)} <= {int} and {*map(type, tags)} <= {str}):
+            return invocation(command, d, tuple(mults), tuple(tags), prime,
+                              seed, trials)
+    return None
 
 
 def _sampled(cert: Certificate) -> FatPointSystem:
@@ -65,11 +78,12 @@ def _route_twist(command: str, s: FatPointSystem) -> Optional[tuple]:
     return None
 
 
-def _checked(rec: dict) -> Optional[Certificate]:
-    """The record's certificate if this code would sign it for the
-    invocation the record answers; else None.
+def _checked(rec: dict, system: FatPointSystem) -> Optional[Certificate]:
+    """The record's certificate, built on system (the request's, equal to
+    the record's by its key), if this code would sign it; else None.
 
-    It must (a) parse and derive again to the same JSON object, which fixes
+    It must (a) parse, with int h0_bound and report counts and ranks (not
+    true or 1.0), and derive again to the same JSON object, which fixes
     the schema, the method, chi, h0, h1, the verdict, every report's
     derived fields and the prime and seed of every trial, and carry the
     twist the record's command writes (_route_twist), which fixes its
@@ -84,9 +98,9 @@ def _checked(rec: dict) -> Optional[Certificate]:
     and that reads no h0 below the floor still passes.
     """
     try:
-        cert = certificate_from_dict(rec["certificate"])
+        cert = certificate_from_dict(rec["certificate"], system)
         if (cert.to_dict() != rec["certificate"]
-                or cert.twist != _route_twist(rec["command"], cert.system)):
+                or cert.twist != _route_twist(rec["command"], system)):
             return None
         sampled = _sampled(cert)
     except (LookupError, TypeError, ValueError, ArithmeticError,
@@ -107,7 +121,7 @@ def _checked(rec: dict) -> Optional[Certificate]:
                 or len(samples) != min(ran, cert.trials)):
             return None
         least = min(samples)
-    ok = cert.h0_bound == least and least >= linsys.lower_h0(cert.system)
+    ok = cert.h0_bound == least and least >= linsys.lower_h0(system)
     return cert if ok else None
 
 
@@ -134,8 +148,8 @@ class CertificateStore:
                     continue
                 try:
                     rec = json.loads(line)
-                    self._by_invocation[
-                        invocation(rec["command"], rec["certificate"])] = rec
+                    if (key := _answered(rec)) is not None:
+                        self._by_invocation[key] = rec
                 except ValueError as e:
                     raise ValueError(f"store {path} line {n} is corrupt: {e}") from None
                 except (LookupError, TypeError):
@@ -154,28 +168,29 @@ class CertificateStore:
             self._out.close()
             self._out = None
 
-    def certificate(self, command: str, run: dict,
-                    compute: Callable[[], Certificate]) -> Certificate:
-        """The certificate of this run of command (certificate.run_fields):
-        the stored one if it passes _checked, else compute()'s, of that run,
+    def certificate(self, command: str, run: tuple, compute) -> Certificate:
+        """The certificate of this run of command, (system, prime, seed,
+        trials): the stored one if it passes _checked, else compute()'s,
         appended at once (an error that compute raises stores nothing)."""
-        encoded = invocation(command, run)
-        cert = self.lookup_certificate(encoded)
+        system, prime, seed, trials = run
+        key = invocation(command, system.d, system.mults, system.tags,
+                         str(prime), str(seed), trials)
+        cert = self.lookup_certificate(key, system)
         if cert is None:
             cert = compute()
-            self.put(command, cert, encoded)
+            self.put(command, cert, key)
         return cert
 
-    def lookup_certificate(self, encoded: str) -> Optional[Certificate]:
-        """The certificate filed under encoded, if it passes _checked."""
-        rec = self._by_invocation.get(encoded)
-        return None if rec is None else _checked(rec)
+    def lookup_certificate(self, key, system) -> Optional[Certificate]:
+        """The certificate filed under key, a run on system, if _checked."""
+        rec = self._by_invocation.get(key)
+        return None if rec is None else _checked(rec, system)
 
-    def put(self, command: str, cert: Certificate, encoded: str) -> None:
-        """Append cert's record, of a run of command, filed under encoded,
-        the invocation it answers (as the lookup that missed encoded it from
-        the same fields), and flush it so that a later reader, or a rerun
-        after a kill, sees it; the first put cuts a torn tail."""
+    def put(self, command: str, cert: Certificate, key: tuple) -> None:
+        """Append cert's record, of a run of command, filed under key, the
+        invocation it answers (as the lookup that missed built it from the
+        same run), and flush it so that a later reader, or a rerun after a
+        kill, sees it; the first put cuts a torn tail."""
         rec = {
             "schema_version": STORE_SCHEMA_VERSION,
             "command": command,
@@ -183,7 +198,7 @@ class CertificateStore:
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "tool_version": __version__,
         }
-        self._by_invocation[encoded] = rec
+        self._by_invocation[key] = rec
         if self._out is None:
             os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
             if self._torn_at is not None:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 
 import fatpoints
 from fatpoints import (certificate, cli, elliptic, interp, linsys,
@@ -19,20 +20,21 @@ from fatpoints.store import CertificateStore, invocation
 
 def _answered(rec):
     """The invocation a store record rec names: its own command and its
-    certificate's system, prime, seed and trials, encoded."""
-    return invocation(rec["command"], rec["certificate"])
+    certificate's system, prime, seed and trials, as the store keys it."""
+    return store_mod._answered(rec)
 
 
 def _run(cert):
     """The run cert states, as a request names it to the store."""
-    return certificate.run_fields(cert.system, cert.prime, cert.seed,
-                                  cert.trials)
+    return cert.system, cert.prime, cert.seed, cert.trials
 
 
 def _lookup(st, rec):
-    """What the store st serves for the invocation of its record rec, or
-    None on a miss."""
-    return st.lookup_certificate(_answered(rec))
+    """What the store st serves for the invocation of its record rec, a
+    request on the system the record states, or None on a miss."""
+    s = rec["certificate"]["system"]
+    return st.lookup_certificate(_answered(rec), FatPointSystem(
+        s["d"], s["mults"], s["tags"]))
 
 
 def _recomputed():
@@ -630,6 +632,140 @@ def test_store_record_of_another_invocation_is_a_miss(tmp_path, capsys, argv,
     _assert_miss(tmp_path, capsys, argv, tamper, part)
 
 
+def _report(**fields):
+    def tamper(c):
+        c["evidence"][0]["report"].update(fields)
+    return tamper
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda c: c.update(h0=True, h0_bound=True),
+    lambda c: c.update(h0=1.0, h0_bound=1.0),
+    _report(rank=14.0),
+    _report(monomials=True),
+], ids=["h0-bound-true", "h0-bound-float", "rank-float", "monomials-true"])
+def test_store_record_with_a_forged_json_type_is_a_miss(tmp_path, capsys,
+                                                        tamper):
+    # true == 1 == 1.0 in Python, so these records once derived again to an
+    # equal dict and were served, printing true or 1.0 where a cold run
+    # prints 1; h0_bound and every report's counts and rank must be ints
+    _assert_miss(tmp_path, capsys, ["certify", "4", "1x14"], tamper)
+
+
+def _old_invocation(command, run):
+    """The JSON text the store once filed a run under."""
+    return certificate.canonical_json([command, run["system"], run["prime"],
+                                       run["seed"], run["trials"]])
+
+
+# (command, system, prime, seed, trials): the second puts 1 where true
+# and 1.0 could stand for it
+KEYED_REQUESTS = [
+    ("certify", homogeneous_system(13, 10, 4), interp.DEFAULT_PRIME, 0, 3),
+    ("sweep", FatPointSystem(1, (1, 2), ("generic", "on-cubic")), 5, 1, 1),
+]
+
+
+def _stated(command, system, prime, seed, trials):
+    """A record of that run, its certificate holding only the run."""
+    return {"command": command, "certificate": {
+        "system": system.to_dict(), "prime": str(prime), "seed": str(seed),
+        "trials": trials}}
+
+
+def _retyped(v):
+    """Values a record might hold for v: v in other JSON types, or any."""
+    near = [v]
+    for f in (int, float, str, bool):
+        try:
+            near.append(f(v))
+        except ValueError:
+            pass
+    return hs.one_of(hs.sampled_from(near), hs.none(), hs.booleans(),
+                     hs.integers(-3, 20), hs.floats(allow_nan=False),
+                     hs.text(max_size=3))
+
+
+@hs.composite
+def _near_records(draw):
+    """A record of one of KEYED_REQUESTS with some run fields retyped,
+    changed, added or dropped."""
+    rec = _stated(*draw(hs.sampled_from(KEYED_REQUESTS)))
+    c = rec["certificate"]
+
+    def maybe(v, other):
+        return draw(other) if draw(hs.integers(0, 3)) == 3 else v
+
+    def near_list(xs):
+        xs = list(xs)
+        if xs and draw(hs.integers(0, 3)) == 3:
+            i = draw(hs.integers(0, len(xs) - 1))
+            xs[i] = draw(_retyped(xs[i]))
+        return maybe(xs, hs.one_of(_retyped(0), hs.lists(_retyped(1),
+                                                         max_size=3)))
+
+    rec["command"] = maybe(rec["command"], hs.one_of(
+        hs.sampled_from(["certify", "sweep", ["certify"]]), _retyped(1)))
+    s = c["system"]
+    s["d"] = maybe(s["d"], _retyped(s["d"]))
+    s["mults"], s["tags"] = near_list(s["mults"]), near_list(s["tags"])
+    if draw(hs.integers(0, 5)) == 5:
+        s[draw(hs.sampled_from(["d", "mults", "tags", "x"]))] = None
+    if draw(hs.integers(0, 5)) == 5:
+        del s[draw(hs.sampled_from(["d", "mults", "tags"]))]
+    c["system"] = maybe(s, hs.one_of(_retyped(0), hs.lists(_retyped(0))))
+    for field in ("prime", "seed", "trials"):
+        c[field] = maybe(c[field], _retyped(c[field]))
+    return rec
+
+
+def _retype(i, path, v):
+    """The record of KEYED_REQUESTS[i] with its certificate's field at
+    path set to v."""
+    rec = _stated(*KEYED_REQUESTS[i])
+    obj = rec["certificate"]
+    for k in path[:-1]:
+        obj = obj[k]
+    obj[path[-1]] = v
+    return rec
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(rec=_near_records())
+@example(rec=_retype(0, ["system", "d"], 13))
+@example(rec=_retype(0, ["system", "d"], 13.0))
+@example(rec=_retype(1, ["system", "d"], True))
+@example(rec=_retype(0, ["system", "d"], "13"))
+@example(rec=_retype(0, ["trials"], 3.0))
+@example(rec=_retype(0, ["trials"], True))
+@example(rec=_retype(1, ["trials"], True))
+@example(rec=_retype(0, ["prime"], interp.DEFAULT_PRIME))
+@example(rec=_retype(1, ["seed"], 1))
+@example(rec=_retype(1, ["system", "mults", 0], True))
+@example(rec=_retype(0, ["system", "tags", 0], 1))
+@example(rec=_retype(0, ["system", "x"], None))
+def test_record_is_keyed_as_its_json_text_was(rec):
+    # a record is filed under a request's key exactly when the JSON text
+    # of its command and run equals the request's, which tells 1, 1.0,
+    # "1" and true apart
+    key = store_mod._answered(rec)
+    text = _old_invocation(rec["command"], rec["certificate"])
+    for command, s, prime, seed, trials in KEYED_REQUESTS:
+        asked = invocation(command, s.d, s.mults, s.tags, str(prime),
+                           str(seed), trials)
+        assert (key == asked) == (text == _old_invocation(
+            *_stated(command, s, prime, seed, trials).values()))
+    if key is not None:
+        # a record is filed only under a key of the request's types, from
+        # which its JSON text follows
+        command, d, mults, tags, prime, seed, trials = key
+        assert list(map(type, key)) == [str, int, tuple, tuple, str, str, int]
+        assert {*map(type, mults)} <= {int} and {*map(type, tags)} <= {str}
+        assert text == certificate.canonical_json([command, {
+            "d": d, "mults": list(mults), "tags": list(tags)}, prime, seed,
+            trials])
+
+
 @pytest.mark.parametrize("make,verdict,command", [
     (lambda: certify(homogeneous_system(0, 10, -1, tag="on-cubic")),
      "nonspecial-certified", "certify"),
@@ -806,9 +942,9 @@ def test_store_put_is_seen_by_another_reader_at_once(tmp_path):
                                       _recomputed) == cert
 
 
-def test_sweep_opens_its_store_once_and_encodes_each_record_once(
+def test_sweep_opens_its_store_once_and_keys_each_record_once(
         tmp_path, capsys, monkeypatch):
-    appends, encoded = [], []
+    appends, keys = [], []
 
     def counting_open(path, mode="r", *args, **kwargs):
         if "a" in mode:
@@ -816,10 +952,11 @@ def test_sweep_opens_its_store_once_and_encodes_each_record_once(
         return open(path, mode, *args, **kwargs)
 
     def counting_invocation(*args):
-        encoded.append(invocation(*args))
-        return encoded[-1]
+        keys.append(invocation(*args))
+        return keys[-1]
 
-    # the store's module-level open shadows the builtin one
+    # the store's module-level open shadows the builtin one, and every key
+    # the store builds, for a loaded record or a lookup, is an invocation
     monkeypatch.setattr(store_mod, "open", counting_open, raising=False)
     monkeypatch.setattr(store_mod, "invocation", counting_invocation)
     store = str(tmp_path / "certs.ndjson")
@@ -827,25 +964,27 @@ def test_sweep_opens_its_store_once_and_encodes_each_record_once(
     code, cold = run(capsys, *argv)
     recs = _records(store)
     assert code == EXIT_DECIDED and len(recs) == 3
-    # each row's invocation is encoded once, for its lookup, and the record
-    # put appends is filed under that string
+    # each row's key is built once, for its lookup, and the record put
+    # appends is filed under that key
+    built = sorted(keys)  # before _answered below adds the records' keys
     assert appends == [store]
-    assert sorted(encoded) == sorted(_answered(r) for r in recs)
+    assert built == sorted(_answered(r) for r in recs)
 
     # a fully served resume opens nothing for append: each loaded record
-    # is encoded once, and each row's invocation once for its lookup
+    # is keyed once, and each row once for its lookup
     appends.clear()
-    encoded.clear()
+    keys.clear()
     assert run(capsys, *argv) == (EXIT_DECIDED, cold)
+    built = sorted(keys)
     assert appends == []
-    assert sorted(encoded) == sorted(2 * [_answered(r) for r in recs])
+    assert built == sorted(2 * [_answered(r) for r in recs])
 
 
 def test_store_roundtrip(tmp_path):
     path = str(tmp_path / "store.ndjson")
     cert = certify(homogeneous_system(4, 10, 1, tag="on-cubic"), seed=1)
-    stated = {"system": {"d": 4, "mults": [1] * 10, "tags": ["on-cubic"] * 10},
-              "prime": str(interp.DEFAULT_PRIME), "seed": "1", "trials": 3}
+    stated = (homogeneous_system(4, 10, 1, tag="on-cubic"),
+              interp.DEFAULT_PRIME, 1, 3)
     assert _run(cert) == stated
     with CertificateStore(path) as st:
         assert st.certificate("certify", stated, lambda: cert) is cert
@@ -855,7 +994,14 @@ def test_store_roundtrip(tmp_path):
     assert rec == {"schema_version": 3, "command": "certify",
                    "certificate": cert.to_dict(),
                    "tool_version": fatpoints.__version__}
-    assert _answered(rec) == invocation("certify", stated)
+    # and is filed under that run as its certificate's JSON states it
+    prime = str(interp.DEFAULT_PRIME)
+    assert {k: rec["certificate"][k] for k in ("system", "prime", "seed",
+                                               "trials")} == {
+        "system": {"d": 4, "mults": [1] * 10, "tags": ["on-cubic"] * 10},
+        "prime": prime, "seed": "1", "trials": 3}
+    assert _answered(rec) == invocation(
+        "certify", 4, (1,) * 10, ("on-cubic",) * 10, prime, "1", 3)
 
     # served from the file, with nothing computed or appended
     with CertificateStore(path) as st2:
@@ -952,8 +1098,7 @@ def test_schema_3_store_holds_only_records_it_serves():
     assert len(recs) == 99 + 5 and all(r["schema_version"] == 3 for r in recs)
     with CertificateStore(path) as st:
         for rec in recs:
-            encoded = invocation(rec["command"], rec["certificate"])
-            assert st.lookup_certificate(encoded) is not None, rec
+            assert _lookup(st, rec) is not None, rec
     assert sum(bool(r["certificate"]["evidence"]) for r in recs) == 5
 
 
@@ -1003,16 +1148,18 @@ def test_canonical_json_is_the_one_encoding(tmp_path, capsys):
     assert (cert.evidence
             and certificate.canonical_json(cert.to_dict()) + "\n" == out)
     # the invocation is the command and the run the certificate states,
-    # which certificate.run_fields writes for to_dict and for a request
-    stated = _run(cert)
-    assert stated == {k: rec["certificate"][k] for k in stated}
-    inv = [rec["command"], *stated.values()]
-    assert invocation(rec["command"], stated) == certificate.canonical_json(inv)
-    for obj in (rec, cert.to_dict(), inv):
+    # the same tuple from the record's JSON as from a request's values
+    system, prime, seed, trials = _run(cert)
+    c = rec["certificate"]
+    assert _answered(rec) == invocation(
+        rec["command"], c["system"]["d"], tuple(c["system"]["mults"]),
+        tuple(c["system"]["tags"]), c["prime"], c["seed"], c["trials"]) \
+        == invocation("certify", system.d, system.mults, system.tags,
+                      str(prime), str(seed), trials)
+    for obj in (rec, cert.to_dict()):
         assert certificate.canonical_json(obj) == json.dumps(
             obj, sort_keys=True, separators=(",", ":"))
-    # filing each record under its own invocation needs 1, 1.0 and true
-    # to encode apart
+    # the output tells 1, 1.0 and true apart, as the store's keys do
     assert [certificate.canonical_json({"trials": v}) for v in (1, 1.0, True)] \
         == ['{"trials":1}', '{"trials":1.0}', '{"trials":true}']
 

@@ -78,8 +78,8 @@ def test_runs_with_no_matrix_load_no_numpy(argv, code):
 
 
 def test_sweep_grid_loads_no_numpy_cold_or_resumed(tmp_path):
-    # the store files each record under its encoded invocation, which
-    # hashes nothing, and no row is sampled
+    # the store files each record under its invocation, a tuple built
+    # with no JSON encoding or hashing, and no row is sampled
     store = str(tmp_path / "certs.ndjson")
     for _ in ("cold", "resumed"):
         assert cli_run("sweep", "10:20", "10:12", "2:4",
